@@ -8,7 +8,6 @@ model, and the infinite-well paradox with its finite-well resolution.
 """
 
 from .box_spectrum import (
-    BoundaryData,
     BoxEigenfunction,
     BoxSpectrumRequest,
     SpectralRoot,
@@ -77,11 +76,9 @@ from .momentum import (
 from .numerics import (
     Bracket,
     RootReport,
-    SeriesResult,
     integrate,
     refine_root,
     scan_brackets,
-    sum_series,
 )
 from .wells import (
     FiniteWellLevel,

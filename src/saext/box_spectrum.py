@@ -427,19 +427,6 @@ def solve_spectrum(req: BoxSpectrumRequest) -> SpectrumResult:
 
 
 @dataclass(frozen=True)
-class BoundaryData:
-    """Boundary values (phi(0), phi'(0), phi(L), phi'(L)) of any function."""
-
-    phi0: complex
-    dphi0: complex
-    phiL: complex
-    dphiL: complex
-
-    def boundary_values(self) -> tuple[complex, complex, complex, complex]:
-        return (self.phi0, self.dphi0, self.phiL, self.dphiL)
-
-
-@dataclass(frozen=True)
 class BoxEigenfunction:
     """Normalized eigenfunction of the box Hamiltonian on [0, 1].
 

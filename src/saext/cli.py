@@ -6,7 +6,8 @@ deterministic: a given argv always produces byte-identical output.  The
 default of 10 significant digits can be overridden per run (--precision) or
 through the SAEXT_PRECISION environment variable.
 
-Exit codes: 0 success, 2 usage error, 3 numerical failure.
+Exit codes: 0 success, 2 usage error (also a NaN, an infinity other than a
+lambda or lambda/a, or a size above its cap), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -34,6 +35,11 @@ from .extensions import (
 _INTERVALS = {"line": IntervalKind.FULL_LINE, "halfline": IntervalKind.SEMI_AXIS,
               "box": IntervalKind.FINITE_BOX}
 _OPERATORS = {"momentum": OperatorKind.MOMENTUM, "hamiltonian": OperatorKind.HAMILTONIAN}
+
+# Input-size caps: the largest accepted input runs in a few seconds.
+_MAX_COUNT = 5000         # spectrum --count
+_MAX_TERMS = 10 ** 7      # paradox --terms (~0.4 GB of term arrays)
+_MAX_EXPAND_N = 1000      # expand --range |n| (2001 rows; validation cost grows with |n|)
 
 
 @dataclass(frozen=True)
@@ -121,11 +127,15 @@ def _parse_u(text: str):
         raise InvalidParameterError(f"--u: {exc}") from None
 
 
-def _parse_float(text: str, flag: str) -> float:
+def _finite_float(text: str) -> float:
+    """argparse type for a float that must be finite."""
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
-        raise InvalidParameterError(f"{flag}: not a number: {text!r}") from None
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _parse_range(text: str, flag: str) -> tuple[int, int]:
@@ -168,6 +178,8 @@ def _cmd_deficiency(args):
 
 
 def _cmd_spectrum(args):
+    if args.count > _MAX_COUNT:
+        raise InvalidParameterError(f"--count must be at most {_MAX_COUNT}, got {args.count}")
     ext = _parse_u(args.u)
     req = box.BoxSpectrumRequest(
         ext=ext,
@@ -233,6 +245,9 @@ def _cmd_momentum_spectrum(args):
 
 def _cmd_expand(args):
     lo, hi = _parse_range(args.range, "--range")
+    if max(-lo, hi) > _MAX_EXPAND_N:
+        raise InvalidParameterError(
+            f"--range: |n| must be at most {_MAX_EXPAND_N}, got {args.range!r}")
     table = momentum.expansion_table(args.theta, lo, hi)
     rows = [
         {"n": n, "nu": n + table.theta / (2.0 * math.pi),
@@ -245,6 +260,8 @@ def _cmd_expand(args):
 
 
 def _cmd_paradox(args):
+    if args.terms > _MAX_TERMS:
+        raise InvalidParameterError(f"--terms must be at most {_MAX_TERMS}, got {args.terms}")
     rep = wells.paradox_report(args.terms)
     cols = ["terms_used", "mean_E_series", "mean_E_direct", "mean_E2_series",
             "mean_E2_direct", "naive_E2", "boundary_term", "delta_E"]
@@ -335,8 +352,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=10)
     p.add_argument("--include-negative", action="store_true")
     p.add_argument("--eigenfunctions", action="store_true")
-    p.add_argument("--s-max", type=float, default=None, help="scan ceiling in s")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--s-max", type=_finite_float, default=None, help="scan ceiling in s")
+    p.add_argument("--tol", type=_finite_float, default=1e-9)
     p.set_defaults(func=_cmd_spectrum)
 
     p = sub("classify", help="symmetry classification of an extension")
@@ -350,7 +367,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub("expand", help="parabola expansion over the momentum basis")
     p.add_argument("--theta", type=float, required=True)
-    p.add_argument("--range", required=True, help="integer range A:B")
+    p.add_argument("--range", required=True,
+                   help=f"integer range A:B with |A|, |B| <= {_MAX_EXPAND_N}")
     p.set_defaults(func=_cmd_expand)
 
     p = sub("paradox", help="infinite-well energy accounting")
@@ -360,10 +378,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub("deuteron", help="square-well depth vs boundary parameter")
     p.add_argument("--lambda-over-a", dest="lam_over_a", type=float, default=None)
     p.add_argument("--sweep", default=None, help="comma list of lambda/a values, inf allowed")
-    p.add_argument("--binding", type=float, default=2.2, help="|E| in MeV")
-    p.add_argument("--range", type=float, default=2.0, help="well range a in fm")
-    p.add_argument("--hbarc", type=float, default=197.3269804)
-    p.add_argument("--mass-c2", dest="mass_c2", type=float, default=938.919)
+    p.add_argument("--binding", type=_finite_float, default=2.2, help="|E| in MeV")
+    p.add_argument("--range", type=_finite_float, default=2.0, help="well range a in fm")
+    p.add_argument("--hbarc", type=_finite_float, default=197.3269804)
+    p.add_argument("--mass-c2", dest="mass_c2", type=_finite_float, default=938.919)
     p.set_defaults(func=_cmd_deuteron)
 
     p = sub("well-limit", help="finite well converging to the Dirichlet box")
@@ -373,7 +391,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub("reflect", help="reflection amplitude off the half-line wall")
     p.add_argument("--lambda", dest="lam", type=float, required=True)
-    p.add_argument("--k", type=float, required=True)
+    p.add_argument("--k", type=_finite_float, required=True)
     p.set_defaults(func=_cmd_reflect)
 
     p = sub("bound-state", help="half-line surface state, if any")

@@ -57,6 +57,8 @@ class ExtensionU2:
             raise InvalidParameterError(
                 f"(m0, m) must lie on the unit 3-sphere (|norm-1| = {abs(norm - 1.0):.3e})"
             )
+        if not math.isfinite(self.psi):
+            raise InvalidParameterError(f"psi must be finite, got {self.psi!r}")
         vec /= norm
         psi = float(self.psi) % (2.0 * math.pi)
         if psi >= math.pi:

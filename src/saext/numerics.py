@@ -1,4 +1,4 @@
-"""Shared numerical kernels: root bracketing, refinement, quadrature, series.
+"""Shared numerical kernels: root bracketing, refinement and quadrature.
 
 Everything here is deliberately small and dependency-free (numpy only for
 grid evaluation).  The spectral modules rely on three guarantees:
@@ -9,8 +9,10 @@ grid evaluation).  The spectral modules rely on three guarantees:
 * ``refine_root`` is a bisection/secant hybrid: secant steps when they help,
   bisection always as a fallback, so termination is guaranteed on any
   continuous function with a sign-change bracket.
-* ``integrate`` is adaptive Simpson with Richardson correction, exact through
-  degree-5 polynomials on a panel.
+* ``integrate`` is adaptive Gauss-Kronrod G7-K15 in the QUADPACK QAG style
+  (Piessens et al., 1983), exact through degree-13 polynomials on a panel.
+  Each pass evaluates the integrand once, on every live panel, through the
+  grid routine ``scan_brackets`` uses.
 """
 
 from __future__ import annotations
@@ -55,24 +57,25 @@ class RootReport:
     multiplicity_hint: int = 1
 
 
-@dataclass(frozen=True)
-class SeriesResult:
-    value: float
-    terms: int
-
-
 def _eval_grid(f: Callable[[float], float], xs: np.ndarray) -> np.ndarray:
-    """Evaluate f on a grid, vectorized when f supports it."""
+    """Evaluate f on a 1-d grid, vectorized when f supports it.
+
+    A scalar result (a constant integrand) is broadcast; complex values stay complex.
+    """
     try:
         with np.errstate(all="ignore"):
-            ys = np.asarray(f(xs), dtype=float)
-        if ys.shape != xs.shape:
+            ys = np.asarray(f(xs))
+        if ys.ndim == 0:
+            ys = np.broadcast_to(ys, xs.shape)
+        elif ys.shape != xs.shape:
             raise TypeError
     except (TypeError, ValueError):
-        ys = np.array([float(f(x)) for x in xs])
-    bad = ~np.isfinite(ys)
-    if bad.any():
-        raise EvaluationError("non-finite function value in scan", float(xs[bad][0]))
+        ys = np.array([f(x) for x in xs])
+    if not np.iscomplexobj(ys):
+        ys = ys.astype(float, copy=False)
+    finite = np.isfinite(ys)
+    if not finite.all():
+        raise EvaluationError("non-finite function value", float(xs[~finite][0]))
     return ys
 
 
@@ -230,24 +233,27 @@ def refine_root(bracket: Bracket, f: Callable[[float], float], tol: float) -> Ro
     return RootReport(root=root, residual=residual, iterations=iterations, multiplicity_hint=1)
 
 
-def _adaptive_simpson(f, a, fa, m, fm, b, fb, whole, tol, depth):
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm, frm = f(lm), f(rm)
-    for x, v in ((lm, flm), (rm, frm)):
-        if not np.all(np.isfinite([abs(v)])):
-            raise EvaluationError("non-finite integrand", float(x))
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    delta = left + right - whole
-    if abs(delta) <= 15.0 * tol or depth <= 0:
-        value = left + right + delta / 15.0
-        if abs(delta) > 15.0 * tol:
-            raise AccuracyError("quadrature depth exhausted", value, abs(delta) / 15.0)
-        return value
-    return _adaptive_simpson(f, a, fa, lm, flm, m, fm, left, 0.5 * tol, depth - 1) + _adaptive_simpson(
-        f, m, fm, rm, frm, b, fb, right, 0.5 * tol, depth - 1
-    )
+# QUADPACK qk15 on [-1, 1], one row per abscissa x >= 0 (the rule is symmetric):
+# x, its Kronrod weight, and its Gauss-7 weight (0 at the Kronrod-only nodes).
+_QK15 = np.array([
+    [0.9914553711208126, 0.022935322010529224, 0.0],
+    [0.9491079123427585, 0.06309209262997856, 0.1294849661688697],
+    [0.8648644233597691, 0.10479001032225019, 0.0],
+    [0.7415311855993945, 0.14065325971552592, 0.27970539148927664],
+    [0.5860872354676911, 0.1690047266392679, 0.0],
+    [0.4058451513773972, 0.19035057806478542, 0.3818300505051189],
+    [0.20778495500789848, 0.20443294007529889, 0.0],
+    [0.0, 0.20948214108472782, 0.4179591836734694],
+])
+# The rule mapped to [0, 1], nodes ascending.  Per unit panel width, column 0 of
+# _GK_WEIGHTS gives the K15 estimate and column 1 the K15 - G7 error estimate.
+_QK15_ALL = np.concatenate((_QK15 * [-1.0, 1.0, 1.0], _QK15[-2::-1]))  # 15 rows, x ascending
+_GK_NODES = 0.5 * (1.0 + _QK15_ALL[:, 0])
+_GK_WEIGHTS = 0.5 * np.stack([_QK15_ALL[:, 1], _QK15_ALL[:, 1] - _QK15_ALL[:, 2]], axis=1)
+
+# Panels one call may evaluate over all passes: bounds a pass's memory and ends the
+# bisection of a panel whose error estimate never falls (an integrand noisier than tol).
+_MAX_PANELS = 1 << 14
 
 
 def integrate(
@@ -257,52 +263,44 @@ def integrate(
     tol: float,
     breakpoints: Sequence[float] = (),
 ) -> float | complex:
-    """Adaptive Simpson estimate of the integral of f over [a, b].
+    """Adaptive Gauss-Kronrod (G7-K15) estimate of the integral of f over [a, b].
 
-    The absolute error is (estimated to be) at most tol.  Interior
-    breakpoints split the interval so each panel sees a smooth integrand.
-    Complex-valued integrands are allowed; the error metric is the modulus.
+    Each pass evaluates f once on the 15-node grids of all live panels, accepts
+    the K15 value of each panel whose |K15 - G7| is within its width's share of
+    tol, and bisects the rest, so the absolute error is (estimated to be) at
+    most tol.  Breakpoints split [a, b] where f is not smooth, or seed it with
+    panels short enough for an oscillation.  Complex integrands are allowed;
+    the error metric is the modulus.  AccuracyError, with the estimate and the
+    achieved error, reports an exhausted panel budget.
     """
     if not a < b:
         raise InvalidParameterError(f"need a < b, got [{a}, {b}]")
     if tol <= 0:
         raise InvalidParameterError("tol must be positive")
-    pts = [a] + sorted(p for p in breakpoints if a < p < b) + [b]
-    total = 0.0
-    for p, q in zip(pts, pts[1:]):
-        fp, fq = f(p), f(q)
-        m = 0.5 * (p + q)
-        fm = f(m)
-        whole = (q - p) / 6.0 * (fp + 4.0 * fm + fq)
-        total = total + _adaptive_simpson(f, p, fp, m, fm, q, fq, whole, tol * (q - p) / (b - a), 52)
-    return total
-
-
-def sum_series(
-    term: Callable[[int], float],
-    tail_bound: Callable[[int], float],
-    tol: float,
-    max_terms: int = 20_000_000,
-) -> SeriesResult:
-    """Partial sum of term(1) + term(2) + ... until tail_bound(N) <= tol.
-
-    tail_bound(N) must bound |sum over n > N of term(n)| and be decreasing.
-    Kahan compensation keeps the accumulation error negligible next to tol.
-    """
-    if tol <= 0:
-        raise InvalidParameterError("tol must be positive")
-    total = 0.0
-    comp = 0.0
-    n = 0
-    while n < max_terms:
-        n += 1
-        t = float(term(n))
-        if not math.isfinite(t):
-            raise EvaluationError("non-finite series term", n)
-        y = t - comp
-        s = total + y
-        comp = (s - total) - y
-        total = s
-        if tail_bound(n) <= tol:
-            return SeriesResult(value=total, terms=n)
-    raise AccuracyError("series cap reached before tail bound met", total, float(tail_bound(n)))
+    edges = np.array([a, *sorted({p for p in breakpoints if a < p < b}), b], dtype=float)
+    # panels as columns: lo + width * _GK_NODES is the (panels, 15) grid
+    lo = edges[:-1, None]
+    width = edges[1:, None] - lo
+    tol_per_width = tol / (b - a)
+    total, error, evaluated = 0.0, 0.0, 0
+    while True:
+        xs = lo + width * _GK_NODES
+        ys = _eval_grid(f, xs.ravel()).reshape(xs.shape)
+        per_width = ys @ _GK_WEIGHTS
+        err = np.abs(per_width[:, 1])
+        if err.max() <= tol_per_width:
+            return (total + per_width[:, 0] @ width).item()
+        done = err <= tol_per_width
+        total += per_width[done, 0] @ width[done]
+        error += err[done] @ width[done]
+        evaluated += len(lo)
+        live = ~done
+        lo, width, per_width, err = lo[live], width[live], per_width[live], err[live]
+        if evaluated + 2 * len(lo) > _MAX_PANELS:
+            raise AccuracyError(
+                "quadrature panel cap reached",
+                (total + per_width[:, 0] @ width).item(),
+                (error + err @ width).item(),
+            )
+        width = 0.5 * width
+        lo, width = np.concatenate((lo, lo + width)), np.concatenate((width, width))

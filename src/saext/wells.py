@@ -182,7 +182,7 @@ def finite_well_levels(v0: float, max_n: int) -> list[FiniteWellLevel]:
     the midpoint, even n odd states.  Zero levels is a valid result only for
     v0 <= 0 -- any positive depth binds at least the ground state.
     """
-    if v0 <= 0:
+    if not v0 > 0:  # also rejects NaN
         raise InvalidParameterError("v0 must be positive")
     levels: list[FiniteWellLevel] = []
     for n in range(1, max_n + 1):

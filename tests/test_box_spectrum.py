@@ -1,11 +1,11 @@
 import cmath
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from saext import (
-    BoundaryData,
     BoxSpectrumRequest,
     ExtensionU2,
     IncompleteSpectrumError,
@@ -373,7 +373,7 @@ class TestBoundaryForm:
         # psi = 3x^2 - 2x^3 has psi(0)=psi'(0)=psi'(1)=0, psi(1)=1
         ext = named_extension("dirichlet")
         phi = eigenfunction(ext, ("positive", math.pi))
-        psi = BoundaryData(phi0=0.0, dphi0=0.0, phiL=1.0, dphiL=0.0)
+        psi = SimpleNamespace(boundary_values=lambda: (0.0, 0.0, 1.0, 0.0))
         value = boundary_form(phi, psi)
 
         phi_dd = lambda x: -math.pi ** 2 * phi.value(x)      # -phi'' = E phi

@@ -3,6 +3,8 @@ import io
 import json
 import math
 
+import pytest
+
 from saext.cli import run
 
 
@@ -187,3 +189,56 @@ class TestOutputDiscipline:
                            "--operator", "momentum", "--interval", "line")
         payload = json.loads(out)
         assert payload["inputs"] == {"operator": "momentum", "interval": "line"}
+
+
+README_COMMANDS = [
+    ("spectrum", "--u", "dirichlet", "--count", "3"),
+    ("spectrum", "--u", "psi=0.4,m=(0.5,0.5,0.5,0.5)", "--count", "5", "--include-negative"),
+    ("spectrum", "--u", "quasiperiodic:1.57", "--count", "4", "--eigenfunctions",
+     "--format", "csv"),
+    ("classify", "--u", "psi=0.3,m=(0.6,0.8,0,0)"),
+    ("deficiency", "--operator", "momentum", "--interval", "halfline"),
+    ("momentum-spectrum", "--theta", "3.14159", "--range=-5:5"),
+    ("expand", "--theta", "0", "--range=-50:50", "--format", "json"),
+    ("paradox", "--terms", "1000000"),
+    ("deuteron", "--sweep", "0,0.1,0.2,0.5,1,2,5,10,100,inf"),
+    ("well-limit", "--v0-list", "100,1000,10000", "--level", "1"),
+    ("reflect", "--lambda", "1", "--k", "2"),
+    ("bound-state", "--lambda=-1"),
+]
+
+
+class TestInputHygiene:
+    @pytest.mark.parametrize("argv", README_COMMANDS, ids=lambda argv: " ".join(argv))
+    def test_readme_examples_accepted(self, capsys, argv):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 0, err
+        assert out
+
+    @pytest.mark.parametrize("argv", [
+        ("reflect", "--lambda", "1", "--k", "nan"),
+        ("reflect", "--lambda", "1", "--k", "inf"),
+        ("spectrum", "--u", "psi=nan,m=(1,0,0,0)"),
+        ("spectrum", "--u", "dirichlet", "--tol", "nan"),
+        ("spectrum", "--u", "dirichlet", "--s-max", "inf"),
+        ("well-limit", "--v0-list", "nan,10"),
+        ("deuteron", "--sweep", "1", "--hbarc", "inf"),
+    ], ids=lambda argv: " ".join(argv))
+    def test_non_finite_is_usage_error(self, capsys, argv):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "numerical failure" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ("paradox", "--terms", str(10 ** 7 + 1)),
+        ("paradox", "--terms", str(10 ** 8)),
+        ("spectrum", "--u", "dirichlet", "--count", "5001"),
+        ("expand", "--theta", "0", "--range=-1001:0"),
+        ("expand", "--theta", "0", "--range=0:2000000"),
+    ], ids=lambda argv: " ".join(argv))
+    def test_size_above_cap_is_usage_error(self, capsys, argv):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "at most" in err

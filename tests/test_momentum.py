@@ -92,6 +92,16 @@ class TestCoefficients:
             quad = expansion_coeff_quadrature(theta, n)
             assert abs(closed - quad) <= 1e-9
 
+    @pytest.mark.parametrize("theta", [1e-8, 2e-4, 1e-3, 2.4e-3, 2 * math.pi - 1e-2,
+                                       2 * math.pi - 1e-3, 2 * math.pi - 1e-8])
+    @pytest.mark.parametrize("n", [-1, 0, 1])
+    def test_small_phase_no_cancellation(self, theta, n):
+        # n = 0 near theta = 0 and n = -1 near theta = 2 pi have a = pi nu -> 0
+        closed = expansion_coeff(theta, n, validate=True)
+        (state,) = p_spectrum(theta, (n, n))
+        ref = gl_inner(state.wavefunction, lambda x: SQRT30 * x * (1.0 - x))
+        assert abs(closed - ref) <= 1e-12
+
     def test_theta_dependence_is_physical(self):
         p0 = abs(expansion_coeff(0.0, 0)) ** 2
         p_pi = abs(expansion_coeff(math.pi, 0)) ** 2
