@@ -39,7 +39,7 @@ _OPERATORS = {"momentum": OperatorKind.MOMENTUM, "hamiltonian": OperatorKind.HAM
 # Input-size caps: the largest accepted input runs in a few seconds.
 _MAX_COUNT = 5000         # spectrum --count
 _MAX_TERMS = 10 ** 7      # paradox --terms (~0.4 GB of term arrays)
-_MAX_EXPAND_N = 1000      # expand --range |n| (2001 rows; validation cost grows with |n|)
+_MAX_EXPAND_ROWS = 2001   # expand --range rows (-1000:1000; a row's validation costs ~2|n| panels)
 
 
 @dataclass(frozen=True)
@@ -245,9 +245,9 @@ def _cmd_momentum_spectrum(args):
 
 def _cmd_expand(args):
     lo, hi = _parse_range(args.range, "--range")
-    if max(-lo, hi) > _MAX_EXPAND_N:
+    if hi - lo + 1 > _MAX_EXPAND_ROWS:
         raise InvalidParameterError(
-            f"--range: |n| must be at most {_MAX_EXPAND_N}, got {args.range!r}")
+            f"--range: at most {_MAX_EXPAND_ROWS} rows, got {args.range!r}")
     table = momentum.expansion_table(args.theta, lo, hi)
     rows = [
         {"n": n, "nu": n + table.theta / (2.0 * math.pi),
@@ -368,7 +368,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub("expand", help="parabola expansion over the momentum basis")
     p.add_argument("--theta", type=float, required=True)
     p.add_argument("--range", required=True,
-                   help=f"integer range A:B with |A|, |B| <= {_MAX_EXPAND_N}")
+                   help=f"integer range A:B of at most {_MAX_EXPAND_ROWS} rows")
     p.set_defaults(func=_cmd_expand)
 
     p = sub("paradox", help="infinite-well energy accounting")

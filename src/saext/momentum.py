@@ -75,10 +75,15 @@ def _parabola(x):
 
 
 def expansion_coeff_quadrature(theta: float, n: int, tol: float = 1e-12) -> complex:
-    """(phi_n, Psi) by adaptive quadrature, two panels per oscillation: the independent route."""
+    """(phi_n, Psi) by adaptive quadrature, two panels per oscillation: the independent route.
+
+    tol is raised to the phase round-off, 8 eps |nu|, where that is larger (|nu| > 560).
+    """
     theta = MomentumExtension(theta).theta
     nu = n + theta / (2.0 * math.pi)
     panels = 2 * math.ceil(abs(nu))
+    # rounding 2 pi nu x moves the integrand by ~eps |nu|: no panel's |K15 - G7| gets below it
+    tol = max(tol, 8.0 * np.finfo(float).eps * abs(nu))
     return complex(integrate(
         lambda x: np.exp(-2j * math.pi * nu * x) * _parabola(x), 0.0, 1.0, tol,
         breakpoints=[k / panels for k in range(1, panels)],

@@ -58,16 +58,14 @@ class RootReport:
 
 
 def _eval_grid(f: Callable[[float], float], xs: np.ndarray) -> np.ndarray:
-    """Evaluate f on a 1-d grid, vectorized when f supports it.
+    """Evaluate f on a 1-d grid, vectorized when f supports it, else point by point.
 
-    A scalar result (a constant integrand) is broadcast; complex values stay complex.
+    Complex values stay complex.
     """
     try:
         with np.errstate(all="ignore"):
             ys = np.asarray(f(xs))
-        if ys.ndim == 0:
-            ys = np.broadcast_to(ys, xs.shape)
-        elif ys.shape != xs.shape:
+        if ys.shape != xs.shape:
             raise TypeError
     except (TypeError, ValueError):
         ys = np.array([f(x) for x in xs])
@@ -251,8 +249,9 @@ _QK15_ALL = np.concatenate((_QK15 * [-1.0, 1.0, 1.0], _QK15[-2::-1]))  # 15 rows
 _GK_NODES = 0.5 * (1.0 + _QK15_ALL[:, 0])
 _GK_WEIGHTS = 0.5 * np.stack([_QK15_ALL[:, 1], _QK15_ALL[:, 1] - _QK15_ALL[:, 2]], axis=1)
 
-# Panels one call may evaluate over all passes: bounds a pass's memory and ends the
-# bisection of a panel whose error estimate never falls (an integrand noisier than tol).
+# Panels one call may evaluate over all passes beyond its seed panels (those the
+# breakpoints make): bounds the memory of refinement and ends the bisection of a
+# panel whose error estimate never falls (an integrand noisier than tol).
 _MAX_PANELS = 1 << 14
 
 
@@ -283,6 +282,7 @@ def integrate(
     width = edges[1:, None] - lo
     tol_per_width = tol / (b - a)
     total, error, evaluated = 0.0, 0.0, 0
+    budget = len(lo) + _MAX_PANELS
     while True:
         xs = lo + width * _GK_NODES
         ys = _eval_grid(f, xs.ravel()).reshape(xs.shape)
@@ -296,7 +296,7 @@ def integrate(
         evaluated += len(lo)
         live = ~done
         lo, width, per_width, err = lo[live], width[live], per_width[live], err[live]
-        if evaluated + 2 * len(lo) > _MAX_PANELS:
+        if evaluated + 2 * len(lo) > budget:
             raise AccuracyError(
                 "quadrature panel cap reached",
                 (total + per_width[:, 0] @ width).item(),

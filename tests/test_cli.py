@@ -230,11 +230,18 @@ class TestInputHygiene:
         assert out == ""
         assert "numerical failure" not in err
 
+    @pytest.mark.parametrize("n_range", ["--range=1500:1500", "--range=-9000:-8999"])
+    def test_expand_large_n_accepted(self, capsys, n_range):
+        # the cap counts rows, not |n|
+        code, out, err = invoke(capsys, "--format", "csv", "expand", "--theta", "1", n_range)
+        assert code == 0, err
+        assert len(read_csv(out)) >= 1
+
     @pytest.mark.parametrize("argv", [
         ("paradox", "--terms", str(10 ** 7 + 1)),
         ("paradox", "--terms", str(10 ** 8)),
         ("spectrum", "--u", "dirichlet", "--count", "5001"),
-        ("expand", "--theta", "0", "--range=-1001:0"),
+        ("expand", "--theta", "0", "--range=-1000:1001"),
         ("expand", "--theta", "0", "--range=0:2000000"),
     ], ids=lambda argv: " ".join(argv))
     def test_size_above_cap_is_usage_error(self, capsys, argv):

@@ -102,6 +102,13 @@ class TestCoefficients:
         ref = gl_inner(state.wavefunction, lambda x: SQRT30 * x * (1.0 - x))
         assert abs(closed - ref) <= 1e-12
 
+    @pytest.mark.parametrize("n", [5000, 20000, -20000])
+    def test_validated_at_large_n(self, n):
+        # 2 |nu| seed panels exceed the refinement budget, and the phase round-off
+        # (~eps |nu|) exceeds tol = 1e-12: the reference must still converge
+        closed = expansion_coeff(1.0, n, validate=True)
+        assert abs(closed - expansion_coeff_quadrature(1.0, n)) <= 1e-12
+
     def test_theta_dependence_is_physical(self):
         p0 = abs(expansion_coeff(0.0, 0)) ** 2
         p_pi = abs(expansion_coeff(math.pi, 0)) ** 2

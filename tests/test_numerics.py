@@ -179,6 +179,12 @@ def test_integrate_high_frequency_complex():
     assert abs(val - exact) < 1e-12
 
 
+def test_integrate_budget_counts_refinement_beyond_seed_panels():
+    # 20000 seed panels exceed the refinement budget; only [0, 5e-5] needs bisection
+    val = integrate(np.sqrt, 0.0, 1.0, 1e-12, breakpoints=[k / 20000 for k in range(1, 20000)])
+    assert abs(val - 2.0 / 3.0) <= 1e-12
+
+
 def test_integrate_reports_accuracy_failure():
     jump = lambda x: 0.0 if x < 0.37151 else 1.0
     with pytest.raises(AccuracyError) as err:
