@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -30,10 +30,11 @@ from .errors import (
     InvalidRootError,
 )
 from .extensions import ExtensionU2, SimpleFamily, classify_simple_family, to_matrix
-from .numerics import Bracket, RootReport, refine_root, scan_brackets
+from .numerics import Bracket, refine_root, scan_brackets
 
 SCAN_STEP = math.pi / 8.0          # roots of F interlace no tighter than ~pi/2
 ZERO_MODE_TOL = 1e-10              # |Z| threshold for an exact zero mode
+_BC_RTOL = 1e-9                    # boundary defect |(L - U M) c| relative to scale |c|
 _RANK_RTOL = 1e-8                  # singular-value ratio declaring rank deficiency
 _NEG_SCAN_MAX = 30.0               # beyond ~25 the scaled equation is a pure quadratic
 _QUAD_REGIME = 25.0
@@ -162,8 +163,11 @@ class BoxSpectrumRequest:
     def __post_init__(self):
         if self.count < 1:
             raise InvalidParameterError("count must be >= 1")
-        if self.tol <= 0:
-            raise InvalidParameterError("tol must be positive")
+        if not 0 < self.tol < math.inf:
+            raise InvalidParameterError("tol must be positive and finite")
+        for name in ("s_max_hint", "s_max_cap"):
+            if getattr(self, name) is not None and not math.isfinite(getattr(self, name)):
+                raise InvalidParameterError(f"{name} must be finite")
 
 
 @dataclass(frozen=True)
@@ -178,7 +182,6 @@ class SpectralRoot:
 class SolveDiagnostics:
     zero_value: float     # Z, the zero-mode indicator
     scan_ceiling: float   # final s ceiling used by the positive scan
-    residuals: tuple[tuple[str, float, float], ...]  # (sector, value, residual)
 
 
 @dataclass(frozen=True)
@@ -216,73 +219,62 @@ def _lm_negative_scaled(r: float) -> tuple[np.ndarray, np.ndarray]:
     return l_s, m_s
 
 
-def _boundary_defect_matrix(e: ExtensionU2, sector: str, value: float) -> np.ndarray:
-    u = to_matrix(e)
+def _defect(e: ExtensionU2, sector: str, value: float) -> tuple[np.ndarray, float]:
+    """Defect matrix L - U M at a sector value and its scale max(|L|, |M|, 1).
+
+    The negative sector uses the column-scaled matrices of _lm_negative_scaled,
+    which act on (B, e^{r} A) for phi = A e^{rx} + B e^{-rx}.
+    """
     if sector == POSITIVE:
         l_m, m_m = lm_matrices(value)
     elif sector == NEGATIVE:
-        l_m, m_m = lm_matrices(1j * value)
+        l_m, m_m = _lm_negative_scaled(value)
     else:
         l_m, m_m = _zero_matrices()
-    return l_m - u @ m_m
-
-
-def _is_degenerate(e: ExtensionU2, sector: str, value: float) -> bool:
-    """Rank-0 test of L - U M at a root: both singular values ~ 0."""
-    if sector == NEGATIVE:
-        l_m, m_m = _lm_negative_scaled(value)
-        d = l_m - to_matrix(e) @ m_m
-        scale = max(np.linalg.norm(l_m), np.linalg.norm(m_m), 1.0)
-    elif sector == POSITIVE:
-        d = _boundary_defect_matrix(e, sector, value)
-        l_m, m_m = lm_matrices(value)
-        scale = max(np.linalg.norm(l_m), np.linalg.norm(m_m), 1.0)
-    else:
-        d = _boundary_defect_matrix(e, sector, value)
-        scale = 4.0
-    smax = np.linalg.svd(d, compute_uv=False)[0]
-    return bool(smax <= _RANK_RTOL * scale)
+    scale = max(np.linalg.norm(l_m), np.linalg.norm(m_m), 1.0)
+    return l_m - to_matrix(e) @ m_m, float(scale)
 
 
 def degeneracy(e: ExtensionU2, sector: str, value: float) -> int:
-    """Multiplicity (1 or 2) of a verified eigenvalue of the given sector."""
-    return 2 if _is_degenerate(e, sector, value) else 1
+    """Multiplicity (1 or 2) of a verified eigenvalue: 2 when L - U M has rank 0."""
+    d, scale = _defect(e, sector, value)
+    return 2 if np.linalg.svd(d, compute_uv=False)[0] <= _RANK_RTOL * scale else 1
 
 
-def _refine_brackets(f, brackets: list[Bracket], tol_gate: float) -> list[SpectralRoot]:
-    roots: list[SpectralRoot] = []
+def _merge_roots(
+    e: ExtensionU2, sector: str, f, brackets: list[Bracket],
+    known: list[SpectralRoot], tol_gate: float,
+) -> list[SpectralRoot]:
+    """Refine brackets and merge the roots into the sorted, classified known roots.
+
+    Roots within 1e-9 relative of a kept one are duplicates from overlapping
+    brackets.  A root below sqrt(ZERO_MODE_TOL) is dropped only when the zero
+    mode is reported (|Z| <= ZERO_MODE_TOL): it is that zero mode, since the
+    reduced characteristic is Z + O(value^2) at the origin.  New roots carry
+    multiplicity 0 until kept; each kept one gets one degeneracy SVD.
+    """
+    fresh = []
     for br in brackets:
         mid = 0.5 * (br.lo + br.hi)
-        report: RootReport = refine_root(br, f, tol=1e-13 * max(1.0, abs(mid)))
+        report = refine_root(br, f, tol=1e-13 * max(1.0, abs(mid)))
         scale = max(abs(br.f_lo), abs(br.f_hi), 1e-30)
         residual = abs(report.residual) / scale
         if residual > tol_gate and not br.double_root:
             raise DiagnosticError(
                 f"root residual {residual:.3e} above tolerance {tol_gate:.3e} at {report.root!r}"
             )
-        roots.append(
-            SpectralRoot(report.root, report.multiplicity_hint, residual, report.iterations)
-        )
-    # merge duplicates from overlapping brackets
-    roots.sort(key=lambda root: root.value)
+        fresh.append(SpectralRoot(report.root, 0, residual, report.iterations))
+    floor = math.sqrt(ZERO_MODE_TOL) if abs(char_zero(e)) <= ZERO_MODE_TOL else 0.0
     merged: list[SpectralRoot] = []
-    for root in roots:
-        if merged and abs(root.value - merged[-1].value) <= 1e-9 * (1.0 + abs(root.value)):
+    for root in sorted(known + fresh, key=lambda root: root.value):
+        if root.value < floor or (
+            merged and abs(root.value - merged[-1].value) <= 1e-9 * (1.0 + abs(root.value))
+        ):
             continue
+        if not root.multiplicity:
+            root = replace(root, multiplicity=degeneracy(e, sector, root.value))
         merged.append(root)
     return merged
-
-
-def _drop_zero_leak(e: ExtensionU2, roots: list[SpectralRoot]) -> list[SpectralRoot]:
-    """Discard scan artifacts at the origin when the extension has a zero mode.
-
-    With Z = 0 the reduced characteristics vanish at 0 and their values near
-    the origin are pure rounding noise, which can fabricate a root with
-    |value| ~ 1e-8; such a root is the zero mode itself, not a new level.
-    """
-    if abs(char_zero(e)) >= 1e-8:
-        return roots
-    return [root for root in roots if root.value >= 1e-5]
 
 
 def _solve_negative(e: ExtensionU2, tol: float) -> list[SpectralRoot]:
@@ -309,11 +301,7 @@ def _solve_negative(e: ExtensionU2, tol: float) -> list[SpectralRoot]:
             if g_lo * g_hi < 0:
                 brackets.append(Bracket(lo, hi, g_lo, g_hi))
 
-    roots = _drop_zero_leak(e, _refine_brackets(g, brackets, tol_gate=max(tol, 1e-9)))
-    out = []
-    for root in roots:
-        mult = 2 if _is_degenerate(e, NEGATIVE, root.value) else 1
-        out.append(SpectralRoot(root.value, mult, root.residual, root.iterations))
+    out = _merge_roots(e, NEGATIVE, g, brackets, [], tol_gate=max(tol, 1e-9))
     total = sum(root.multiplicity for root in out)
     if total > 2:
         raise DiagnosticError(
@@ -336,15 +324,7 @@ def _solve_positive(req: BoxSpectrumRequest) -> tuple[list[SpectralRoot], float]
     ceiling = min(start, cap)
     while True:
         brackets = scan_brackets(f, lo, ceiling, SCAN_STEP)
-        roots.extend(
-            _drop_zero_leak(e, _refine_brackets(f, brackets, tol_gate=max(req.tol, 1e-9)))
-        )
-        roots = _dedupe(roots)
-        resolved: list[SpectralRoot] = []
-        for root in roots:
-            mult = 2 if _is_degenerate(e, POSITIVE, root.value) else 1
-            resolved.append(SpectralRoot(root.value, mult, root.residual, root.iterations))
-        roots = resolved
+        roots = _merge_roots(e, POSITIVE, f, brackets, roots, tol_gate=max(req.tol, 1e-9))
         if sum(root.multiplicity for root in roots) >= req.count:
             break
         if ceiling >= cap:
@@ -364,16 +344,6 @@ def _solve_positive(req: BoxSpectrumRequest) -> tuple[list[SpectralRoot], float]
         if acc >= req.count:
             break
     return kept, ceiling
-
-
-def _dedupe(roots: list[SpectralRoot]) -> list[SpectralRoot]:
-    roots = sorted(roots, key=lambda root: root.value)
-    out: list[SpectralRoot] = []
-    for root in roots:
-        if out and abs(root.value - out[-1].value) <= 1e-9 * (1.0 + abs(root.value)):
-            continue
-        out.append(root)
-    return out
 
 
 def _cross_validate_family(e: ExtensionU2, roots: list[SpectralRoot]) -> None:
@@ -408,17 +378,11 @@ def solve_spectrum(req: BoxSpectrumRequest) -> SpectrumResult:
     negative = _solve_negative(e, req.tol)
     positive, ceiling = _solve_positive(req)
     _cross_validate_family(e, positive)
-
-    residuals = tuple(
-        (sector, root.value, root.residual)
-        for sector, roots in ((NEGATIVE, negative), (POSITIVE, positive))
-        for root in roots
-    )
     return SpectrumResult(
         negative=tuple(negative),
         has_zero_mode=has_zero,
         positive=tuple(positive),
-        diagnostics=SolveDiagnostics(zero_value=z, scan_ceiling=ceiling, residuals=residuals),
+        diagnostics=SolveDiagnostics(zero_value=z, scan_ceiling=ceiling),
     )
 
 
@@ -518,14 +482,13 @@ def _null_vector(d: np.ndarray) -> np.ndarray:
 
 
 def _check_boundary(e: ExtensionU2, sector: str, value: float, coeffs) -> None:
-    d = _boundary_defect_matrix(e, sector, value)
+    d, scale = _defect(e, sector, value)
     if sector == NEGATIVE:
-        phi_vec = np.array([coeffs[1], coeffs[0]], dtype=complex)  # continued (A', B')
+        vec = np.array([coeffs[1], coeffs[0] * math.exp(value)], dtype=complex)
     else:
-        phi_vec = np.array(coeffs, dtype=complex)
-    scale = max(1.0, float(np.linalg.norm(d)))
-    defect = float(np.linalg.norm(d @ phi_vec))
-    if defect > 1e-9 * scale * float(np.linalg.norm(phi_vec)):
+        vec = np.array(coeffs, dtype=complex)
+    defect = float(np.linalg.norm(d @ vec))
+    if defect > _BC_RTOL * scale * float(np.linalg.norm(vec)):
         raise DiagnosticError(f"boundary-condition residual {defect:.3e} too large at {value!r}")
 
 
@@ -565,14 +528,11 @@ def eigenfunction(e: ExtensionU2, root: tuple[str, float]) -> BoxEigenfunction:
         if res > 1e-6 * (1.0 + value * value):
             raise InvalidRootError(f"r = {value!r} does not solve the eigenvalue equation")
     else:
-        if abs(char_zero(e)) > 1e-8:
+        if abs(char_zero(e)) > ZERO_MODE_TOL:
             raise InvalidRootError("this extension has no zero mode")
         value = 0.0
 
-    degenerate = _is_degenerate(e, sector, value)
-    u = to_matrix(e)
-
-    if degenerate:
+    if degeneracy(e, sector, value) == 2:
         if sector == NEGATIVE and value > 300.0:
             raise InvalidRootError(
                 f"degenerate negative mode at r = {value!r} exceeds the double-precision range"
@@ -588,19 +548,20 @@ def eigenfunction(e: ExtensionU2, root: tuple[str, float]) -> BoxEigenfunction:
 
     if sector == POSITIVE:
         s = value
+        u = to_matrix(e)
         alpha, gamma = u[0, 0], u[0, 1]
         a_coef = alpha * (s - 1.0) + (gamma * cmath.exp(-1j * s) - 1.0) * (s + 1.0)
         b_coef = alpha * (s + 1.0) + (gamma * cmath.exp(1j * s) - 1.0) * (s - 1.0)
         scale_ab = 4.0 * (1.0 + s)
         if abs(a_coef) + abs(b_coef) <= 1e-9 * scale_ab:
-            vec = _null_vector(_boundary_defect_matrix(e, POSITIVE, s))
+            vec = _null_vector(_defect(e, POSITIVE, s)[0])
             coeffs = (vec[0], vec[1])
         else:
             coeffs = (a_coef, b_coef)
     elif sector == NEGATIVE:
         return _negative_mode(e, value)
     else:
-        vec = _null_vector(_boundary_defect_matrix(e, ZERO, 0.0))
+        vec = _null_vector(_defect(e, ZERO, 0.0)[0])
         coeffs = (vec[0], vec[1])
 
     coeffs, norm = _normalize(sector, value, coeffs)
@@ -616,11 +577,8 @@ def _negative_mode(e: ExtensionU2, r: float) -> BoxEigenfunction:
     the norm is computed in a form with no e^{+r} factor, so the whole
     construction stays exact up to r ~ 690.
     """
-    u = to_matrix(e)
-    l_s, m_s = _lm_negative_scaled(r)
-    d_scaled = l_s - u @ m_s
     emr = math.exp(-r)
-    vec = _null_vector(d_scaled)
+    vec = _null_vector(_defect(e, NEGATIVE, r)[0])
     a_coef = vec[1] * emr      # coefficient of e^{rx}
     b_coef = vec[0]            # coefficient of e^{-rx}
     # |A|^2 (e^{2r}-1)/(2r) + |B|^2 (1-e^{-2r})/(2r) + 2 Re(A conj B), scaled
@@ -633,12 +591,7 @@ def _negative_mode(e: ExtensionU2, r: float) -> BoxEigenfunction:
         raise DiagnosticError("negative-sector eigenfunction has vanishing norm")
     norm = math.sqrt(norm_sq)
     coeffs = (complex(a_coef) / norm, complex(b_coef) / norm)
-    # boundary residual in the scaled basis: w = (B, e^{r} A)
-    w = np.array([coeffs[1], vec[1] / norm], dtype=complex)
-    scale = max(1.0, float(np.linalg.norm(d_scaled)))
-    defect = float(np.linalg.norm(d_scaled @ w))
-    if defect > 1e-9 * scale * float(np.linalg.norm(w)):
-        raise DiagnosticError(f"boundary-condition residual {defect:.3e} too large at r={r!r}")
+    _check_boundary(e, NEGATIVE, r, coeffs)
     return BoxEigenfunction(NEGATIVE, r, coeffs, norm)
 
 

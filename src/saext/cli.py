@@ -39,7 +39,7 @@ _OPERATORS = {"momentum": OperatorKind.MOMENTUM, "hamiltonian": OperatorKind.HAM
 # Input-size caps: the largest accepted input runs in a few seconds.
 _MAX_COUNT = 5000         # spectrum --count
 _MAX_TERMS = 10 ** 7      # paradox --terms (~0.4 GB of term arrays)
-_MAX_EXPAND_ROWS = 2001   # expand --range rows (-1000:1000; a row's validation costs ~2|n| panels)
+_MAX_RANGE_ROWS = 2001    # --range rows (-1000:1000; an expand row's validation costs ~2|n| panels)
 
 
 @dataclass(frozen=True)
@@ -148,6 +148,8 @@ def _parse_range(text: str, flag: str) -> tuple[int, int]:
         raise InvalidParameterError(f"{flag}: expected integers A:B, got {text!r}") from None
     if lo > hi:
         raise InvalidParameterError(f"{flag}: empty range {text!r}")
+    if hi - lo + 1 > _MAX_RANGE_ROWS:
+        raise InvalidParameterError(f"{flag}: at most {_MAX_RANGE_ROWS} rows, got {text!r}")
     return lo, hi
 
 
@@ -245,9 +247,6 @@ def _cmd_momentum_spectrum(args):
 
 def _cmd_expand(args):
     lo, hi = _parse_range(args.range, "--range")
-    if hi - lo + 1 > _MAX_EXPAND_ROWS:
-        raise InvalidParameterError(
-            f"--range: at most {_MAX_EXPAND_ROWS} rows, got {args.range!r}")
     table = momentum.expansion_table(args.theta, lo, hi)
     rows = [
         {"n": n, "nu": n + table.theta / (2.0 * math.pi),
@@ -362,13 +361,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub("momentum-spectrum", help="momentum eigenvalues for a phase theta")
     p.add_argument("--theta", type=float, required=True)
-    p.add_argument("--range", required=True, help="integer range A:B (use --range=-5:5)")
+    p.add_argument("--range", required=True,
+                   help=f"integer range A:B of at most {_MAX_RANGE_ROWS} rows (use --range=-5:5)")
     p.set_defaults(func=_cmd_momentum_spectrum)
 
     p = sub("expand", help="parabola expansion over the momentum basis")
     p.add_argument("--theta", type=float, required=True)
     p.add_argument("--range", required=True,
-                   help=f"integer range A:B of at most {_MAX_EXPAND_ROWS} rows")
+                   help=f"integer range A:B of at most {_MAX_RANGE_ROWS} rows")
     p.set_defaults(func=_cmd_expand)
 
     p = sub("paradox", help="infinite-well energy accounting")

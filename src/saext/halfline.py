@@ -100,8 +100,8 @@ class DeuteronParams:
 
     def __post_init__(self):
         for name in ("binding_energy", "range_a", "hbar_c", "nucleon_mass_c2"):
-            if not getattr(self, name) > 0:
-                raise InvalidParameterError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise InvalidParameterError(f"{name} must be positive and finite")
         if math.isnan(self.lam_over_a) or self.lam_over_a < 0:
             raise InvalidParameterError("lam_over_a must be >= 0 (or infinity)")
         y = self.range_a * math.sqrt(self.nucleon_mass_c2 * self.binding_energy) / self.hbar_c

@@ -178,6 +178,8 @@ def scan_brackets(
 def refine_root(bracket: Bracket, f: Callable[[float], float], tol: float) -> RootReport:
     """Refine a bracket to |hi-lo| <= tol with a bisection/secant hybrid.
 
+    A bracket whose ends are adjacent floats counts as converged, whatever tol.
+
     Double-root brackets are refined by locating the extremum of f instead;
     ``multiplicity_hint`` is 2 in that case.
     """
@@ -202,7 +204,6 @@ def refine_root(bracket: Bracket, f: Callable[[float], float], tol: float) -> Ro
     iterations = 0
     use_bisection = False
     while b - a > tol and iterations < _MAX_ROOT_ITERATIONS:
-        iterations += 1
         x = None
         if not use_bisection and fb != fa:
             x_sec = b - fb * (b - a) / (fb - fa)
@@ -211,6 +212,9 @@ def refine_root(bracket: Bracket, f: Callable[[float], float], tol: float) -> Ro
                 x = x_sec
         if x is None:
             x = 0.5 * (a + b)
+        if not a < x < b:
+            break  # a and b are adjacent floats: converged at float resolution
+        iterations += 1
         fx = float(f(x))
         if not math.isfinite(fx):
             raise EvaluationError("non-finite function value in refine_root", x)
@@ -226,7 +230,7 @@ def refine_root(bracket: Bracket, f: Callable[[float], float], tol: float) -> Ro
 
     root = a if abs(fa) <= abs(fb) else b
     residual = fa if root == a else fb
-    if b - a > tol:
+    if b - a > tol and iterations == _MAX_ROOT_ITERATIONS:
         raise ConvergenceError("refine_root hit the iteration cap", root, residual, iterations)
     return RootReport(root=root, residual=residual, iterations=iterations, multiplicity_hint=1)
 

@@ -4,16 +4,20 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from saext import (
     BoxSpectrumRequest,
+    DiagnosticError,
     ExtensionU2,
     IncompleteSpectrumError,
+    InvalidParameterError,
     InvalidRootError,
     boundary_form,
     char_negative,
     char_positive,
     char_zero,
+    degeneracy,
     eigenfunction,
     expanded_values,
     from_matrix,
@@ -167,6 +171,25 @@ class TestSolveSpectrum:
         expected = [0.05, 2 * math.pi - 0.05, 2 * math.pi + 0.05,
                     4 * math.pi - 0.05, 4 * math.pi + 0.05]
         assert np.allclose(expanded_values(res.positive), expected, atol=1e-9)
+
+    @pytest.mark.parametrize("theta", [1e-5, 2 * math.pi - 1e-5])
+    def test_quasi_periodic_level_next_to_zero_is_kept(self, theta):
+        # |Z| ~ 1.0e-10 is just above ZERO_MODE_TOL: E = 1e-10 is a level, not the zero mode
+        res = solve(named_extension("quasi_periodic", theta=theta), count=8)
+        assert not res.has_zero_mode
+        expected = sorted(abs(2 * math.pi * n + theta) for n in range(-5, 5))[:8]
+        values = expanded_values(res.positive)
+        assert len(values) == 8
+        for s, ref in zip(values, expected):
+            assert abs(s - ref) <= 1e-9 * (1.0 + s)
+
+    @pytest.mark.parametrize("field", [
+        {"tol": math.nan}, {"tol": math.inf}, {"s_max_hint": math.inf},
+        {"s_max_hint": math.nan}, {"s_max_cap": math.nan}, {"s_max_cap": math.inf},
+    ])
+    def test_request_rejects_non_finite(self, field):
+        with pytest.raises(InvalidParameterError):
+            BoxSpectrumRequest(ext=named_extension("dirichlet"), **field)
 
     def test_family1_negative_root(self):
         ext = ExtensionU2(psi=0.0, m0=0.0, m=(0.0, 1.0, 0.0))
@@ -351,6 +374,86 @@ class TestEigenfunctions:
             eigenfunction(ext, ("positive", 3.0))
         with pytest.raises(InvalidRootError):
             eigenfunction(ext, ("zero", 0.0))
+        # |Z| ~ 9e-10 > ZERO_MODE_TOL: solve_spectrum reports no zero mode either
+        quasi = named_extension("quasi_periodic", theta=3e-5)
+        assert not solve(quasi, count=1).has_zero_mode
+        with pytest.raises(InvalidRootError):
+            eigenfunction(quasi, ("zero", 0.0))
+
+    @pytest.mark.parametrize("name,count", [
+        ("periodic", 300), ("periodic", 5000), ("antiperiodic", 1000),
+    ])
+    def test_double_levels_at_large_s(self, name, count):
+        ext = named_extension(name)
+        res = solve(ext, count=count)
+        assert all(root.multiplicity == 2 for root in res.positive)
+        for root in res.positive:
+            fn = eigenfunction(ext, ("positive", root.value))
+            assert fn.degenerate_partner is not None
+
+    def test_shifted_double_level_rejected(self):
+        ext = named_extension("periodic")
+        with pytest.raises(DiagnosticError):
+            eigenfunction(ext, ("positive", 40 * math.pi * (1 + 1e-9)))
+
+
+def collocation_levels(ext, n=80):
+    """Eigenvalues of -d^2/dx^2 on [0, 1] by Chebyshev collocation, sorted.
+
+    Shares no code with the characteristic functions: n + 1 Chebyshev points
+    and the differentiation matrix of Trefethen, Spectral Methods in MATLAB
+    (2000), ch. 6-7, with the U(2) condition of Asorey, Ibort and Marmo
+    (2005), (phi'(0) - i phi(0), phi'(1) + i phi(1)) = U (phi'(0) + i phi(0),
+    phi'(1) - i phi(1)), as the two boundary rows of A phi = E B phi.
+    """
+    x = np.cos(np.pi * np.arange(n + 1) / n)
+    c = np.where(np.arange(n + 1) % 2, -1.0, 1.0)
+    c[[0, n]] *= 2.0
+    d = np.outer(c, 1.0 / c) / (x[:, None] - x[None, :] + np.eye(n + 1))
+    d -= np.diag(d.sum(axis=1))
+    d *= 2.0                      # t = (x + 1)/2: row 0 is t = 1, row n is t = 0
+    eye = np.eye(n + 1)
+    pauli = (np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]),
+             np.array([[1, 0], [0, -1]]))
+    u = np.exp(1j * ext.psi) * (ext.m0 * np.eye(2) - 1j * sum(m * p for m, p in zip(ext.m, pauli)))
+    a = -(d @ d).astype(complex)
+    b = eye.astype(complex)
+    a[[n, 0]] = (np.array([d[n] - 1j * eye[n], d[0] + 1j * eye[0]])
+                 - u @ np.array([d[n] + 1j * eye[n], d[0] - 1j * eye[0]]))
+    b[[n, 0]] = 0.0
+    w = scipy.linalg.eig(a, b, right=False)
+    return np.sort(w[np.isfinite(w)].real)
+
+
+def solver_levels(ext, k=10):
+    res = solve(ext, count=k)
+    levels = [-root.value ** 2 for root in res.negative for _ in range(root.multiplicity)]
+    if res.has_zero_mode:
+        levels += [0.0] * degeneracy(ext, "zero", 0.0)
+    levels += [s * s for s in expanded_values(res.positive)]
+    return np.array(sorted(levels)[:k])
+
+
+class TestCollocationOracle:
+    def assert_matches(self, ext):
+        mine = solver_levels(ext)
+        ref = collocation_levels(ext)[: len(mine)]
+        assert np.all(np.abs(mine - ref) <= 1e-7 * (1.0 + np.abs(mine))), (mine, ref)
+
+    def test_random_extensions(self, rng):
+        for _ in range(50):
+            self.assert_matches(random_extension(rng))
+
+    @pytest.mark.parametrize("delta", [1e-2, 1e-3, 1e-4])
+    def test_large_negative_level_as_m0_tends_to_one(self, delta):
+        m0 = 1.0 - delta
+        self.assert_matches(ExtensionU2(psi=0.0, m0=m0, m=(0.0, math.sqrt(1 - m0 * m0), 0.0)))
+
+    @pytest.mark.parametrize("theta", [
+        0.0, 1e-5, 3e-5, math.pi - 1e-3, math.pi, math.pi + 1e-6, 2 * math.pi - 1e-5,
+    ])
+    def test_quasi_periodic_near_doubles_and_zero(self, theta):
+        self.assert_matches(named_extension("quasi_periodic", theta=theta))
 
 
 class TestBoundaryForm:

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -208,12 +209,19 @@ README_COMMANDS = [
 ]
 
 
+# stdout of each README command, recorded once; any library change that moves
+# a printed digit must update this file on purpose
+README_GOLDEN = json.loads(
+    (Path(__file__).parent / "golden" / "readme_cli.json").read_text(encoding="utf-8")
+)
+
+
 class TestInputHygiene:
     @pytest.mark.parametrize("argv", README_COMMANDS, ids=lambda argv: " ".join(argv))
     def test_readme_examples_accepted(self, capsys, argv):
         code, out, err = invoke(capsys, *argv)
         assert code == 0, err
-        assert out
+        assert out == README_GOLDEN[" ".join(argv)]
 
     @pytest.mark.parametrize("argv", [
         ("reflect", "--lambda", "1", "--k", "nan"),
@@ -243,6 +251,7 @@ class TestInputHygiene:
         ("spectrum", "--u", "dirichlet", "--count", "5001"),
         ("expand", "--theta", "0", "--range=-1000:1001"),
         ("expand", "--theta", "0", "--range=0:2000000"),
+        ("momentum-spectrum", "--theta", "1", "--range=0:100000"),
     ], ids=lambda argv: " ".join(argv))
     def test_size_above_cap_is_usage_error(self, capsys, argv):
         code, out, err = invoke(capsys, *argv)

@@ -93,6 +93,12 @@ class TestAlphaMap:
 
 
 class TestDeuteron:
+    @pytest.mark.parametrize("name", ["binding_energy", "range_a", "hbar_c", "nucleon_mass_c2"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0])
+    def test_rejects_non_finite_constants(self, name, value):
+        with pytest.raises(InvalidParameterError):
+            DeuteronParams(**{name: value})
+
     def test_decay_parameter(self):
         p = DeuteronParams()
         assert abs(p.y - 0.4606477240) < 1e-9

@@ -7,6 +7,7 @@ from scipy.optimize import brentq
 
 from saext import (
     AccuracyError,
+    Bracket,
     EvaluationError,
     InvalidParameterError,
     integrate,
@@ -107,6 +108,15 @@ def test_refine_residual_scales_with_tolerance():
     tol = 1e-10
     report = refine_root(bracket, f, tol=tol)
     assert abs(report.residual) <= 10.0 * tol * 1.0  # |f'| = 1 at the root
+
+
+def test_refine_stops_at_float_resolution():
+    # the root lies between two adjacent floats and tol is below their spacing
+    f = lambda x: x - 64.5 - 1e-15
+    report = refine_root(Bracket(64.0, 65.0, f(64.0), f(65.0)), f, tol=1e-16)
+    assert report.root in (64.5, math.nextafter(64.5, math.inf))
+    edge = refine_root(Bracket(64.5, math.nextafter(64.5, math.inf), -1e-15, 1.3e-14), f, 1e-16)
+    assert edge.root == 64.5 and edge.iterations == 0
 
 
 def test_refine_double_root_hint():

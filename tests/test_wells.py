@@ -133,6 +133,15 @@ class TestFiniteWell:
         for v0, e in zip(v0s, energies):
             assert e < math.pi ** 2 * (1 - 4.0 / v0) + math.pi ** 2 * 20.0 / v0 ** 2
 
+    @pytest.mark.parametrize("v0", [1e2, 1e3, 1e4])
+    def test_high_levels_solve_the_exact_relation(self, v0):
+        # levels >= 21 have kL > 64, where the float spacing exceeds refine_root's tol
+        levels = finite_well_levels(v0, 25)
+        assert len(levels) == 25
+        for n, level in enumerate(levels, start=1):
+            k = level.kL
+            assert abs(k - (n * math.pi - 2.0 * math.asin(k / v0))) <= 1e-12 * k
+
     def test_rejects_nonpositive_depth(self):
         with pytest.raises(InvalidParameterError):
             finite_well_levels(0.0, 3)
