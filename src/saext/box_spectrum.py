@@ -282,24 +282,35 @@ def _solve_negative(e: ExtensionU2, tol: float) -> list[SpectralRoot]:
     brackets = scan_brackets(g, 1e-8, _NEG_SCAN_MAX, SCAN_STEP)
 
     # beyond the scan window the scaled equation is the exact quadratic
-    # (cos psi - m0) r^2 + 2 sin(psi) r - (cos psi + m0)
+    # c2 r^2 + c1 r + c0 = (cos psi - m0) r^2 + 2 sin(psi) r - (cos psi + m0)
     c2 = math.cos(e.psi) - e.m0
     c1 = 2.0 * math.sin(e.psi)
     c0 = -(math.cos(e.psi) + e.m0)
-    tail_candidates: list[float] = []
-    if c2 != 0.0:
-        disc = c1 * c1 - 4.0 * c2 * c0
-        if disc >= 0.0:
-            sq = math.sqrt(disc)
-            tail_candidates = [(-c1 + sq) / (2.0 * c2), (-c1 - sq) / (2.0 * c2)]
-    elif c1 != 0.0:
-        tail_candidates = [-c0 / c1]
-    for cand in tail_candidates:
-        if cand > _QUAD_REGIME:
-            lo, hi = 0.8 * cand, 1.25 * cand + 1.0
-            g_lo, g_hi = g(lo), g(hi)
-            if g_lo * g_hi < 0:
-                brackets.append(Bracket(lo, hi, g_lo, g_hi))
+    disc = c1 * c1 - 4.0 * c2 * c0
+    vertex = -c1 / (2.0 * c2) if c2 != 0.0 else math.nan
+    tail: list[float] = []
+    # disc = 4 (1 - m0^2) >= 0; the rounded coefficients move it by a few eps,
+    # and within that the vertex is a double root
+    if abs(disc) <= 8.0 * np.finfo(float).eps * (abs(c0) + abs(c1) + abs(c2)):
+        tail = [vertex, vertex]
+    elif c2 != 0.0 and disc > 0.0:
+        sq = math.sqrt(disc)
+        tail = [(-c1 + sq) / (2.0 * c2), (-c1 - sq) / (2.0 * c2)]
+    elif c2 == 0.0:
+        tail = [-c0 / c1]
+    tail = [cand for cand in tail if cand > _QUAD_REGIME]
+    for cand in set(tail):
+        if cand == vertex:
+            w = max(1e-9, 1e-7 * cand)
+            brackets.append(Bracket(cand - w, cand + w, g(cand - w), g(cand + w),
+                                    double_root=True, x_min=cand))
+            continue
+        # one bracket on each side of the vertex, so a close pair splits
+        lo = max(0.8 * cand, vertex) if cand > vertex else 0.8 * cand
+        hi = min(1.25 * cand + 1.0, vertex) if cand < vertex else 1.25 * cand + 1.0
+        g_lo, g_hi = g(lo), g(hi)
+        if g_lo * g_hi < 0:
+            brackets.append(Bracket(lo, hi, g_lo, g_hi))
 
     out = _merge_roots(e, NEGATIVE, g, brackets, [], tol_gate=max(tol, 1e-9))
     total = sum(root.multiplicity for root in out)
@@ -307,6 +318,10 @@ def _solve_negative(e: ExtensionU2, tol: float) -> list[SpectralRoot]:
         raise DiagnosticError(
             f"found {total} negative eigenvalues (counting multiplicity); at most 2 can exist"
         )
+    found = sum(root.multiplicity for root in out if root.value > _QUAD_REGIME * (1.0 - 1e-9))
+    if found < len(tail):
+        raise DiagnosticError(f"found {found} negative eigenvalues beyond r = {_QUAD_REGIME}, "
+                              f"where the quadratic tail has {len(tail)}")
     return out
 
 
@@ -398,40 +413,34 @@ class BoxEigenfunction:
     zero sector:     phi = A + B x
     negative sector: phi = A e^{rx} + B e^{-rx}
 
-    ``norm`` records the L^2 norm of the raw coefficient solution that was
-    divided out.  Doubly degenerate eigenvalues carry the second orthonormal
-    coefficient pair in ``degenerate_partner``.
+    ``coeffs`` is (A, B).  Doubly degenerate eigenvalues carry the second
+    orthonormal coefficient pair in ``degenerate_partner``.
     """
 
     sector: str
     s_or_r: float
     coeffs: tuple[complex, complex]
-    norm: float
     degenerate_partner: tuple[complex, complex] | None = None
 
-    def _basis(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.sector == POSITIVE:
-            return np.exp(1j * self.s_or_r * x), np.exp(-1j * self.s_or_r * x)
-        if self.sector == NEGATIVE:
-            return np.exp(self.s_or_r * x), np.exp(-self.s_or_r * x)
-        return np.ones_like(x, dtype=complex), x.astype(complex)
+    @property
+    def _k(self):
+        """Exponent k of phi = A e^{kx} + B e^{-kx}: i s or r."""
+        return 1j * self.s_or_r if self.sector == POSITIVE else self.s_or_r
 
     def value(self, x):
-        b1, b2 = self._basis(x)
+        x = np.asarray(x, dtype=float)
         a, b = self.coeffs
-        return a * b1 + b * b2
+        if self.sector == ZERO:
+            return a + b * x
+        return a * np.exp(self._k * x) + b * np.exp(-self._k * x)
 
     def derivative(self, x):
         x = np.asarray(x, dtype=float)
         a, b = self.coeffs
-        if self.sector == POSITIVE:
-            k = 1j * self.s_or_r
-            return a * k * np.exp(k * x) - b * k * np.exp(-k * x)
-        if self.sector == NEGATIVE:
-            r = self.s_or_r
-            return a * r * np.exp(r * x) - b * r * np.exp(-r * x)
-        return np.full_like(x, b, dtype=complex)
+        if self.sector == ZERO:
+            return np.full_like(x, b, dtype=complex)
+        k = self._k
+        return a * k * np.exp(k * x) - b * k * np.exp(-k * x)
 
     def boundary_values(self) -> tuple[complex, complex, complex, complex]:
         return (
@@ -444,16 +453,20 @@ class BoxEigenfunction:
     def partner_function(self) -> "BoxEigenfunction | None":
         if self.degenerate_partner is None:
             return None
-        return BoxEigenfunction(self.sector, self.s_or_r, self.degenerate_partner, self.norm)
+        return BoxEigenfunction(self.sector, self.s_or_r, self.degenerate_partner)
 
 
-def _inner_closed(sector: str, value: float, c1, c2) -> complex:
-    """<phi1, phi2> on [0, 1] for two coefficient pairs at the same eigenvalue."""
+def _inner(sector: str, value: float, c1, c2) -> complex:
+    """<phi1, phi2> on [0, 1] for two coefficient pairs in the coordinates _defect acts on.
+
+    The negative sector's pairs weight the bounded basis (e^{-rx}, e^{r(x-1)}),
+    whose Gram matrix holds no e^{+r}.
+    """
     a1, b1 = c1
     a2, b2 = c2
     if sector == POSITIVE:
         s = value
-        i2s = (cmath.exp(2j * s) - 1.0) / (2j * s) if s != 0 else 1.0
+        i2s = (cmath.exp(2j * s) - 1.0) / (2j * s)
         return (
             np.conj(a1) * a2
             + np.conj(b1) * b2
@@ -461,138 +474,81 @@ def _inner_closed(sector: str, value: float, c1, c2) -> complex:
             + np.conj(b1) * a2 * i2s
         )
     if sector == NEGATIVE:
-        r = value
-        up = (math.exp(2.0 * r) - 1.0) / (2.0 * r)
-        dn = -math.expm1(-2.0 * r) / (2.0 * r)
-        return np.conj(a1) * a2 * up + np.conj(b1) * b2 * dn + np.conj(a1) * b2 + np.conj(b1) * a2
+        diag = -math.expm1(-2.0 * value) / (2.0 * value)
+        off = math.exp(-value)
+        cross = np.conj(a1) * b2 + np.conj(b1) * a2
+        return (np.conj(a1) * a2 + np.conj(b1) * b2) * diag + cross * off
     return np.conj(a1) * a2 + (np.conj(a1) * b2 + np.conj(b1) * a2) / 2.0 + np.conj(b1) * b2 / 3.0
 
 
-def _normalize(sector: str, value: float, coeffs) -> tuple[tuple[complex, complex], float]:
-    norm_sq = _inner_closed(sector, value, coeffs, coeffs).real
+def _normalize(sector: str, value: float, coeffs) -> tuple[complex, complex]:
+    norm_sq = _inner(sector, value, coeffs, coeffs).real
     if not norm_sq > 0.0:
         raise DiagnosticError("eigenfunction has vanishing norm")
     norm = math.sqrt(norm_sq)
-    return (complex(coeffs[0]) / norm, complex(coeffs[1]) / norm), norm
-
-
-def _null_vector(d: np.ndarray) -> np.ndarray:
-    _, _, vh = np.linalg.svd(d)
-    return vh[-1].conj()
-
-
-def _check_boundary(e: ExtensionU2, sector: str, value: float, coeffs) -> None:
-    d, scale = _defect(e, sector, value)
-    if sector == NEGATIVE:
-        vec = np.array([coeffs[1], coeffs[0] * math.exp(value)], dtype=complex)
-    else:
-        vec = np.array(coeffs, dtype=complex)
-    defect = float(np.linalg.norm(d @ vec))
-    if defect > _BC_RTOL * scale * float(np.linalg.norm(vec)):
-        raise DiagnosticError(f"boundary-condition residual {defect:.3e} too large at {value!r}")
-
-
-def _gram_schmidt_pair(sector: str, value: float, c1, c2):
-    c1n, _ = _normalize(sector, value, c1)
-    overlap = _inner_closed(sector, value, c1n, c2)
-    c2o = (c2[0] - overlap * c1n[0], c2[1] - overlap * c1n[1])
-    c2n, _ = _normalize(sector, value, c2o)
-    return c1n, c2n
+    return complex(coeffs[0]) / norm, complex(coeffs[1]) / norm
 
 
 def eigenfunction(e: ExtensionU2, root: tuple[str, float]) -> BoxEigenfunction:
     """Normalized eigenfunction(s) for a verified root of the spectrum.
 
-    ``root`` is a (sector, value) pair as produced by solve_spectrum.  For a
-    doubly degenerate eigenvalue the returned object carries the second
+    ``root`` is a (sector, value) pair as produced by solve_spectrum.  One SVD
+    of the defect matrix L - U M decides the multiplicity and gives the null
+    vector.  A non-degenerate positive mode takes the gauge of the first-row
+    closed form instead; a doubly degenerate eigenvalue carries the second
     orthonormal coefficient pair in ``degenerate_partner``.
     """
     sector, value = root
     if sector not in (POSITIVE, ZERO, NEGATIVE):
         raise InvalidParameterError(f"unknown sector {sector!r}")
 
-    if sector == POSITIVE:
-        if value <= 0:
-            raise InvalidRootError(f"positive-sector value must be > 0, got {value!r}")
-        res = abs(_reduced_positive(e)(value))
-        if res > 1e-6 * (1.0 + value * value):
-            raise InvalidRootError(f"s = {value!r} does not solve the eigenvalue equation")
-    elif sector == NEGATIVE:
-        if value <= 0:
-            raise InvalidRootError(f"negative-sector value must be > 0, got {value!r}")
-        if value > 690.0:
-            raise InvalidRootError(
-                f"r = {value!r} too stiff to normalize in double precision (r <= 690)"
-            )
-        res = abs(_reduced_negative(e)(value))
-        if res > 1e-6 * (1.0 + value * value):
-            raise InvalidRootError(f"r = {value!r} does not solve the eigenvalue equation")
-    else:
+    if sector == ZERO:
         if abs(char_zero(e)) > ZERO_MODE_TOL:
             raise InvalidRootError("this extension has no zero mode")
         value = 0.0
-
-    if degeneracy(e, sector, value) == 2:
-        if sector == NEGATIVE and value > 300.0:
-            raise InvalidRootError(
-                f"degenerate negative mode at r = {value!r} exceeds the double-precision range"
-            )
-        raw1, raw2 = (1.0 + 0j, 0j), (0j, 1.0 + 0j)
-        c1, c2 = _gram_schmidt_pair(sector, value, raw1, raw2)
-        c1, norm = _normalize(sector, value, c1)
-        c2, _ = _normalize(sector, value, c2)
-        fn = BoxEigenfunction(sector, value, c1, norm, degenerate_partner=c2)
-        _check_boundary(e, sector, value, c1)
-        _check_boundary(e, sector, value, c2)
-        return fn
-
-    if sector == POSITIVE:
-        s = value
-        u = to_matrix(e)
-        alpha, gamma = u[0, 0], u[0, 1]
-        a_coef = alpha * (s - 1.0) + (gamma * cmath.exp(-1j * s) - 1.0) * (s + 1.0)
-        b_coef = alpha * (s + 1.0) + (gamma * cmath.exp(1j * s) - 1.0) * (s - 1.0)
-        scale_ab = 4.0 * (1.0 + s)
-        if abs(a_coef) + abs(b_coef) <= 1e-9 * scale_ab:
-            vec = _null_vector(_defect(e, POSITIVE, s)[0])
-            coeffs = (vec[0], vec[1])
-        else:
-            coeffs = (a_coef, b_coef)
-    elif sector == NEGATIVE:
-        return _negative_mode(e, value)
     else:
-        vec = _null_vector(_defect(e, ZERO, 0.0)[0])
-        coeffs = (vec[0], vec[1])
+        if value <= 0:
+            raise InvalidRootError(f"{sector}-sector value must be > 0, got {value!r}")
+        if sector == NEGATIVE and value > 690.0:
+            raise InvalidRootError(
+                f"r = {value!r} too stiff to normalize in double precision (r <= 690)"
+            )
+        reduced = _reduced_positive(e) if sector == POSITIVE else _reduced_negative(e)
+        if abs(reduced(value)) > 1e-6 * (1.0 + value * value):
+            name = "s" if sector == POSITIVE else "r"
+            raise InvalidRootError(f"{name} = {value!r} does not solve the eigenvalue equation")
 
-    coeffs, norm = _normalize(sector, value, coeffs)
-    _check_boundary(e, sector, value, coeffs)
-    return BoxEigenfunction(sector, value, coeffs, norm)
+    d, scale = _defect(e, sector, value)
+    _, sing, vh = np.linalg.svd(d)
+    if sing[0] <= _RANK_RTOL * scale:
+        # rank 0: orthonormalize the unit vectors, e^{isx}, 1 or e^{rx} first
+        unit = [(1.0 + 0j, 0j), (0j, 1.0 + 0j)]
+        first, second = unit[::-1] if sector == NEGATIVE else unit
+        c1 = _normalize(sector, value, first)
+        overlap = _inner(sector, value, c1, second)
+        c2 = (second[0] - overlap * c1[0], second[1] - overlap * c1[1])
+        modes = [c1, _normalize(sector, value, c2)]
+    else:
+        coeffs = vh[-1].conj()
+        if sector == POSITIVE:
+            s = value
+            alpha, gamma = to_matrix(e)[0]
+            a_coef = alpha * (s - 1.0) + (gamma * cmath.exp(-1j * s) - 1.0) * (s + 1.0)
+            b_coef = alpha * (s + 1.0) + (gamma * cmath.exp(1j * s) - 1.0) * (s - 1.0)
+            if abs(a_coef) + abs(b_coef) > 1e-9 * 4.0 * (1.0 + s):
+                coeffs = (a_coef, b_coef)
+        modes = [_normalize(sector, value, coeffs)]
 
-
-def _negative_mode(e: ExtensionU2, r: float) -> BoxEigenfunction:
-    """Negative-sector eigenfunction via the column-scaled boundary matrices.
-
-    The raw matrices at s = i r contain e^{+r}; the scaled null vector v maps
-    to the coefficients (A, B) = (e^{-r} v1, v0) of (e^{rx}, e^{-rx}), and
-    the norm is computed in a form with no e^{+r} factor, so the whole
-    construction stays exact up to r ~ 690.
-    """
-    emr = math.exp(-r)
-    vec = _null_vector(_defect(e, NEGATIVE, r)[0])
-    a_coef = vec[1] * emr      # coefficient of e^{rx}
-    b_coef = vec[0]            # coefficient of e^{-rx}
-    # |A|^2 (e^{2r}-1)/(2r) + |B|^2 (1-e^{-2r})/(2r) + 2 Re(A conj B), scaled
-    decay = -math.expm1(-2.0 * r) / (2.0 * r)
-    norm_sq = (
-        (abs(vec[1]) ** 2 + abs(vec[0]) ** 2) * decay
-        + 2.0 * emr * (vec[1] * np.conj(vec[0])).real
-    )
-    if not norm_sq > 0.0:
-        raise DiagnosticError("negative-sector eigenfunction has vanishing norm")
-    norm = math.sqrt(norm_sq)
-    coeffs = (complex(a_coef) / norm, complex(b_coef) / norm)
-    _check_boundary(e, NEGATIVE, r, coeffs)
-    return BoxEigenfunction(NEGATIVE, r, coeffs, norm)
+    for vec in modes:
+        residual = float(np.linalg.norm(d @ np.array(vec)))
+        if residual > _BC_RTOL * scale * float(np.linalg.norm(vec)):
+            raise DiagnosticError(
+                f"boundary-condition residual {residual:.3e} too large at {value!r}"
+            )
+    if sector == NEGATIVE:
+        # (B, e^{r} A) -> (A, B)
+        modes = [(v1 * math.exp(-value), v0) for v0, v1 in modes]
+    return BoxEigenfunction(sector, value, modes[0], modes[1] if len(modes) == 2 else None)
 
 
 def boundary_form(phi, psi_fn) -> complex:

@@ -39,7 +39,8 @@ _OPERATORS = {"momentum": OperatorKind.MOMENTUM, "hamiltonian": OperatorKind.HAM
 # Input-size caps: the largest accepted input runs in a few seconds.
 _MAX_COUNT = 5000         # spectrum --count
 _MAX_TERMS = 10 ** 7      # paradox --terms (~0.4 GB of term arrays)
-_MAX_RANGE_ROWS = 2001    # --range rows (-1000:1000; an expand row's validation costs ~2|n| panels)
+_MAX_RANGE_ROWS = 2001    # --range rows (-1000:1000)
+_MAX_EXPAND_PANELS = 2_100_000   # expand: a row's validating quadrature costs 2 ceil(|nu|) panels
 
 
 @dataclass(frozen=True)
@@ -247,6 +248,12 @@ def _cmd_momentum_spectrum(args):
 
 def _cmd_expand(args):
     lo, hi = _parse_range(args.range, "--range")
+    panels = sum(2 * math.ceil(abs(st.nu)) for st in momentum.p_spectrum(args.theta, (lo, hi)))
+    if panels > _MAX_EXPAND_PANELS:
+        raise InvalidParameterError(
+            f"--range: at most {_MAX_EXPAND_PANELS} quadrature panels, "
+            f"{args.range!r} needs {panels}"
+        )
     table = momentum.expansion_table(args.theta, lo, hi)
     rows = [
         {"n": n, "nu": n + table.theta / (2.0 * math.pi),
@@ -277,15 +284,9 @@ def _cmd_deuteron(args):
     )
     if args.sweep is not None:
         ells = _parse_float_list(args.sweep, "--sweep")
-        sols = halfline.deuteron_sweep(base, ells)
     else:
         ells = [args.lam_over_a]
-        params = halfline.DeuteronParams(
-            binding_energy=base.binding_energy, range_a=base.range_a,
-            hbar_c=base.hbar_c, nucleon_mass_c2=base.nucleon_mass_c2,
-            lam_over_a=args.lam_over_a,
-        )
-        sols = [halfline.deuteron_v0(params)]
+    sols = halfline.deuteron_sweep(base, ells)
     rows = [
         {"lam_over_a": ell, "X": sol.X, "Y": sol.Y, "V0_MeV": sol.V0, "residual": sol.residual}
         for ell, sol in zip(ells, sols)
@@ -368,7 +369,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub("expand", help="parabola expansion over the momentum basis")
     p.add_argument("--theta", type=float, required=True)
     p.add_argument("--range", required=True,
-                   help=f"integer range A:B of at most {_MAX_RANGE_ROWS} rows")
+                   help=f"integer range A:B of at most {_MAX_RANGE_ROWS} rows and "
+                        f"{_MAX_EXPAND_PANELS} quadrature panels")
     p.set_defaults(func=_cmd_expand)
 
     p = sub("paradox", help="infinite-well energy accounting")

@@ -11,7 +11,7 @@ dependence discriminates between the extensions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -189,14 +189,7 @@ def deuteron_sweep(base: DeuteronParams, lam_over_a_values) -> list[DeuteronSolu
     solutions: list[DeuteronSolution] = []
     hint: float | None = None
     for ell in lam_over_a_values:
-        params = DeuteronParams(
-            binding_energy=base.binding_energy,
-            range_a=base.range_a,
-            hbar_c=base.hbar_c,
-            nucleon_mass_c2=base.nucleon_mass_c2,
-            lam_over_a=float(ell),
-        )
-        sol = deuteron_v0(params, x_hint=hint)
+        sol = deuteron_v0(replace(base, lam_over_a=float(ell)), x_hint=hint)
         solutions.append(sol)
         hint = sol.X
     return solutions

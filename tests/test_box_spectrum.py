@@ -58,6 +58,20 @@ def modes_of(ext, result, max_modes=8):
     return out[:max_modes]
 
 
+def double_negative_extension(r, dm1=0.0):
+    """U = L(ir) M(ir)^{-1}, so L - U M vanishes at s = ir: a double level E = -r^2.
+
+    A nonzero dm1 shifts m1 (then renormalizes), splitting it into a close pair.
+    """
+    l_m, m_m = lm_matrices(1j * r)
+    ext = from_matrix(l_m @ np.linalg.inv(m_m))
+    if not dm1:
+        return ext
+    vec = np.array([ext.m0, ext.m[0] + dm1, ext.m[1], ext.m[2]])
+    vec /= np.linalg.norm(vec)
+    return ExtensionU2(psi=ext.psi, m0=float(vec[0]), m=tuple(float(x) for x in vec[1:]))
+
+
 class TestBoundaryMatrices:
     def test_entries_at_pi(self):
         _, m_mat = lm_matrices(math.pi)
@@ -204,6 +218,34 @@ class TestSolveSpectrum:
         expected = math.sqrt((1 + m0) / (1 - m0))
         assert len(res.negative) == 1
         assert abs(res.negative[0].value - expected) <= 1e-7 * expected
+
+    @pytest.mark.parametrize("r", [29.9, 31.0, 40.0, 100.0, 500.0])
+    def test_double_negative_level_in_the_tail(self, r):
+        res = solve(double_negative_extension(r), count=1)
+        assert [root.multiplicity for root in res.negative] == [2]
+        assert abs(res.negative[0].value - r) <= 1e-8 * r
+
+    @pytest.mark.parametrize("r", [40.0, 100.0])
+    def test_close_negative_pair_in_the_tail(self, r):
+        ext = double_negative_extension(r, dm1=1e-4)
+        res = solve(ext, count=1)
+        assert [root.multiplicity for root in res.negative] == [1, 1]
+        # beyond r ~ 25 G(r)/sinh(r) is the quadratic c2 r^2 + c1 r + c0 to rounding
+        c2 = math.cos(ext.psi) - ext.m0
+        c1 = 2.0 * math.sin(ext.psi)
+        c0 = -(math.cos(ext.psi) + ext.m0)
+        q = -0.5 * (c1 + math.copysign(math.sqrt(c1 * c1 - 4.0 * c2 * c0), c1))
+        roots = sorted((q / c2, c0 / q))
+        for root, ref in zip(res.negative, roots):
+            assert abs(root.value - ref) <= 1e-9 * ref
+
+
+    def test_unresolved_tail_pair_is_reported(self):
+        # |m| = 2e-8 splits the double level at r = 400 by ~3e-3, below what the
+        # rounded quadratic resolves, while the rank test sees the split
+        ext = ExtensionU2(psi=2.0 * math.atan(1.0 / 400.0), m0=1.0, m=(2e-8, 0.0, 0.0))
+        with pytest.raises(DiagnosticError):
+            solve(ext, count=1)
 
     def test_negative_count_bound(self, rng):
         for _ in range(200):
@@ -391,6 +433,50 @@ class TestEigenfunctions:
             fn = eigenfunction(ext, ("positive", root.value))
             assert fn.degenerate_partner is not None
 
+    @pytest.mark.parametrize("r", [5.0, 301.0, 650.0])
+    def test_double_negative_modes(self, r):
+        ext = double_negative_extension(r)
+        r = solve(ext, count=1).negative[0].value
+        fn = eigenfunction(ext, ("negative", r))
+        assert fn.degenerate_partner is not None
+        u = to_matrix(ext)
+        decay = -math.expm1(-2.0 * r) / (2.0 * r)
+
+        def inner(c1, c2):
+            """<phi1, phi2> on [0, 1] for phi = A e^{rx} + B e^{-rx}, via the finite A e^{r}."""
+            (a1, b1), (a2, b2) = c1, c2
+            up1, up2 = a1 * math.exp(r), a2 * math.exp(r)
+            cross = np.conj(a1) * b2 + np.conj(b1) * a2
+            return (np.conj(up1) * up2 + np.conj(b1) * b2) * decay + cross
+
+        pairs = [fn.coeffs, fn.degenerate_partner]
+        for a, b in pairs:
+            a_r, b_r = a * math.exp(r), b * math.exp(-r)
+            p0, dp0, p1, dp1 = a + b, r * (a - b), a_r + b_r, r * (a_r - b_r)
+            v_minus = np.array([dp0 - 1j * p0, dp1 + 1j * p1])
+            v_plus = np.array([dp0 + 1j * p0, dp1 - 1j * p1])
+            assert np.max(np.abs(v_minus - u @ v_plus)) < 1e-8
+        gram = np.array([[inner(c1, c2) for c2 in pairs] for c1 in pairs])
+        assert np.max(np.abs(gram - np.eye(2))) < 1e-10
+
+    def test_one_svd_per_call(self, monkeypatch):
+        negative = ExtensionU2(psi=0.0, m0=0.0, m=(0.0, 1.0, 0.0))
+        cases = [
+            (named_extension("dirichlet"), ("positive", math.pi)),
+            (named_extension("periodic"), ("positive", 2.0 * math.pi)),
+            (named_extension("neumann"), ("zero", 0.0)),
+            (negative, ("negative", solve(negative, count=1).negative[0].value)),
+            (double_negative_extension(5.0), ("negative", 5.0)),
+        ]
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+        for ext, root in cases:
+            calls.clear()
+            eigenfunction(ext, root)
+            assert len(calls) == 1, root
+
+
     def test_shifted_double_level_rejected(self):
         ext = named_extension("periodic")
         with pytest.raises(DiagnosticError):
@@ -454,6 +540,9 @@ class TestCollocationOracle:
     ])
     def test_quasi_periodic_near_doubles_and_zero(self, theta):
         self.assert_matches(named_extension("quasi_periodic", theta=theta))
+
+    def test_close_negative_pair_in_the_tail(self):
+        self.assert_matches(double_negative_extension(40.0, dm1=1e-4))
 
 
 class TestBoundaryForm:

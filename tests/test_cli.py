@@ -2,10 +2,12 @@ import csv
 import io
 import json
 import math
+import shlex
 from pathlib import Path
 
 import pytest
 
+from saext import DeuteronParams, deuteron_v0
 from saext.cli import run
 
 
@@ -118,6 +120,16 @@ class TestScalarCommands:
         assert [r["lam_over_a"] for r in rows] == ["0", "1", "inf"]
         assert abs(float(rows[0]["V0_MeV"]) - 36.8) / 36.8 < 0.02
 
+    @pytest.mark.parametrize("ell", ["0", "1", "inf"])
+    def test_deuteron_single_lambda_matches_library(self, capsys, ell):
+        code, out, _ = invoke(capsys, "--format", "json", "--precision", "17",
+                              "deuteron", "--lambda-over-a", ell)
+        assert code == 0
+        sol = deuteron_v0(DeuteronParams(lam_over_a=float(ell)))
+        row = json.loads(out)["results"][0]
+        assert (row["X"], row["Y"], row["V0_MeV"], row["residual"]) == (
+            sol.X, sol.Y, sol.V0, sol.residual)
+
     def test_deuteron_requires_exactly_one_mode(self, capsys):
         code, _, err = invoke(capsys, "deuteron")
         assert code == 2
@@ -192,21 +204,16 @@ class TestOutputDiscipline:
         assert payload["inputs"] == {"operator": "momentum", "interval": "line"}
 
 
-README_COMMANDS = [
-    ("spectrum", "--u", "dirichlet", "--count", "3"),
-    ("spectrum", "--u", "psi=0.4,m=(0.5,0.5,0.5,0.5)", "--count", "5", "--include-negative"),
-    ("spectrum", "--u", "quasiperiodic:1.57", "--count", "4", "--eigenfunctions",
-     "--format", "csv"),
-    ("classify", "--u", "psi=0.3,m=(0.6,0.8,0,0)"),
-    ("deficiency", "--operator", "momentum", "--interval", "halfline"),
-    ("momentum-spectrum", "--theta", "3.14159", "--range=-5:5"),
-    ("expand", "--theta", "0", "--range=-50:50", "--format", "json"),
-    ("paradox", "--terms", "1000000"),
-    ("deuteron", "--sweep", "0,0.1,0.2,0.5,1,2,5,10,100,inf"),
-    ("well-limit", "--v0-list", "100,1000,10000", "--level", "1"),
-    ("reflect", "--lambda", "1", "--k", "2"),
-    ("bound-state", "--lambda=-1"),
-]
+def _readme_commands():
+    """argv of every `saext ...` line in README.md's sh blocks, in order."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = [block.split("```")[0] for block in readme.split("```sh\n")[1:]]
+    lines = [line for block in blocks for line in block.splitlines()]
+    return [tuple(shlex.split(line, comments=True)[1:]) for line in lines
+            if line.startswith("saext ")]
+
+
+README_COMMANDS = _readme_commands()
 
 
 # stdout of each README command, recorded once; any library change that moves
@@ -217,6 +224,9 @@ README_GOLDEN = json.loads(
 
 
 class TestInputHygiene:
+    def test_readme_commands_match_golden(self):
+        assert [" ".join(argv) for argv in README_COMMANDS] == list(README_GOLDEN)
+
     @pytest.mark.parametrize("argv", README_COMMANDS, ids=lambda argv: " ".join(argv))
     def test_readme_examples_accepted(self, capsys, argv):
         code, out, err = invoke(capsys, *argv)
@@ -251,6 +261,7 @@ class TestInputHygiene:
         ("spectrum", "--u", "dirichlet", "--count", "5001"),
         ("expand", "--theta", "0", "--range=-1000:1001"),
         ("expand", "--theta", "0", "--range=0:2000000"),
+        ("expand", "--theta", "0", "--range=100000:102000"),
         ("momentum-spectrum", "--theta", "1", "--range=0:100000"),
     ], ids=lambda argv: " ".join(argv))
     def test_size_above_cap_is_usage_error(self, capsys, argv):
