@@ -77,6 +77,7 @@ from .numerics import (
     Bracket,
     RootReport,
     integrate,
+    refine_brackets,
     refine_root,
     scan_brackets,
 )

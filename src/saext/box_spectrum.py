@@ -30,7 +30,7 @@ from .errors import (
     InvalidRootError,
 )
 from .extensions import ExtensionU2, SimpleFamily, classify_simple_family, to_matrix
-from .numerics import Bracket, refine_root, scan_brackets
+from .numerics import Bracket, refine_brackets, scan_brackets
 
 SCAN_STEP = math.pi / 8.0          # roots of F interlace no tighter than ~pi/2
 ZERO_MODE_TOL = 1e-10              # |Z| threshold for an exact zero mode
@@ -254,9 +254,8 @@ def _merge_roots(
     multiplicity 0 until kept; each kept one gets one degeneracy SVD.
     """
     fresh = []
-    for br in brackets:
-        mid = 0.5 * (br.lo + br.hi)
-        report = refine_root(br, f, tol=1e-13 * max(1.0, abs(mid)))
+    tols = [1e-13 * max(1.0, abs(0.5 * (br.lo + br.hi))) for br in brackets]
+    for br, report in zip(brackets, refine_brackets(brackets, f, tols)):
         scale = max(abs(br.f_lo), abs(br.f_hi), 1e-30)
         residual = abs(report.residual) / scale
         if residual > tol_gate and not br.double_root:

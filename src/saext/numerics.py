@@ -8,7 +8,10 @@ grid evaluation).  The spectral modules rely on three guarantees:
   change — these occur for genuinely doubly degenerate spectra.
 * ``refine_root`` is a bisection/secant hybrid: secant steps when they help,
   bisection always as a fallback, so termination is guaranteed on any
-  continuous function with a sign-change bracket.
+  continuous function with a sign-change bracket.  ``refine_brackets``
+  refines many brackets in lockstep with one batched evaluation per step and
+  gives the same reports as ``refine_root``, one bracket at a time: every
+  sign-change bracket runs the one step generator ``_secant_bisection``.
 * ``integrate`` is adaptive Gauss-Kronrod G7-K15 in the QUADPACK QAG style
   (Piessens et al., 1983), exact through degree-13 polynomials on a panel.
   Each pass evaluates the integrand once, on every live panel, through the
@@ -175,24 +178,22 @@ def scan_brackets(
     return brackets
 
 
-def refine_root(bracket: Bracket, f: Callable[[float], float], tol: float) -> RootReport:
-    """Refine a bracket to |hi-lo| <= tol with a bisection/secant hybrid.
+def _check_bracket(bracket: Bracket, tol: float) -> None:
+    if not (math.isfinite(tol) and tol > 0):
+        raise InvalidParameterError(f"tol must be positive and finite, got {tol}")
+    if not all(map(math.isfinite, (bracket.lo, bracket.hi, bracket.f_lo, bracket.f_hi))):
+        raise InvalidParameterError(f"bracket ends and values must be finite: {bracket}")
+    if not bracket.lo < bracket.hi:
+        raise InvalidParameterError(f"bracket needs lo < hi, got [{bracket.lo}, {bracket.hi}]")
 
-    A bracket whose ends are adjacent floats counts as converged, whatever tol.
 
-    Double-root brackets are refined by locating the extremum of f instead;
-    ``multiplicity_hint`` is 2 in that case.
+def _secant_bisection(bracket: Bracket, tol: float):
+    """The sign-change refinement of one bracket, as a generator.
+
+    Yields each abscissa at which f is needed and receives f there through
+    ``send``; returns the RootReport.  Keeping f out of the loop lets one
+    bracket or many in lockstep share exactly this arithmetic.
     """
-    if tol <= 0:
-        raise InvalidParameterError("tol must be positive")
-
-    if bracket.double_root:
-        x0 = bracket.x_min if bracket.x_min is not None else 0.5 * (bracket.lo + bracket.hi)
-        x = _refine_extremum(f, bracket.lo, bracket.hi, xtol=min(tol, 1e-11 * max(1.0, abs(x0))))
-        if x is None:
-            x = x0
-        return RootReport(root=x, residual=float(f(x)), iterations=0, multiplicity_hint=2)
-
     a, b, fa, fb = bracket.lo, bracket.hi, bracket.f_lo, bracket.f_hi
     if fa == 0.0:
         return RootReport(a, 0.0, 0, 1)
@@ -215,9 +216,7 @@ def refine_root(bracket: Bracket, f: Callable[[float], float], tol: float) -> Ro
         if not a < x < b:
             break  # a and b are adjacent floats: converged at float resolution
         iterations += 1
-        fx = float(f(x))
-        if not math.isfinite(fx):
-            raise EvaluationError("non-finite function value in refine_root", x)
+        fx = yield x
         if fx == 0.0:
             return RootReport(x, 0.0, iterations, 1)
         width_before = b - a
@@ -233,6 +232,78 @@ def refine_root(bracket: Bracket, f: Callable[[float], float], tol: float) -> Ro
     if b - a > tol and iterations == _MAX_ROOT_ITERATIONS:
         raise ConvergenceError("refine_root hit the iteration cap", root, residual, iterations)
     return RootReport(root=root, residual=residual, iterations=iterations, multiplicity_hint=1)
+
+
+def _refine_tangency(bracket: Bracket, f: Callable[[float], float], tol: float) -> RootReport:
+    """A double-root bracket: the extremum of f, with ``multiplicity_hint`` 2."""
+    x0 = bracket.x_min if bracket.x_min is not None else 0.5 * (bracket.lo + bracket.hi)
+    x = _refine_extremum(f, bracket.lo, bracket.hi, xtol=min(tol, 1e-11 * max(1.0, abs(x0))))
+    if x is None:
+        x = x0
+    return RootReport(root=x, residual=float(f(x)), iterations=0, multiplicity_hint=2)
+
+
+def refine_root(bracket: Bracket, f: Callable[[float], float], tol: float) -> RootReport:
+    """Refine a bracket to |hi-lo| <= tol with a bisection/secant hybrid.
+
+    A bracket whose ends are adjacent floats counts as converged, whatever tol.
+
+    Double-root brackets are refined by locating the extremum of f instead;
+    ``multiplicity_hint`` is 2 in that case.  A bracket with lo >= hi or a
+    non-finite end or end value, or a tol that is not finite and positive,
+    raises InvalidParameterError.  This is the one-bracket case of
+    ``refine_brackets``, so f is only ever called on scalars.
+    """
+    return refine_brackets([bracket], f, [tol])[0]
+
+
+def refine_brackets(
+    brackets: Sequence[Bracket], f: Callable[[float], float], tols: Sequence[float]
+) -> list[RootReport]:
+    """Refine many brackets in lockstep; reports in input order.
+
+    Every sign-change bracket runs the arithmetic of ``refine_root``, so each
+    report equals ``refine_root(brackets[i], f, tols[i])``.  While two or more
+    brackets are live they share one grid evaluation of f per step, so a
+    scalar-only f still works and a non-finite value raises EvaluationError
+    at its abscissa.  The last live bracket finishes with scalar calls, since
+    a one-point grid call costs about twice a scalar one.  Malformed input
+    raises InvalidParameterError as in ``refine_root``, and so does a tols
+    list whose length differs from that of brackets.
+    """
+    if len(tols) != len(brackets):
+        raise InvalidParameterError(f"{len(brackets)} brackets but {len(tols)} tolerances")
+    reports: list[RootReport | None] = [None] * len(brackets)
+    live = []  # (input index, generator, abscissa it waits on)
+    for i, (bracket, tol) in enumerate(zip(brackets, tols)):
+        _check_bracket(bracket, tol)
+        if bracket.double_root:
+            reports[i] = _refine_tangency(bracket, f, tol)
+            continue
+        steps = _secant_bisection(bracket, tol)
+        try:
+            live.append((i, steps, next(steps)))
+        except StopIteration as done:
+            reports[i] = done.value
+    while len(live) > 1:
+        ys = _eval_grid(f, np.array([x for _, _, x in live])).tolist()
+        waiting = []
+        for (i, steps, _), y in zip(live, ys):
+            try:
+                waiting.append((i, steps, steps.send(y)))
+            except StopIteration as done:
+                reports[i] = done.value
+        live = waiting
+    for i, steps, x in live:
+        try:
+            while True:
+                fx = float(f(x))
+                if not math.isfinite(fx):
+                    raise EvaluationError("non-finite function value", x)
+                x = steps.send(fx)
+        except StopIteration as done:
+            reports[i] = done.value
+    return reports
 
 
 # QUADPACK qk15 on [-1, 1], one row per abscissa x >= 0 (the rule is symmetric):

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError
-from .numerics import Bracket, integrate, refine_root
+from .numerics import Bracket, integrate, refine_brackets
 
 SQRT15 = math.sqrt(15.0)
 SQRT30 = math.sqrt(30.0)
@@ -184,20 +184,28 @@ def finite_well_levels(v0: float, max_n: int) -> list[FiniteWellLevel]:
     """
     if not v0 > 0:  # also rejects NaN
         raise InvalidParameterError("v0 must be positive")
-    levels: list[FiniteWellLevel] = []
+    conditions = {even: _parity_condition(v0, even) for even in (True, False)}
+    pending: dict[bool, list[tuple[int, Bracket]]] = {True: [], False: []}
     for n in range(1, max_n + 1):
         lo = (n - 1) * math.pi
         hi = min(n * math.pi, v0)
         if hi - lo < 1e-12:
             break
         even = n % 2 == 1
-        g = _parity_condition(v0, even)
+        g = conditions[even]
         eps = 1e-12 * (1.0 + hi)
         f_lo, f_hi = g(lo + eps), g(hi - eps)
         if f_lo * f_hi >= 0:
             break  # level n is not bound; neither is any later one
-        report = refine_root(Bracket(lo + eps, hi - eps, f_lo, f_hi), g, tol=1e-14)
-        k = report.root
+        pending[even].append((n, Bracket(lo + eps, hi - eps, f_lo, f_hi)))
+    roots: dict[int, float] = {}
+    for even, items in pending.items():
+        reports = refine_brackets([br for _, br in items], conditions[even], [1e-14] * len(items))
+        roots.update((n, report.root) for (n, _), report in zip(items, reports))
+    levels: list[FiniteWellLevel] = []
+    for n in sorted(roots):
+        k = roots[n]
+        even = n % 2 == 1
         r = math.sqrt(max(v0 * v0 - k * k, 0.0))
         d_n = (k / r) * math.sqrt(2.0) / math.sqrt((1.0 + 2.0 / r) * (1.0 + (k / r) ** 2))
         levels.append(

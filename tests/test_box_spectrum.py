@@ -321,6 +321,51 @@ class TestSolveSpectrum:
             assert min(even_pi, tan_form / (4 * (1 + s * s))) <= 1e-8
 
 
+    def test_refinement_takes_one_batched_call_per_step(self, monkeypatch):
+        """Dirichlet at count 200: refining costs max(iterations) calls, not their sum."""
+        from saext import box_spectrum
+
+        calls = []
+        reduced, scan, refine = (box_spectrum._reduced_positive, box_spectrum.scan_brackets,
+                                 box_spectrum.refine_brackets)
+
+        def counted_reduced(ext):
+            f = reduced(ext)
+            return lambda s: calls.append(np.size(s)) or f(s)
+
+        scan_calls = []
+
+        def counted_scan(*args, **kwargs):
+            before = len(calls)
+            out = scan(*args, **kwargs)
+            scan_calls.append(len(calls) - before)
+            return out
+
+        refined = []
+
+        def counted_refine(brackets, f, tols):
+            before = len(calls)
+            reports = refine(brackets, f, tols)
+            refined.append((len(calls) - before, reports))
+            return reports
+
+        monkeypatch.setattr(box_spectrum, "_reduced_positive", counted_reduced)
+        monkeypatch.setattr(box_spectrum, "scan_brackets", counted_scan)
+        monkeypatch.setattr(box_spectrum, "refine_brackets", counted_refine, raising=False)
+        result = solve(named_extension("dirichlet"), count=200)
+
+        assert len(result.positive) == 200
+        most = max(root.iterations for root in result.positive)
+        assert len(calls) <= 2 * most + sum(scan_calls)  # one at a time: ~30 calls per root
+        positive = [(n, reports) for n, reports in refined if n]
+        assert len(positive) == 1
+        n_calls, reports = positive[0]
+        iterations = [rep.iterations for rep in reports]
+        assert len(reports) >= 200 and min(iterations) >= 10
+        assert n_calls == max(iterations) < sum(iterations) / 100
+        assert len(calls) == max(iterations) + sum(scan_calls)
+
+
 class TestEigenfunctions:
     def test_dirichlet_modes_are_sines(self):
         ext = named_extension("dirichlet")

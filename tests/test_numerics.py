@@ -11,9 +11,15 @@ from saext import (
     EvaluationError,
     InvalidParameterError,
     integrate,
+    named_extension,
+    refine_brackets,
     refine_root,
     scan_brackets,
 )
+from saext.box_spectrum import SCAN_STEP, _reduced_negative, _reduced_positive
+from saext.wells import _parity_condition
+
+from conftest import random_extension
 
 
 def test_scan_finds_sine_roots():
@@ -125,6 +131,112 @@ def test_refine_double_root_hint():
     report = refine_root(bracket, f, tol=1e-12)
     assert report.multiplicity_hint == 2
     assert abs(report.root - 1.5) < 1e-8
+
+
+@pytest.mark.parametrize("bracket, tol", [
+    (Bracket(1.0, 0.0, -1.0, 1.0), 1e-12),
+    (Bracket(1.0, 1.0, -1.0, 1.0), 1e-12),
+    (Bracket(0.0, math.inf, -1.0, 1.0), 1e-12),
+    (Bracket(-math.inf, 1.0, -1.0, 1.0), 1e-12),
+    (Bracket(0.0, 1.0, math.nan, 1.0), 1e-12),
+    (Bracket(0.0, 1.0, -1.0, math.inf), 1e-12),
+    (Bracket(0.0, 1.0, -1.0, 1.0), math.nan),
+    (Bracket(0.0, 1.0, -1.0, 1.0), math.inf),
+    (Bracket(0.0, 1.0, -1.0, 1.0), 0.0),
+    (Bracket(0.0, 1.0, -1.0, 1.0), -1e-12),
+])
+def test_refiners_reject_malformed_input(bracket, tol):
+    with pytest.raises(InvalidParameterError):
+        refine_root(bracket, math.sin, tol)
+    with pytest.raises(InvalidParameterError):
+        refine_brackets([bracket], math.sin, [tol])
+
+
+def test_refine_brackets_rejects_mismatched_tolerances():
+    bracket = Bracket(3.0, 3.3, math.sin(3.0), math.sin(3.3))
+    with pytest.raises(InvalidParameterError):
+        refine_brackets([bracket, bracket], math.sin, [1e-12])
+
+
+def assert_lockstep_matches_one_at_a_time(brackets, f, tols):
+    together = refine_brackets(brackets, f, tols)
+    assert together == [refine_root(br, f, tol) for br, tol in zip(brackets, tols)]
+    return together
+
+
+def merge_tols(brackets):
+    """The per-bracket tolerances _merge_roots asks for."""
+    return [1e-13 * max(1.0, abs(0.5 * (br.lo + br.hi))) for br in brackets]
+
+
+def test_refine_brackets_matches_refine_root_on_random_u2_scans(rng):
+    counts = [0, 0]
+    for _ in range(50):
+        ext = random_extension(rng)
+        for i, (f, hi) in enumerate([(_reduced_positive(ext), 15 * math.pi),
+                                     (_reduced_negative(ext), 30.0)]):
+            brackets = scan_brackets(f, 1e-8, hi, SCAN_STEP)
+            assert_lockstep_matches_one_at_a_time(brackets, f, merge_tols(brackets))
+            counts[i] += len(brackets)
+    assert counts[0] >= 50 * 12 and counts[1] >= 10
+
+
+def test_refine_brackets_matches_refine_root_on_dirichlet_count_200():
+    f = _reduced_positive(named_extension("dirichlet"))
+    brackets = scan_brackets(f, 1e-8, 205 * math.pi, SCAN_STEP)
+    reports = assert_lockstep_matches_one_at_a_time(brackets, f, merge_tols(brackets))
+    assert [round(rep.root / math.pi) for rep in reports] == list(range(1, 205))
+
+
+def test_refine_brackets_matches_refine_root_on_finite_well_levels():
+    v0 = 1e3
+    for even in (True, False):
+        g = _parity_condition(v0, even)
+        brackets = []
+        for n in range(1 if even else 2, int(v0 / math.pi) + 1, 2):
+            eps = 1e-12 * (1.0 + n * math.pi)
+            lo, hi = (n - 1) * math.pi + eps, n * math.pi - eps
+            brackets.append(Bracket(lo, hi, g(lo), g(hi)))
+        assert len(brackets) > 150
+        assert_lockstep_matches_one_at_a_time(brackets, g, [1e-14] * len(brackets))
+
+
+def test_refine_brackets_keeps_input_order_for_mixed_brackets():
+    f = lambda s: np.sin(s) * (s - 1.5) ** 2
+    (double,) = [br for br in scan_brackets(f, 1.0, 2.0, 0.2) if br.double_root]
+    brackets = [
+        Bracket(6.0, 6.5, f(6.0), f(6.5)),
+        double,
+        Bracket(0.0, 1.0, 0.0, f(1.0)),
+        Bracket(3.0, 3.3, f(3.0), f(3.3)),
+    ]
+    reports = assert_lockstep_matches_one_at_a_time(brackets, f, [1e-12] * 4)
+    assert [rep.multiplicity_hint for rep in reports] == [1, 2, 1, 1]
+    assert reports[2].root == 0.0 and reports[2].iterations == 0
+    for rep, root in zip(reports, [2 * math.pi, 1.5, 0.0, math.pi]):
+        assert abs(rep.root - root) < 1e-8
+
+
+def test_refine_brackets_accepts_scalar_only_callables():
+    brackets = [Bracket(k * math.pi - 0.2, k * math.pi + 0.3, math.sin(k * math.pi - 0.2),
+                        math.sin(k * math.pi + 0.3)) for k in (1, 2, 3)]
+    reports = assert_lockstep_matches_one_at_a_time(brackets, math.sin, [1e-12] * 3)
+    assert all(abs(rep.root - k * math.pi) <= 1e-12 for rep, k in zip(reports, (1, 2, 3)))
+
+
+@pytest.mark.parametrize("others", [0, 1])  # one bracket runs on scalar calls, two share a grid
+def test_refine_brackets_reports_non_finite_value_at_its_abscissa(others):
+    f = lambda s: np.where((s > 6.0) & (s < 6.5), np.nan, np.sin(s))
+    a, b, fa, fb = 6.0, 6.5, math.sin(6.0), math.sin(6.5)
+    brackets = [Bracket(3.0, 3.3, math.sin(3.0), math.sin(3.3))] * others + [Bracket(a, b, fa, fb)]
+    with pytest.raises(EvaluationError) as err:
+        refine_brackets(brackets, f, [1e-12] * len(brackets))
+    secant = b - fb * (b - a) / (fb - fa)  # the first abscissa the second bracket asks for
+    assert err.value.abscissa == secant
+
+
+def test_refine_brackets_of_nothing_is_empty():
+    assert refine_brackets([], math.sin, []) == []
 
 
 def test_integrate_normalized_sine():
