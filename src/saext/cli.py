@@ -38,7 +38,7 @@ _OPERATORS = {"momentum": OperatorKind.MOMENTUM, "hamiltonian": OperatorKind.HAM
 
 # Input-size caps: the largest accepted input runs in a few seconds.
 _MAX_COUNT = 5000         # spectrum --count
-_MAX_TERMS = 10 ** 7      # paradox --terms (~0.4 GB of term arrays)
+_MAX_TERMS = 10 ** 7      # paradox --terms (bounds time, ~35 ms; the sums take constant memory)
 _MAX_RANGE_ROWS = 2001    # --range rows (-1000:1000)
 _MAX_EXPAND_PANELS = 2_100_000   # expand: a row's validating quadrature costs 2 ceil(|nu|) panels
 

@@ -19,6 +19,7 @@ stays finite (so first-derivative continuity is lost in the limit).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,16 +80,50 @@ class ParadoxReport:
     delta_E: float
 
 
+# terms per block of the streamed paradox sums: the work arrays stay in cache
+_SERIES_BLOCK = 1 << 15
+
+
+def _odd_inverse_power_sums(terms: int) -> tuple[float, float]:
+    """(sum k^-4, sum k^-2) over odd k = 1, 3, ..., 2 terms - 1, in constant memory.
+
+    Blocks of ``_SERIES_BLOCK`` terms run from the tail inward, each block
+    descending in k, so the terms are added in ascending magnitude.  One work
+    array serves every block: a fresh block-sized array per block page-faults
+    (about 10^4 faults at 10^7 terms) and took twice as long.
+    """
+    sum4 = sum2 = 0.0
+    steps = np.arange(0.0, -2.0 * _SERIES_BLOCK, -2.0)
+    work = np.empty(_SERIES_BLOCK)
+    for stop in range(terms, 0, -_SERIES_BLOCK):
+        block = work[:min(stop, _SERIES_BLOCK)]
+        np.add(steps[:block.size], 2.0 * stop - 1.0, out=block)    # odd k, descending
+        np.multiply(block, block, out=block)
+        np.divide(1.0, block, out=block)                           # k^-2
+        sum2 += float(block.sum())
+        np.multiply(block, block, out=block)                       # k^-4
+        sum4 += float(block.sum())
+    return sum4, sum2
+
+
 def paradox_report(terms: int) -> ParadoxReport:
+    """Energy accounting of the parabola state from ``terms`` even modes.
+
+    With b_n^2 = 960 / (pi^6 (2n-1)^6) and E'_n = pi^2 (2n-1)^2 / 2, the series
+    terms are b_n^2 E'_n = 480 / (pi^4 (2n-1)^4) and b_n^2 E'_n^2 =
+    240 / (pi^2 (2n-1)^2); they are summed in constant memory, whatever
+    ``terms`` is.  ``terms`` must be an integer >= 1.
+    """
+    try:
+        terms = operator.index(terms)
+    except TypeError:
+        raise InvalidParameterError(f"terms must be an integer, got {terms!r}") from None
     if terms < 1:
         raise InvalidParameterError("terms must be >= 1")
 
-    n = np.arange(1, terms + 1, dtype=float)
-    odd = 2.0 * n - 1.0
-    b_sq = (960.0 / math.pi ** 6) / odd ** 6
-    e_n = 0.5 * (odd * math.pi) ** 2           # E'_n in units hbar^2 / m L^2
-    mean_e_series = float(np.sum((b_sq * e_n)[::-1]))      # ascending order
-    mean_e2_series = float(np.sum((b_sq * e_n * e_n)[::-1]))
+    sum4, sum2 = _odd_inverse_power_sums(terms)
+    mean_e_series = (480.0 / math.pi ** 4) * sum4
+    mean_e2_series = (240.0 / math.pi ** 2) * sum2
 
     psi_tilde = SQRT30  # H Psi inside the well: the constant sqrt(30)
     mean_e_direct = float(integrate(lambda x: parabola_state(x) * psi_tilde, -0.5, 0.5, 1e-12))

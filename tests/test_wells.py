@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from saext import (
     paradox_report,
     well_coefficients,
 )
-from saext.wells import well_coefficient_quadrature
+from saext.wells import _SERIES_BLOCK, well_coefficient_quadrature
 
 SQRT15 = math.sqrt(15.0)
 
@@ -74,6 +75,40 @@ class TestParadox:
     def test_delta_e(self):
         rep = paradox_report(100_000)
         assert abs(rep.delta_E - math.sqrt(5.0)) < 1e-4
+
+    @pytest.mark.parametrize("terms", [2.5, float("nan"), float("inf"), 0, -3])
+    def test_rejects_bad_terms(self, terms):
+        with pytest.raises(InvalidParameterError):
+            paradox_report(terms)
+
+    def test_numpy_integer_terms(self):
+        rep = paradox_report(np.int64(10))
+        assert rep.terms_used == 10 and type(rep.terms_used) is int
+        assert rep == paradox_report(10)
+
+    @pytest.mark.parametrize("terms", [1, 2, _SERIES_BLOCK - 1, _SERIES_BLOCK, _SERIES_BLOCK + 1,
+                                       3 * _SERIES_BLOCK + 7, 10 ** 6])
+    def test_series_match_hurwitz_partial_sums(self, terms):
+        # sum_{n<=N} (2n-1)^-s = (1 - 2^-s) zeta(s) - 2^-s zeta(s, N + 1/2), to 40 digits
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            def odd_sum(s):
+                return (1 - mpmath.mpf(2) ** -s) * mpmath.zeta(s) \
+                    - mpmath.mpf(2) ** -s * mpmath.zeta(s, terms + mpmath.mpf(0.5))
+            want_e = 480 / mpmath.pi ** 4 * odd_sum(4)
+            want_e2 = 240 / mpmath.pi ** 2 * odd_sum(2)
+            rep = paradox_report(terms)
+            assert abs(rep.mean_E_series - want_e) <= 1e-14 * want_e
+            assert abs(rep.mean_E2_series - want_e2) <= 1e-14 * want_e2
+
+    def test_series_memory_is_constant(self):
+        tracemalloc.start()
+        try:
+            paradox_report(10 ** 7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
 
 
 class TestFiniteWell:
