@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -99,28 +100,33 @@ def char_negative(e: ExtensionU2, r):
 
 
 def _reduced_positive(e: ExtensionU2):
-    """F(s)/s, continuous at 0 with limit Z; kills the trivial root at s = 0."""
+    """F(s)/s, continuous at 0 with limit Z; kills the trivial root at s = 0.
+
+    sin(t)/t at t = pi (s/pi + 1e-300) is np.sinc(s/pi) to the bit, finite at 0.
+    """
     sp, cp = math.sin(e.psi), math.cos(e.psi)
     m0, m1 = e.m0, e.m1
 
     def f(s):
-        s = np.asarray(s, dtype=float)
-        sinc = np.sinc(s / math.pi)  # sin(s)/s, stable at 0
-        out = 2.0 * (sp * np.cos(s) - m1) - sinc * (cp * (s * s + 1.0) - m0 * (s * s - 1.0))
-        return out if out.ndim else float(out)
+        t = math.pi * (s / math.pi + 1e-300)
+        ss = s * s
+        out = 2.0 * (sp * np.cos(s) - m1) - np.sin(t) / t * (cp * (ss + 1.0) - m0 * (ss - 1.0))
+        return out if isinstance(out, np.ndarray) else float(out)
 
     return f
 
 
 def _rcoth(r):
-    r = np.asarray(r, dtype=float)
+    if not isinstance(r, np.ndarray):
+        return r + 2.0 * r / np.expm1(2.0 * r) if r < 350.0 else r
     small = r < 350.0
     safe = np.where(small, r, 1.0)
     return np.where(small, safe + 2.0 * safe / np.expm1(2.0 * safe), r)
 
 
 def _rcsch(r):
-    r = np.asarray(r, dtype=float)
+    if not isinstance(r, np.ndarray):
+        return -2.0 * r * np.exp(-r) / np.expm1(-2.0 * r) if r < 350.0 else 0.0
     small = r < 350.0
     safe = np.where(small, r, 1.0)
     return np.where(small, -2.0 * safe * np.exp(-safe) / np.expm1(-2.0 * safe), 0.0)
@@ -136,14 +142,8 @@ def _reduced_negative(e: ExtensionU2):
     m0, m1 = e.m0, e.m1
 
     def g(r):
-        r = np.asarray(r, dtype=float)
-        out = (
-            2.0 * sp * _rcoth(r)
-            - 2.0 * m1 * _rcsch(r)
-            + (cp - m0) * r * r
-            - (cp + m0)
-        )
-        return out if out.ndim else float(out)
+        out = 2.0 * sp * _rcoth(r) - 2.0 * m1 * _rcsch(r) + (cp - m0) * r * r - (cp + m0)
+        return out if isinstance(out, np.ndarray) else float(out)
 
     return g
 
@@ -161,6 +161,10 @@ class BoxSpectrumRequest:
     s_max_cap: float | None = None
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "count", operator.index(self.count))
+        except TypeError:
+            raise InvalidParameterError(f"count must be an integer, got {self.count!r}") from None
         if self.count < 1:
             raise InvalidParameterError("count must be >= 1")
         if not 0 < self.tol < math.inf:

@@ -50,8 +50,8 @@ def reflection(lam, k: float) -> tuple[complex, float]:
     Every extension reflects perfectly (R = 1); lambda = inf gives r = +1.
     """
     lam = _as_lambda(lam)
-    if k <= 0:
-        raise InvalidParameterError("k must be positive")
+    if not 0 < k < math.inf:  # also rejects NaN
+        raise InvalidParameterError(f"k must be positive and finite, got {k!r}")
     if math.isinf(lam):
         r = complex(1.0)
     else:
@@ -128,15 +128,15 @@ def _ground_state_equation(y: float, ell: float):
     is multiplied through by cos X:
         g(X) = Y (sin X + ell X cos X) + X (cos X - ell X sin X),
     which is analytic across the tan poles.  For ell = inf the limit is
-    g(X) = Y cos X - X sin X (i.e. X tan X = Y).
+    g(X) = Y cos X - X sin X (i.e. X tan X = Y).  A float X gives a float,
+    an array an array, through the same numpy expression.
     """
-    if math.isinf(ell):
-        return lambda x: y * np.cos(x) - x * np.sin(x)
+    ell_inf = math.isinf(ell)
 
     def g(x):
-        x = np.asarray(x, dtype=float)
-        out = y * (np.sin(x) + ell * x * np.cos(x)) + x * (np.cos(x) - ell * x * np.sin(x))
-        return out if out.ndim else float(out)
+        sn, cs = np.sin(x), np.cos(x)
+        out = y * cs - x * sn if ell_inf else y * (sn + ell * x * cs) + x * (cs - ell * x * sn)
+        return out if isinstance(out, np.ndarray) else float(out)
 
     return g
 

@@ -16,6 +16,10 @@ grid evaluation).  The spectral modules rely on three guarantees:
   (Piessens et al., 1983), exact through degree-13 polynomials on a panel.
   Each pass evaluates the integrand once, on every live panel, through the
   grid routine ``scan_brackets`` uses.
+
+Characteristic functions take a float or an array through one numpy
+expression, so scalar and grid values agree bitwise (``refine_brackets``
+finishes its last live bracket on scalar calls).
 """
 
 from __future__ import annotations

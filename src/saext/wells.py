@@ -24,11 +24,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import DiagnosticError, InvalidParameterError
 from .numerics import Bracket, integrate, refine_brackets
 
 SQRT15 = math.sqrt(15.0)
 SQRT30 = math.sqrt(30.0)
+
+
+def _count(value, name: str) -> int:
+    """``value`` as an int >= 1; InvalidParameterError for 2.5, NaN, inf or 0."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise InvalidParameterError(f"{name} must be an integer, got {value!r}") from None
+    if value < 1:
+        raise InvalidParameterError(f"{name} must be >= 1")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -114,13 +125,7 @@ def paradox_report(terms: int) -> ParadoxReport:
     240 / (pi^2 (2n-1)^2); they are summed in constant memory, whatever
     ``terms`` is.  ``terms`` must be an integer >= 1.
     """
-    try:
-        terms = operator.index(terms)
-    except TypeError:
-        raise InvalidParameterError(f"terms must be an integer, got {terms!r}") from None
-    if terms < 1:
-        raise InvalidParameterError("terms must be >= 1")
-
+    terms = _count(terms, "terms")
     sum4, sum2 = _odd_inverse_power_sums(terms)
     mean_e_series = (480.0 / math.pi ** 4) * sum4
     mean_e2_series = (240.0 / math.pi ** 2) * sum2
@@ -195,43 +200,53 @@ def _parity_condition(v0: float, even: bool):
 
     even: k tan(k/2) = rho  ->  g(K) = K sin(K/2) - R cos(K/2)
     odd:  k cot(k/2) = -rho ->  g(K) = K cos(K/2) + R sin(K/2)
-    with R = sqrt(v0^2 - K^2).
+    with R = sqrt(v0^2 - K^2).  A float K gives a float, an array an array.
     """
 
     def g(k):
-        k = np.asarray(k, dtype=float)
         r = np.sqrt(np.maximum(v0 * v0 - k * k, 0.0))
-        if even:
-            out = k * np.sin(k / 2.0) - r * np.cos(k / 2.0)
-        else:
-            out = k * np.cos(k / 2.0) + r * np.sin(k / 2.0)
-        return out if out.ndim else float(out)
+        sn, cs = np.sin(k / 2.0), np.cos(k / 2.0)
+        out = k * sn - r * cs if even else k * cs + r * sn
+        return out if isinstance(out, np.ndarray) else float(out)
 
     return g
+
+
+# Deepest well the 1e-12 (1 + n pi) bracket margin resolves: level n sits
+# 2 n pi / v0 below n pi, which the margin swallows from v0 ~ 1.5e12 (n = 1).
+MAX_WELL_DEPTH = 1e12
 
 
 def finite_well_levels(v0: float, max_n: int) -> list[FiniteWellLevel]:
     """All bound levels (kL < v0) up to max_n, via parity-resolved bracketing.
 
     Level n lies in ((n-1) pi, min(n pi, v0)); odd n are even states about
-    the midpoint, even n odd states.  Zero levels is a valid result only for
-    v0 <= 0 -- any positive depth binds at least the ground state.
+    the midpoint, even n odd states.  Every level with (n-1) pi < v0 is bound,
+    so one that shows no sign change inside the 1e-12 (1 + n pi) bracket
+    margin raises DiagnosticError (this happens just above a binding
+    threshold, v0 - (n-1) pi below a few 1e-6) instead of shortening the list.
+    ``v0`` must lie in (0, MAX_WELL_DEPTH]: deeper wells put every level
+    inside that margin.  ``max_n`` must be an integer >= 1.
     """
-    if not v0 > 0:  # also rejects NaN
-        raise InvalidParameterError("v0 must be positive")
+    if not 0 < v0 <= MAX_WELL_DEPTH:  # also rejects NaN
+        raise InvalidParameterError(
+            f"v0 must be positive and at most {MAX_WELL_DEPTH:g}, got {v0!r}")
+    max_n = _count(max_n, "max_n")
     conditions = {even: _parity_condition(v0, even) for even in (True, False)}
     pending: dict[bool, list[tuple[int, Bracket]]] = {True: [], False: []}
     for n in range(1, max_n + 1):
         lo = (n - 1) * math.pi
+        if lo >= v0:
+            break  # level n is not bound; neither is any later one
         hi = min(n * math.pi, v0)
-        if hi - lo < 1e-12:
-            break
         even = n % 2 == 1
         g = conditions[even]
         eps = 1e-12 * (1.0 + hi)
         f_lo, f_hi = g(lo + eps), g(hi - eps)
-        if f_lo * f_hi >= 0:
-            break  # level n is not bound; neither is any later one
+        if not (lo + eps < hi - eps and f_lo * f_hi < 0):
+            raise DiagnosticError(
+                f"level {n} is bound at v0 = {v0!r} but its bracket "
+                f"[{lo + eps!r}, {hi - eps!r}] shows no sign change")
         pending[even].append((n, Bracket(lo + eps, hi - eps, f_lo, f_hi)))
     roots: dict[int, float] = {}
     for even, items in pending.items():
@@ -280,6 +295,7 @@ def infinite_limit_study(v0_list, n: int) -> WellLimitStudy:
     estimates of the convergence orders (1 for the energy, 2 for the
     deviation from the first-order law).
     """
+    n = _count(n, "level")
     v0s = [float(v) for v in v0_list]
     if any(b <= a for a, b in zip(v0s, v0s[1:])):
         raise InvalidParameterError("v0 values must be strictly increasing")

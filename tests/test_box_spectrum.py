@@ -205,6 +205,15 @@ class TestSolveSpectrum:
         with pytest.raises(InvalidParameterError):
             BoxSpectrumRequest(ext=named_extension("dirichlet"), **field)
 
+    @pytest.mark.parametrize("count", [2.5, math.nan, math.inf, "3"])
+    def test_request_rejects_non_integer_count(self, count):
+        with pytest.raises(InvalidParameterError):
+            BoxSpectrumRequest(ext=named_extension("dirichlet"), count=count)
+
+    def test_request_numpy_integer_count(self):
+        req = BoxSpectrumRequest(ext=named_extension("dirichlet"), count=np.int64(3))
+        assert req.count == 3 and type(req.count) is int
+
     def test_family1_negative_root(self):
         ext = ExtensionU2(psi=0.0, m0=0.0, m=(0.0, 1.0, 0.0))
         res = solve(ext, count=2)

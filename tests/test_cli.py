@@ -158,6 +158,17 @@ class TestScalarCommands:
         assert len(payload["results"]) == 2
         assert abs(payload["energy_order"] - 1.0) < 0.2
 
+    @pytest.mark.parametrize("argv, reason", [
+        (("well-limit", "--v0-list", "100,1e13"), "at most 1e+12"),  # not "level 1 is not bound"
+        (("well-limit", "--v0-list", "100,1000", "--level", "0"), "level must be >= 1"),
+        (("well-limit", "--v0-list", "100,1000", "--level", "-1"), "level must be >= 1"),
+    ], ids=["v0-1e13", "level-0", "level-minus-1"])
+    def test_well_limit_bad_input_is_usage_error(self, capsys, argv, reason):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and reason in err
+
 
 class TestOutputDiscipline:
     def test_deterministic_bytes(self, capsys):

@@ -50,6 +50,11 @@ class TestReflection:
         with pytest.raises(InvalidParameterError):
             reflection(1.0, 0.0)
 
+    @pytest.mark.parametrize("k", [math.nan, math.inf])
+    def test_rejects_non_finite_k(self, k):
+        with pytest.raises(InvalidParameterError):
+            reflection(1.0, k)
+
 
 class TestBoundState:
     def test_lambda_minus_one(self):

@@ -17,6 +17,7 @@ from saext import (
     scan_brackets,
 )
 from saext.box_spectrum import SCAN_STEP, _reduced_negative, _reduced_positive
+from saext.halfline import _ground_state_equation
 from saext.wells import _parity_condition
 
 from conftest import random_extension
@@ -312,3 +313,68 @@ def test_integrate_reports_accuracy_failure():
     with pytest.raises(AccuracyError) as err:
         integrate(jump, 0.0, 1.0, 1e-30)
     assert err.value.achieved_error > 1e-30
+
+
+# Characteristic functions take a float or an array through one numpy
+# expression; refine_brackets mixes grid steps with scalar steps on its last
+# live bracket, so the two must agree to the bit.
+def assert_scalar_matches_grid(f, xs):
+    grid = f(np.array(xs))
+    for x, in_grid in zip(xs, grid):
+        scalar = f(x)
+        assert type(scalar) is float
+        assert scalar.hex() == float(f(np.array([x]))[0]).hex() == float(in_grid).hex(), x
+
+
+def spread(lo, hi, count=200, seed=11):
+    """Seeded points on [lo, hi]; libm and numpy round exp and expm1 apart on 5-10% of them."""
+    return np.random.default_rng(seed).uniform(lo, hi, count).tolist()
+
+
+def agreement_extensions():
+    return [named_extension(name) for name in ("dirichlet", "neumann", "periodic")] + [
+        random_extension(np.random.default_rng(seed)) for seed in range(4)]
+
+
+def test_reduced_positive_scalar_matches_grid():
+    for ext in agreement_extensions():
+        assert_scalar_matches_grid(_reduced_positive(ext),
+                                   [1e-8, 0.5, 3 * math.pi, 400.0] + spread(0.0, 60.0))
+
+
+def test_reduced_positive_at_zero_is_the_np_sinc_limit():
+    for ext in agreement_extensions():
+        sp, cp = math.sin(ext.psi), math.cos(ext.psi)
+        limit = 2.0 * (sp - ext.m1) - (cp + ext.m0)  # F/s at s = 0 with sinc(0) = 1
+        f = _reduced_positive(ext)
+        assert f(0.0) == limit and type(f(0.0)) is float
+        assert f(np.array([0.0, 1.0]))[0] == limit
+
+
+def test_reduced_positive_keeps_np_sinc_rounding():
+    ext = random_extension(np.random.default_rng(7))
+    sp, cp, m0, m1 = math.sin(ext.psi), math.cos(ext.psi), ext.m0, ext.m1
+    s = np.random.default_rng(8).uniform(0.0, 200.0, 2000)
+    sinc = np.sinc(s / math.pi)
+    ref = 2.0 * (sp * np.cos(s) - m1) - sinc * (cp * (s * s + 1.0) - m0 * (s * s - 1.0))
+    assert np.array_equal(_reduced_positive(ext)(s), ref)
+
+
+def test_reduced_negative_scalar_matches_grid():
+    rs = [1e-8, 1.0, 25.0, 349.9, 350.0, 354.9, 355.0, 700.0]  # 350: the far-range switch
+    rs += spread(0.0, 1.0, 400) + spread(0.0, 30.0) + spread(340.0, 360.0, 20)
+    for ext in agreement_extensions():
+        assert_scalar_matches_grid(_reduced_negative(ext), rs)
+
+
+@pytest.mark.parametrize("ell", [0.0, 0.7, 1e3, math.inf])
+def test_deuteron_equation_scalar_matches_grid(ell):
+    assert_scalar_matches_grid(_ground_state_equation(0.4606477240002425, ell),
+                               [1e-9, 0.3, 1.5707963, 2.0, math.pi - 1e-12] + spread(0.0, 3.2))
+
+
+@pytest.mark.parametrize("v0", [3.0, 1e3])
+@pytest.mark.parametrize("even", [True, False])
+def test_parity_condition_scalar_matches_grid(v0, even):
+    ks = [1e-12, 0.25 * v0, 0.5 * v0, 0.99 * v0, v0 - 1e-9, v0] + spread(0.0, v0)
+    assert_scalar_matches_grid(_parity_condition(v0, even), ks)

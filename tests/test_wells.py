@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 
 from saext import (
+    DiagnosticError,
     InvalidParameterError,
     finite_well_levels,
     infinite_limit_study,
     paradox_report,
     well_coefficients,
 )
-from saext.wells import _SERIES_BLOCK, well_coefficient_quadrature
+from saext.wells import MAX_WELL_DEPTH, _SERIES_BLOCK, well_coefficient_quadrature
 
 SQRT15 = math.sqrt(15.0)
 
@@ -181,6 +182,37 @@ class TestFiniteWell:
         with pytest.raises(InvalidParameterError):
             finite_well_levels(0.0, 3)
 
+    @pytest.mark.parametrize("v0", [2e12, 1e13, 1e200, math.inf, math.nan])
+    def test_rejects_depth_beyond_bracket_margin(self, v0):
+        # level 1 sits 2 pi / v0 below pi, inside the 1e-12 (1 + pi) margin from v0 ~ 1.5e12
+        with pytest.raises(InvalidParameterError):
+            finite_well_levels(v0, 3)
+
+    def test_deepest_well_still_resolves_every_level(self):
+        levels = finite_well_levels(MAX_WELL_DEPTH, 5)
+        assert [lv.n for lv in levels] == [1, 2, 3, 4, 5]
+        for lv in levels:
+            assert 0.0 < lv.n * math.pi - lv.kL < 1.5 * 2.0 * lv.n * math.pi / MAX_WELL_DEPTH
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_unresolved_bound_level_is_an_error_not_a_short_list(self, n):
+        # just above the threshold (n-1) pi the level is bound, but its root lies
+        # within the bracket margin of v0
+        with pytest.raises(DiagnosticError, match=f"level {n} is bound"):
+            finite_well_levels((n - 1) * math.pi + 1e-8, n + 3)
+
+    def test_level_count_just_off_threshold(self):
+        assert len(finite_well_levels(2 * math.pi + 1e-3, 10)) == 3
+        assert len(finite_well_levels(2 * math.pi, 10)) == 2
+
+    @pytest.mark.parametrize("max_n", [2.5, math.nan, math.inf, 0, -1])
+    def test_rejects_bad_max_n(self, max_n):
+        with pytest.raises(InvalidParameterError):
+            finite_well_levels(10.0, max_n)
+
+    def test_numpy_integer_max_n(self):
+        assert len(finite_well_levels(50.0, np.int64(7))) == 7
+
 
 class TestInfiniteLimit:
     def test_deviation_second_order(self):
@@ -206,3 +238,12 @@ class TestInfiniteLimit:
     def test_rejects_unordered_input(self):
         with pytest.raises(InvalidParameterError):
             infinite_limit_study([100.0, 50.0], 1)
+
+    @pytest.mark.parametrize("n", [0, -2, 2.5])
+    def test_rejects_bad_level(self, n):
+        with pytest.raises(InvalidParameterError):
+            infinite_limit_study([100.0, 1000.0], n)
+
+    def test_rejects_depth_beyond_bracket_margin(self):
+        with pytest.raises(InvalidParameterError, match="at most"):
+            infinite_limit_study([100.0, 1e13], 1)
