@@ -40,7 +40,12 @@ _OPERATORS = {"momentum": OperatorKind.MOMENTUM, "hamiltonian": OperatorKind.HAM
 _MAX_COUNT = 5000         # spectrum --count
 _MAX_TERMS = 10 ** 7      # paradox --terms (bounds time, ~35 ms; the sums take constant memory)
 _MAX_RANGE_ROWS = 2001    # --range rows (-1000:1000)
-_MAX_EXPAND_PANELS = 2_100_000   # expand: a row's validating quadrature costs 2 ceil(|nu|) panels
+# expand: the rows' 2 ceil(|nu|) summed.  The whole table is validated on one FFT grid of
+# P <= 2^22 uniform panels (P >= 2 ceil(max |nu|), a power of two); |n| = 10^6 (P = 2^21)
+# takes about 2 s and 150 MB.
+_MAX_EXPAND_PANELS = 2_100_000
+_MAX_LIST = 10_000        # --sweep and --v0-list values (10^4 deuteron depths: ~0.7 s)
+_MAX_WELL_LEVELS = 10_000  # well-limit --level times the --v0-list length (~1-2 s)
 
 
 @dataclass(frozen=True)
@@ -155,8 +160,11 @@ def _parse_range(text: str, flag: str) -> tuple[int, int]:
 
 
 def _parse_float_list(text: str, flag: str) -> list[float]:
+    tokens = [tok for tok in text.split(",") if tok.strip() != ""]
+    if len(tokens) > _MAX_LIST:
+        raise InvalidParameterError(f"{flag}: at most {_MAX_LIST} values, got {len(tokens)}")
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
+        return [float(tok) for tok in tokens]
     except ValueError:
         raise InvalidParameterError(f"{flag}: bad list {text!r}") from None
 
@@ -298,6 +306,10 @@ def _cmd_deuteron(args):
 
 def _cmd_well_limit(args):
     v0s = _parse_float_list(args.v0_list, "--v0-list")
+    if args.level * len(v0s) > _MAX_WELL_LEVELS:
+        raise InvalidParameterError(
+            f"--level times the --v0-list length must be at most {_MAX_WELL_LEVELS}, "
+            f"got {args.level} x {len(v0s)}")
     study = wells.infinite_limit_study(v0s, args.level)
     cols = ["v0", "kL", "kL_deviation", "energy", "energy_ratio", "wall_value",
             "wall_derivative"]
@@ -379,7 +391,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub("deuteron", help="square-well depth vs boundary parameter")
     p.add_argument("--lambda-over-a", dest="lam_over_a", type=float, default=None)
-    p.add_argument("--sweep", default=None, help="comma list of lambda/a values, inf allowed")
+    p.add_argument("--sweep", default=None,
+                   help=f"comma list of at most {_MAX_LIST} lambda/a values, inf allowed")
     p.add_argument("--binding", type=_finite_float, default=2.2, help="|E| in MeV")
     p.add_argument("--range", type=_finite_float, default=2.0, help="well range a in fm")
     p.add_argument("--hbarc", type=_finite_float, default=197.3269804)
@@ -387,8 +400,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_deuteron)
 
     p = sub("well-limit", help="finite well converging to the Dirichlet box")
-    p.add_argument("--v0-list", dest="v0_list", required=True)
-    p.add_argument("--level", type=int, default=1)
+    p.add_argument("--v0-list", dest="v0_list", required=True,
+                   help=f"comma list of at most {_MAX_LIST} increasing depths")
+    p.add_argument("--level", type=int, default=1,
+                   help=f"level n; n times the --v0-list length is at most {_MAX_WELL_LEVELS}")
     p.set_defaults(func=_cmd_well_limit)
 
     p = sub("reflect", help="reflection amplitude off the half-line wall")

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DiagnosticError, InvalidParameterError
 from .extensions import MomentumExtension
-from .numerics import integrate
+from .numerics import fourier_coefficients, integrate
 
 SQRT30 = math.sqrt(30.0)
 
@@ -74,20 +74,36 @@ def _parabola(x):
     return SQRT30 * x * (1.0 - x)
 
 
-def expansion_coeff_quadrature(theta: float, n: int, tol: float = 1e-12) -> complex:
-    """(phi_n, Psi) by adaptive quadrature, two panels per oscillation: the independent route.
+def _quadrature_rows(theta: float, ns, tol: float = 1e-12) -> np.ndarray:
+    """(phi_n, Psi) for every n in ns from one batched G7-K15 grid (``fourier_coefficients``).
 
-    tol is raised to the phase round-off, 8 eps |nu|, where that is larger (|nu| > 560).
+    Each row's tol is raised to the phase round-off, 8 eps |nu|, where that is larger
+    (|nu| > 560): rounding 2 pi nu x moves the integrand by ~eps |nu|.
+    """
+    shift = theta / (2.0 * math.pi)
+    nus = np.asarray(ns, dtype=float) + shift
+    tols = np.maximum(tol, 8.0 * np.finfo(float).eps * np.abs(nus))
+    return fourier_coefficients(_parabola, ns, tols, shift=shift)
+
+
+def expansion_coeff_quadrature(theta: float, n: int, tol: float = 1e-12) -> complex:
+    """(phi_n, Psi) by Gauss-Kronrod quadrature on uniform panels: the independent route.
+
+    This is the one-row case of the batched quadrature that ``expansion_table``
+    validates with: at most half an oscillation per panel, panels doubled until
+    |K15 - G7| <= tol, and tol raised to the phase round-off 8 eps |nu| where
+    that is larger (|nu| > 560).
     """
     theta = MomentumExtension(theta).theta
-    nu = n + theta / (2.0 * math.pi)
-    panels = 2 * math.ceil(abs(nu))
-    # rounding 2 pi nu x moves the integrand by ~eps |nu|: no panel's |K15 - G7| gets below it
-    tol = max(tol, 8.0 * np.finfo(float).eps * abs(nu))
-    return complex(integrate(
-        lambda x: np.exp(-2j * math.pi * nu * x) * _parabola(x), 0.0, 1.0, tol,
-        breakpoints=[k / panels for k in range(1, panels)],
-    ))
+    return complex(_quadrature_rows(theta, [n], tol)[0])
+
+
+def _check_coeff(theta: float, n: int, value: complex, ref: complex) -> None:
+    if abs(value - ref) > 1e-10:
+        raise DiagnosticError(
+            f"closed-form coefficient {value!r} disagrees with quadrature {ref!r} "
+            f"(theta={theta!r}, n={n})"
+        )
 
 
 # 3 (sin a - a cos a) / a^3 = sum over k >= 1 of (-1)^(k+1) 6k a^(2k-2) / (2k+1)!.
@@ -127,24 +143,27 @@ def expansion_coeff(theta: float, n: int, validate: bool = True) -> complex:
     # + 0.0: at theta = 0, sin_a is a signed zero and the coefficient is real
     value = complex(scale * cos_a, -scale * sin_a + 0.0)
     if validate:
-        ref = expansion_coeff_quadrature(theta, n)
-        if abs(value - ref) > 1e-10:
-            raise DiagnosticError(
-                f"closed-form coefficient {value!r} disagrees with quadrature {ref!r} "
-                f"(theta={theta!r}, n={n})"
-            )
+        _check_coeff(theta, n, value, expansion_coeff_quadrature(theta, n))
     return value
 
 
 def expansion_table(theta: float, n_min: int, n_max: int, validate: bool = True) -> ExpansionTable:
-    """Coefficients and probabilities for n in [n_min, n_max], with the Parseval defect."""
+    """Coefficients and probabilities for n in [n_min, n_max], with the Parseval defect.
+
+    With ``validate`` every closed-form coefficient is cross-checked to 1e-10
+    against one batched quadrature of the whole table.
+    """
     if n_min > n_max:
         raise InvalidParameterError(f"empty integer range ({n_min}, {n_max})")
     theta = MomentumExtension(theta).theta
+    ns = range(n_min, n_max + 1)
+    coeffs = [expansion_coeff(theta, n, validate=False) for n in ns]
+    if validate:
+        for n, c, ref in zip(ns, coeffs, _quadrature_rows(theta, ns).tolist()):
+            _check_coeff(theta, n, c, ref)
     entries = []
     total = 0.0
-    for n in range(n_min, n_max + 1):
-        c = expansion_coeff(theta, n, validate=validate)
+    for n, c in zip(ns, coeffs):
         prob = abs(c) ** 2
         total += prob
         entries.append((n, c, prob))

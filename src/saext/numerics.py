@@ -1,7 +1,7 @@
 """Shared numerical kernels: root bracketing, refinement and quadrature.
 
 Everything here is deliberately small and dependency-free (numpy only for
-grid evaluation).  The spectral modules rely on three guarantees:
+grid evaluation).  The spectral modules rely on four guarantees:
 
 * ``scan_brackets`` finds every sign change of a scalar function on a uniform
   grid and, in addition, locates tangencies (double roots) that leave no sign
@@ -16,6 +16,10 @@ grid evaluation).  The spectral modules rely on three guarantees:
   (Piessens et al., 1983), exact through degree-13 polynomials on a panel.
   Each pass evaluates the integrand once, on every live panel, through the
   grid routine ``scan_brackets`` uses.
+* ``fourier_coefficients`` applies the same G7-K15 rule on one grid of
+  uniform panels to many Fourier coefficients at once: one FFT over the
+  panels per node gives every row, each with its own |K15 - G7| estimate,
+  and the grid doubles until every row meets its tol.
 
 Characteristic functions take a float or an array through one numpy
 expression, so scalar and grid values agree bitwise (``refine_brackets``
@@ -383,3 +387,64 @@ def integrate(
             )
         width = 0.5 * width
         lo, width = np.concatenate((lo, lo + width)), np.concatenate((width, width))
+
+
+# Grid doublings one fourier_coefficients call may make.  On a smooth integrand
+# |K15 - G7| falls like P^-14, so one doubling settles a miss; a second miss means
+# g is not smooth or is noisier than tol, and each doubling doubles the memory.
+_MAX_DOUBLINGS = 2
+# Grid values per FFT call: a small grid takes all 15 nodes in one call, a large
+# one a node at a time, so memory stays O(P).
+_FFT_BLOCK = 1 << 15
+
+
+def fourier_coefficients(
+    g: Callable[[np.ndarray], np.ndarray],
+    ns: Sequence[int],
+    tol,
+    shift: float = 0.0,
+) -> np.ndarray:
+    """The integrals of g(x) e^{-2 pi i (n + shift) x} over [0, 1], for every integer n in ns.
+
+    One G7-K15 grid of P uniform panels serves every row: with x = (p + t_j)/P,
+    each node t_j needs one FFT of g(x) e^{-2 pi i shift x} over p = 0 ... P-1,
+    and row n is sum_j w_j e^{-2 pi i n t_j / P} F_j[n mod P] / P, exact for
+    every integer n.  The K15 - G7 weights give each row's error estimate.
+    P is the power of two >= 2 ceil(max |n + shift|), at most half an
+    oscillation per panel.  A grid of more than ``_FFT_BLOCK`` values is
+    evaluated a node at a time, so memory is O(P).  P doubles until every
+    row's estimate is within its tol (a scalar or one per row); past
+    ``_MAX_DOUBLINGS`` doublings AccuracyError reports the estimate and error
+    of the first row that still misses.
+    """
+    ns = np.asarray(ns)
+    tol = np.asarray(tol, dtype=float)
+    if ns.ndim != 1 or not ns.size or ns.dtype.kind not in "iu":
+        raise InvalidParameterError("ns must be a non-empty sequence of integers")
+    if tol.shape not in ((), ns.shape) or not (np.isfinite(tol).all() and (tol > 0).all()):
+        raise InvalidParameterError("tol must be positive and finite, one value or one per row")
+    tol = np.broadcast_to(tol, ns.shape)
+    values = np.empty(ns.shape, dtype=complex)
+    errors = np.empty(ns.shape)
+    panels = 1 << max(0, 2 * math.ceil(np.abs(ns + shift).max()) - 1).bit_length()
+    live = np.arange(ns.size)
+    for _ in range(_MAX_DOUBLINGS + 1):
+        rows = ns[live]
+        sums = np.zeros((2, rows.size), dtype=complex)
+        block = max(1, _FFT_BLOCK // panels)  # nodes per FFT call
+        for j in range(0, len(_GK_NODES), block):
+            t = _GK_NODES[j:j + block, None]
+            x = (np.arange(panels) + t) / panels
+            ys = _eval_grid(g, x.ravel()).reshape(x.shape) * np.exp(-2j * math.pi * shift * x)
+            spectrum = np.fft.fft(ys, axis=1)[:, rows % panels]
+            twiddle = np.exp(-2j * math.pi * t / panels * rows)
+            sums += _GK_WEIGHTS[j:j + block].T @ (twiddle * spectrum)
+        values[live] = sums[0] / panels
+        errors[live] = np.abs(sums[1]) / panels
+        live = live[errors[live] > tol[live]]
+        if not live.size:
+            return values
+        panels *= 2
+    first = live[0]
+    raise AccuracyError(f"Fourier quadrature missed tol at n = {ns[first]} after "
+                        f"{_MAX_DOUBLINGS} doublings", complex(values[first]), float(errors[first]))

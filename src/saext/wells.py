@@ -221,10 +221,13 @@ def finite_well_levels(v0: float, max_n: int) -> list[FiniteWellLevel]:
     """All bound levels (kL < v0) up to max_n, via parity-resolved bracketing.
 
     Level n lies in ((n-1) pi, min(n pi, v0)); odd n are even states about
-    the midpoint, even n odd states.  Every level with (n-1) pi < v0 is bound,
-    so one that shows no sign change inside the 1e-12 (1 + n pi) bracket
-    margin raises DiagnosticError (this happens just above a binding
-    threshold, v0 - (n-1) pi below a few 1e-6) instead of shortening the list.
+    the midpoint, even n odd states.  Every level with (n-1) pi < v0 is bound.
+    Brackets keep a 1e-12 (1 + min(n pi, v0)) margin from their ends; just
+    above a binding threshold (v0 - (n-1) pi below a few 1e-6) the root lies
+    about (n-1) pi delta^2 / 8 below v0, inside that margin, and the bracket
+    is retried ending at v0 itself, where R = 0.  A level that still shows no
+    sign change (v0 within the margin of (n-1) pi) raises DiagnosticError
+    instead of shortening the list.
     ``v0`` must lie in (0, MAX_WELL_DEPTH]: deeper wells put every level
     inside that margin.  ``max_n`` must be an integer >= 1.
     """
@@ -242,12 +245,17 @@ def finite_well_levels(v0: float, max_n: int) -> list[FiniteWellLevel]:
         even = n % 2 == 1
         g = conditions[even]
         eps = 1e-12 * (1.0 + hi)
-        f_lo, f_hi = g(lo + eps), g(hi - eps)
-        if not (lo + eps < hi - eps and f_lo * f_hi < 0):
+        end = hi - eps
+        f_lo, f_hi = g(lo + eps), g(end)
+        if not (lo + eps < end and f_lo * f_hi < 0) and hi == v0:
+            # just above threshold the root lies within the margin of v0, where R = 0
+            end = v0
+            f_hi = g(end)
+        if not (lo + eps < end and f_lo * f_hi < 0):
             raise DiagnosticError(
                 f"level {n} is bound at v0 = {v0!r} but its bracket "
-                f"[{lo + eps!r}, {hi - eps!r}] shows no sign change")
-        pending[even].append((n, Bracket(lo + eps, hi - eps, f_lo, f_hi)))
+                f"[{lo + eps!r}, {end!r}] shows no sign change")
+        pending[even].append((n, Bracket(lo + eps, end, f_lo, f_hi)))
     roots: dict[int, float] = {}
     for even, items in pending.items():
         reports = refine_brackets([br for _, br in items], conditions[even], [1e-14] * len(items))
@@ -257,7 +265,10 @@ def finite_well_levels(v0: float, max_n: int) -> list[FiniteWellLevel]:
         k = roots[n]
         even = n % 2 == 1
         r = math.sqrt(max(v0 * v0 - k * k, 0.0))
-        d_n = (k / r) * math.sqrt(2.0) / math.sqrt((1.0 + 2.0 / r) * (1.0 + (k / r) ** 2))
+        if r:
+            d_n = (k / r) * math.sqrt(2.0) / math.sqrt((1.0 + 2.0 / r) * (1.0 + (k / r) ** 2))
+        else:
+            d_n = 0.0  # at threshold the state no longer decays: its norm constant vanishes
         levels.append(
             FiniteWellLevel(
                 n=n, kL=k, E=k * k, parity=+1 if even else -1, norm_const=d_n, rhoL=r

@@ -259,6 +259,12 @@ class TestInputHygiene:
         assert out == ""
         assert "numerical failure" not in err
 
+    def test_well_limit_at_level_cap_accepted(self, capsys):
+        code, out, err = invoke(capsys, "--format", "csv", "well-limit",
+                                "--v0-list", "1e10,1e11", "--level", "5000")
+        assert code == 0, err
+        assert len(read_csv(out)) == 2
+
     @pytest.mark.parametrize("n_range", ["--range=1500:1500", "--range=-9000:-8999"])
     def test_expand_large_n_accepted(self, capsys, n_range):
         # the cap counts rows, not |n|
@@ -274,7 +280,11 @@ class TestInputHygiene:
         ("expand", "--theta", "0", "--range=0:2000000"),
         ("expand", "--theta", "0", "--range=100000:102000"),
         ("momentum-spectrum", "--theta", "1", "--range=0:100000"),
-    ], ids=lambda argv: " ".join(argv))
+        ("deuteron", "--sweep", ",".join(["1"] * 10001)),
+        ("well-limit", "--v0-list", ",".join(str(10 + k) for k in range(10001))),
+        ("well-limit", "--v0-list", "1e10,1e11", "--level", "5001"),
+        ("well-limit", "--v0-list", "1e6", "--level", "1000000"),
+    ], ids=lambda argv: " ".join(argv)[:60])
     def test_size_above_cap_is_usage_error(self, capsys, argv):
         code, out, err = invoke(capsys, *argv)
         assert code == 2

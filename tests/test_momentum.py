@@ -1,14 +1,18 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from saext import (
+    DiagnosticError,
     InvalidParameterError,
     expansion_coeff,
     expansion_coeff_quadrature,
     expansion_table,
+    integrate,
+    momentum,
     p_spectrum,
     uncertainty_product,
 )
@@ -113,6 +117,54 @@ class TestCoefficients:
         p0 = abs(expansion_coeff(0.0, 0)) ** 2
         p_pi = abs(expansion_coeff(math.pi, 0)) ** 2
         assert abs(p0 - p_pi) > 0.01
+
+
+def adaptive_quadrature(theta, n):
+    """(phi_n, Psi) by adaptive ``integrate`` on 2 ceil(|nu|) seed panels, row by row."""
+    nu = n + theta / (2.0 * math.pi)
+    panels = 2 * math.ceil(abs(nu))
+    tol = max(1e-12, 8.0 * np.finfo(float).eps * abs(nu))
+    return complex(integrate(
+        lambda x: np.exp(-2j * math.pi * nu * x) * SQRT30 * x * (1.0 - x), 0.0, 1.0, tol,
+        breakpoints=[k / panels for k in range(1, panels)],
+    ))
+
+
+class TestBatchedQuadrature:
+    @pytest.mark.parametrize("theta", [0.0, 1e-3, 1.0, math.pi, 2 * math.pi - 0.01])
+    def test_table_rows_agree_with_adaptive_quadrature(self, theta):
+        ns = list(range(-2000, 2001))
+        rows = momentum._quadrature_rows(theta, ns)
+        for n in (-2000, -1999, -1000, -21, -1, 0, 1, 2, 20, 999, 1999, 2000):
+            assert abs(rows[n + 2000] - adaptive_quadrature(theta, n)) <= 1e-13
+        closed = [expansion_coeff(theta, n, validate=False) for n in ns]
+        assert np.abs(rows - closed).max() <= 1e-13
+
+    @pytest.mark.parametrize("theta", [0.0, 1.0, 2 * math.pi - 0.01])
+    @pytest.mark.parametrize("n", [-20000, 20000])
+    def test_single_row_agrees_with_adaptive_quadrature(self, theta, n):
+        assert abs(expansion_coeff_quadrature(theta, n) - adaptive_quadrature(theta, n)) <= 1e-13
+
+    def test_table_names_the_row_that_disagrees(self, monkeypatch):
+        exact = momentum.expansion_coeff
+
+        def wrong_at_seven(theta, n, validate=True):
+            return exact(theta, n, validate) + (1e-9 if n == 7 else 0.0)
+
+        monkeypatch.setattr(momentum, "expansion_coeff", wrong_at_seven)
+        with pytest.raises(DiagnosticError, match=r"n=7\)"):
+            expansion_table(1.0, -10, 10)
+        assert len(expansion_table(1.0, -10, 10, validate=False).entries) == 21
+
+    def test_large_row_memory(self):
+        # one grid of P = 2^18 panels, a node at a time (the row-by-row route took 130 MB)
+        tracemalloc.start()
+        try:
+            expansion_coeff_quadrature(1.0, 10 ** 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40e6
 
 
 class TestExpansionTable:

@@ -18,6 +18,7 @@ from saext import (
 )
 from saext.box_spectrum import SCAN_STEP, _reduced_negative, _reduced_positive
 from saext.halfline import _ground_state_equation
+from saext.numerics import fourier_coefficients
 from saext.wells import _parity_condition
 
 from conftest import random_extension
@@ -313,6 +314,52 @@ def test_integrate_reports_accuracy_failure():
     with pytest.raises(AccuracyError) as err:
         integrate(jump, 0.0, 1.0, 1e-30)
     assert err.value.achieved_error > 1e-30
+
+
+def test_fourier_coefficients_of_a_line_at_every_integer():
+    # integral of x e^{-2 pi i n x} over [0, 1]: 1/2 at n = 0, i / (2 pi n) otherwise;
+    # rows far beyond P/2 alias onto the same FFT bins and stay exact
+    ns = [-300, -37, -1, 0, 1, 5, 37, 300]
+    vals = fourier_coefficients(lambda x: x, ns, 1e-13)
+    exact = [0.5 if n == 0 else 1j / (2.0 * math.pi * n) for n in ns]
+    assert np.abs(vals - exact).max() <= 1e-15
+
+
+def test_fourier_coefficients_with_a_shift():
+    # integral of e^{-2 pi i (n + s) x} = (1 - e^{-2 pi i (n + s)}) / (2 pi i (n + s))
+    shift = 0.3
+    ns = np.arange(-20, 21)
+    nus = ns + shift
+    exact = (1.0 - np.exp(-2j * math.pi * nus)) / (2j * math.pi * nus)
+    vals = fourier_coefficients(lambda x: np.ones_like(x), ns, 1e-13, shift=shift)
+    assert np.abs(vals - exact).max() <= 1e-14
+
+
+def test_fourier_coefficients_doubles_a_grid_that_misses_tol():
+    # the parabola's n = 1 row has |K15 - G7| = 3.5e-12 on the first grid (P = 2)
+    sizes = []
+
+    def parabola(x):
+        sizes.append(x.size)
+        return math.sqrt(30.0) * x * (1.0 - x)
+
+    (val,) = fourier_coefficients(parabola, [1], 1e-12)
+    assert sizes == [15 * 2, 15 * 4]
+    assert abs(val + math.sqrt(30.0) / (2.0 * math.pi ** 2)) <= 1e-15
+
+
+def test_fourier_coefficients_reports_accuracy_failure():
+    kink = lambda x: np.abs(x - 0.37151)
+    with pytest.raises(AccuracyError, match="n = 3") as err:
+        fourier_coefficients(kink, [0, 3], [1.0, 1e-12])
+    assert err.value.achieved_error > 1e-12
+
+
+@pytest.mark.parametrize("ns, tol", [([], 1e-12), ([1.5], 1e-12), ([1, 2], 0.0), ([1], math.nan),
+                                     ([1, 2], [1e-12, -1.0]), ([1, 2], [1e-12] * 3)])
+def test_fourier_coefficients_rejects_bad_input(ns, tol):
+    with pytest.raises(InvalidParameterError):
+        fourier_coefficients(lambda x: x, ns, tol)
 
 
 # Characteristic functions take a float or an array through one numpy

@@ -196,10 +196,25 @@ class TestFiniteWell:
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_unresolved_bound_level_is_an_error_not_a_short_list(self, n):
-        # just above the threshold (n-1) pi the level is bound, but its root lies
-        # within the bracket margin of v0
+        # v0 within the 1e-12 (1 + v0) bracket margin of the threshold (n-1) pi:
+        # the level is bound, but no bracket inside the margin holds it
         with pytest.raises(DiagnosticError, match=f"level {n} is bound"):
-            finite_well_levels((n - 1) * math.pi + 1e-8, n + 3)
+            finite_well_levels((n - 1) * math.pi + 1e-12, n + 3)
+
+    @pytest.mark.parametrize("delta", [1e-10, 1e-8, 1e-7, 1e-6])
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_near_threshold_level_is_resolved(self, n, delta):
+        # with delta = v0 - (n-1) pi, kL = (n-1) pi + 2 acos(kL/v0) puts the root
+        # (n-1) pi delta^2 / 8 + O(v0^2 delta^3) below v0, inside the bracket margin;
+        # brackets are refined to a width of 1e-14
+        v0 = (n - 1) * math.pi + delta
+        levels = finite_well_levels(v0, n + 3)
+        assert [lv.n for lv in levels] == list(range(1, n + 1))
+        level = levels[-1]
+        expected = v0 - (n - 1) * math.pi * delta ** 2 / 8.0
+        assert abs(level.kL - expected) <= 1e-14 + 4 * math.ulp(v0) + v0 ** 2 * delta ** 3
+        assert level.kL <= v0 and math.isfinite(level.norm_const)
+        assert 0.0 <= level.norm_const <= math.sqrt(2.0 * level.rhoL)
 
     def test_level_count_just_off_threshold(self):
         assert len(finite_well_levels(2 * math.pi + 1e-3, 10)) == 3
