@@ -24,6 +24,7 @@ from . import halfline, momentum, wells
 from .errors import InvalidParameterError, SaextError
 from .extensions import (
     IntervalKind,
+    MomentumExtension,
     OperatorKind,
     classify_simple_family,
     deficiency_indices,
@@ -40,12 +41,10 @@ _OPERATORS = {"momentum": OperatorKind.MOMENTUM, "hamiltonian": OperatorKind.HAM
 _MAX_COUNT = 5000         # spectrum --count
 _MAX_TERMS = 10 ** 7      # paradox --terms (bounds time, ~35 ms; the sums take constant memory)
 _MAX_RANGE_ROWS = 2001    # --range rows (-1000:1000)
-# expand: the rows' 2 ceil(|nu|) summed.  The whole table is validated on one FFT grid of
-# P <= 2^22 uniform panels (P >= 2 ceil(max |nu|), a power of two); |n| = 10^6 (P = 2^21)
-# takes about 2 s and 150 MB.
-_MAX_EXPAND_PANELS = 2_100_000
+# expand: the whole table is validated on one FFT grid of P uniform panels, P the power of
+# two >= 2 ceil(max |nu|) (numerics.fourier_coefficients); P = 2^21 takes about 4 s and 180 MB
+_MAX_EXPAND_PANELS = 1 << 21
 _MAX_LIST = 10_000        # --sweep and --v0-list values (10^4 deuteron depths: ~0.7 s)
-_MAX_WELL_LEVELS = 10_000  # well-limit --level times the --v0-list length (~1-2 s)
 
 
 @dataclass(frozen=True)
@@ -256,12 +255,12 @@ def _cmd_momentum_spectrum(args):
 
 def _cmd_expand(args):
     lo, hi = _parse_range(args.range, "--range")
-    panels = sum(2 * math.ceil(abs(st.nu)) for st in momentum.p_spectrum(args.theta, (lo, hi)))
+    shift = MomentumExtension(args.theta).theta / (2.0 * math.pi)
+    panels = 1 << max(0, 2 * math.ceil(max(abs(lo + shift), abs(hi + shift))) - 1).bit_length()
     if panels > _MAX_EXPAND_PANELS:
         raise InvalidParameterError(
             f"--range: at most {_MAX_EXPAND_PANELS} quadrature panels, "
-            f"{args.range!r} needs {panels}"
-        )
+            f"{args.range!r} needs {panels}")
     table = momentum.expansion_table(args.theta, lo, hi)
     rows = [
         {"n": n, "nu": n + table.theta / (2.0 * math.pi),
@@ -305,12 +304,7 @@ def _cmd_deuteron(args):
 
 
 def _cmd_well_limit(args):
-    v0s = _parse_float_list(args.v0_list, "--v0-list")
-    if args.level * len(v0s) > _MAX_WELL_LEVELS:
-        raise InvalidParameterError(
-            f"--level times the --v0-list length must be at most {_MAX_WELL_LEVELS}, "
-            f"got {args.level} x {len(v0s)}")
-    study = wells.infinite_limit_study(v0s, args.level)
+    study = wells.infinite_limit_study(_parse_float_list(args.v0_list, "--v0-list"), args.level)
     cols = ["v0", "kL", "kL_deviation", "energy", "energy_ratio", "wall_value",
             "wall_derivative"]
     rows = [{c: getattr(row, c) for c in cols} for row in study.rows]
@@ -382,7 +376,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", type=float, required=True)
     p.add_argument("--range", required=True,
                    help=f"integer range A:B of at most {_MAX_RANGE_ROWS} rows and "
-                        f"{_MAX_EXPAND_PANELS} quadrature panels")
+                        "|n + theta/2pi| <= 2^20 (at most 2^21 quadrature panels)")
     p.set_defaults(func=_cmd_expand)
 
     p = sub("paradox", help="infinite-well energy accounting")
@@ -402,8 +396,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub("well-limit", help="finite well converging to the Dirichlet box")
     p.add_argument("--v0-list", dest="v0_list", required=True,
                    help=f"comma list of at most {_MAX_LIST} increasing depths")
-    p.add_argument("--level", type=int, default=1,
-                   help=f"level n; n times the --v0-list length is at most {_MAX_WELL_LEVELS}")
+    p.add_argument("--level", type=int, default=1, help="level n")
     p.set_defaults(func=_cmd_well_limit)
 
     p = sub("reflect", help="reflection amplitude off the half-line wall")

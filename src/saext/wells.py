@@ -231,13 +231,17 @@ def finite_well_levels(v0: float, max_n: int) -> list[FiniteWellLevel]:
     ``v0`` must lie in (0, MAX_WELL_DEPTH]: deeper wells put every level
     inside that margin.  ``max_n`` must be an integer >= 1.
     """
+    return _well_levels(v0, range(1, _count(max_n, "max_n") + 1))
+
+
+def _well_levels(v0: float, ns) -> list[FiniteWellLevel]:
+    """The bound levels among the increasing ``ns``, one ``refine_brackets`` call per parity."""
     if not 0 < v0 <= MAX_WELL_DEPTH:  # also rejects NaN
         raise InvalidParameterError(
             f"v0 must be positive and at most {MAX_WELL_DEPTH:g}, got {v0!r}")
-    max_n = _count(max_n, "max_n")
     conditions = {even: _parity_condition(v0, even) for even in (True, False)}
     pending: dict[bool, list[tuple[int, Bracket]]] = {True: [], False: []}
-    for n in range(1, max_n + 1):
+    for n in ns:
         lo = (n - 1) * math.pi
         if lo >= v0:
             break  # level n is not bound; neither is any later one
@@ -301,10 +305,11 @@ class WellLimitStudy:
 def infinite_limit_study(v0_list, n: int) -> WellLimitStudy:
     """Convergence of level n toward the Dirichlet box as v0 grows.
 
-    Reports per v0 the root, its deviation from the first-order law
-    n pi (1 - 2/v0), the wall value and wall derivative, plus Richardson
-    estimates of the convergence orders (1 for the energy, 2 for the
-    deviation from the first-order law).
+    Each depth solves level n alone (one bracket), bit for bit the row
+    ``finite_well_levels(v0, n)[n - 1]``.  Reports per v0 the root, its
+    deviation from the first-order law n pi (1 - 2/v0), the wall value and
+    wall derivative, plus Richardson estimates of the convergence orders
+    (1 for the energy, 2 for the deviation from the first-order law).
     """
     n = _count(n, "level")
     v0s = [float(v) for v in v0_list]
@@ -313,10 +318,10 @@ def infinite_limit_study(v0_list, n: int) -> WellLimitStudy:
     e_inf = (n * math.pi) ** 2
     rows: list[WellLimitRow] = []
     for v0 in v0s:
-        levels = finite_well_levels(v0, n)
-        if len(levels) < n:
+        levels = _well_levels(v0, (n,))
+        if not levels:
             raise InvalidParameterError(f"level {n} is not bound at v0 = {v0}")
-        lv = levels[n - 1]
+        lv = levels[0]
         rows.append(
             WellLimitRow(
                 v0=v0,

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from saext import DeuteronParams, deuteron_v0
+from saext import DeuteronParams, deuteron_v0, momentum
 from saext.cli import run
 
 
@@ -162,7 +162,8 @@ class TestScalarCommands:
         (("well-limit", "--v0-list", "100,1e13"), "at most 1e+12"),  # not "level 1 is not bound"
         (("well-limit", "--v0-list", "100,1000", "--level", "0"), "level must be >= 1"),
         (("well-limit", "--v0-list", "100,1000", "--level", "-1"), "level must be >= 1"),
-    ], ids=["v0-1e13", "level-0", "level-minus-1"])
+        (("well-limit", "--v0-list", "1e6", "--level", "1000000"), "level 1000000 is not bound"),
+    ], ids=["v0-1e13", "level-0", "level-minus-1", "level-unbound"])
     def test_well_limit_bad_input_is_usage_error(self, capsys, argv, reason):
         code, out, err = invoke(capsys, *argv)
         assert code == 2
@@ -265,12 +266,32 @@ class TestInputHygiene:
         assert code == 0, err
         assert len(read_csv(out)) == 2
 
-    @pytest.mark.parametrize("n_range", ["--range=1500:1500", "--range=-9000:-8999"])
+    @pytest.mark.parametrize("level", ["5001", "1000000"])
+    def test_well_limit_high_level_accepted(self, capsys, level):
+        # a study refines one bracket per depth, so --level has no cap of its own
+        code, out, err = invoke(capsys, "--format", "csv", "well-limit",
+                                "--v0-list", "1e10,1e11", "--level", level)
+        assert code == 0, err
+        assert len(read_csv(out)) == 2
+
+    @pytest.mark.parametrize("n_range", ["--range=1500:1500", "--range=-9000:-8999",
+                                         "--range=1000:2000", "--range=100000:102000"])
     def test_expand_large_n_accepted(self, capsys, n_range):
-        # the cap counts rows, not |n|
+        # the cap is the quadrature grid, not the rows' |n| summed
         code, out, err = invoke(capsys, "--format", "csv", "expand", "--theta", "1", n_range)
         assert code == 0, err
         assert len(read_csv(out)) >= 1
+
+    @pytest.mark.parametrize("theta, n", [("0", 1048576), ("0", -1048576), ("6.2", 1048575)])
+    def test_expand_at_grid_cap_accepted(self, capsys, monkeypatch, theta, n):
+        # |n + theta/2pi| <= 2^20 needs 2^21 panels; the table itself (~4 s) is stubbed
+        tables = []
+        real = momentum.expansion_table
+        monkeypatch.setattr(momentum, "expansion_table",
+                            lambda t, lo, hi: tables.append((lo, hi)) or real(t, 0, 0))
+        code, _, err = invoke(capsys, "expand", "--theta", theta, f"--range={n}:{n}")
+        assert code == 0, err
+        assert tables == [(n, n)]
 
     @pytest.mark.parametrize("argv", [
         ("paradox", "--terms", str(10 ** 7 + 1)),
@@ -278,12 +299,11 @@ class TestInputHygiene:
         ("spectrum", "--u", "dirichlet", "--count", "5001"),
         ("expand", "--theta", "0", "--range=-1000:1001"),
         ("expand", "--theta", "0", "--range=0:2000000"),
-        ("expand", "--theta", "0", "--range=100000:102000"),
+        ("expand", "--theta", "0", "--range=1048577:1048577"),
+        ("expand", "--theta", "1", "--range=1048576:1048576"),
         ("momentum-spectrum", "--theta", "1", "--range=0:100000"),
         ("deuteron", "--sweep", ",".join(["1"] * 10001)),
         ("well-limit", "--v0-list", ",".join(str(10 + k) for k in range(10001))),
-        ("well-limit", "--v0-list", "1e10,1e11", "--level", "5001"),
-        ("well-limit", "--v0-list", "1e6", "--level", "1000000"),
     ], ids=lambda argv: " ".join(argv)[:60])
     def test_size_above_cap_is_usage_error(self, capsys, argv):
         code, out, err = invoke(capsys, *argv)

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from saext import (
     DiagnosticError,
@@ -11,6 +12,7 @@ from saext import (
     infinite_limit_study,
     paradox_report,
     well_coefficients,
+    wells,
 )
 from saext.wells import MAX_WELL_DEPTH, _SERIES_BLOCK, well_coefficient_quadrature
 
@@ -262,3 +264,23 @@ class TestInfiniteLimit:
     def test_rejects_depth_beyond_bracket_margin(self):
         with pytest.raises(InvalidParameterError, match="at most"):
             infinite_limit_study([100.0, 1e13], 1)
+
+    @given(n=st.integers(min_value=1, max_value=60),
+           log_v0s=st.lists(st.floats(min_value=2.3, max_value=11.0), min_size=1, max_size=4,
+                            unique=True))
+    def test_rows_equal_the_full_spectrum_bitwise(self, n, log_v0s):
+        v0s = sorted(10.0 ** x for x in log_v0s)  # from 200 > 59 pi: level n is bound
+        for v0, row in zip(v0s, infinite_limit_study(v0s, n).rows):
+            level = finite_well_levels(v0, n)[n - 1]
+            assert (row.kL, row.energy, row.wall_value, row.wall_derivative) == (
+                level.kL, level.E, abs(level.norm_const), abs(level.norm_const * level.rhoL))
+
+    @pytest.mark.parametrize("n", [1, 2, 30, 1000])
+    def test_one_bracket_per_depth(self, monkeypatch, n):
+        refine = wells.refine_brackets
+        sizes = []
+        monkeypatch.setattr(wells, "refine_brackets",
+                            lambda brackets, f, tols: sizes.append(len(brackets))
+                            or refine(brackets, f, tols))
+        infinite_limit_study([1e4, 1e5, 1e6], n)
+        assert sum(sizes) == 3
