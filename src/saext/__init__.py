@@ -31,7 +31,6 @@ from .errors import (
     IncompleteSpectrumError,
     InvalidParameterError,
     InvalidRootError,
-    ModelInconsistencyError,
     SaextError,
 )
 from .extensions import (

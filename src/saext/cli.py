@@ -46,6 +46,11 @@ _MAX_RANGE_ROWS = 2001    # --range rows (-1000:1000)
 _MAX_EXPAND_PANELS = 1 << 21
 _MAX_LIST = 10_000        # --sweep and --v0-list values (10^4 deuteron depths: ~0.7 s)
 
+# The deuteron residual is round-off: it prints as a bound (_residual_bound).  Within
+# 2 ulps of the root it stays below 2.1e-15 for lambda/a in [1e-6, 1e6]; the floor
+# (18 eps) doubles that, so a root that moves by a few ulps prints the same bytes.
+_DEUTERON_RESIDUAL_FLOOR = 4e-15
+
 
 @dataclass(frozen=True)
 class OutputSpec:
@@ -71,6 +76,14 @@ def _fmt(value, precision: int) -> str:
             return "inf" if value > 0 else "-inf"
         return f"{value:.{precision}g}"
     return str(value)
+
+
+def _residual_bound(residual: float, floor: float) -> float:
+    """max(residual, floor) rounded up to one significant digit; ``floor`` has one digit."""
+    bound = max(residual, floor)
+    digit, exp = f"{bound:.0e}".split("e")  # the nearest one-digit value, then up if below
+    nearest = float(f"{digit}e{exp}")
+    return nearest if nearest >= bound else float(f"{int(digit) + 1}e{exp}")
 
 
 def _json_value(value, precision: int):
@@ -295,7 +308,8 @@ def _cmd_deuteron(args):
         ells = [args.lam_over_a]
     sols = halfline.deuteron_sweep(base, ells)
     rows = [
-        {"lam_over_a": ell, "X": sol.X, "Y": sol.Y, "V0_MeV": sol.V0, "residual": sol.residual}
+        {"lam_over_a": ell, "X": sol.X, "Y": sol.Y, "V0_MeV": sol.V0,
+         "residual": _residual_bound(sol.residual, _DEUTERON_RESIDUAL_FLOOR)}
         for ell, sol in zip(ells, sols)
     ]
     inputs = {"lambda_over_a": args.lam_over_a, "sweep": args.sweep, "binding": args.binding,

@@ -49,10 +49,6 @@ class IncompleteSpectrumError(SaextError):
         self.roots_found = list(roots_found)
 
 
-class ModelInconsistencyError(SaextError):
-    """A physical model has no solution on the requested branch."""
-
-
 class DiagnosticError(SaextError):
     """An internal cross-check failed; results would not be trustworthy."""
 

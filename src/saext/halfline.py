@@ -15,9 +15,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidParameterError, ModelInconsistencyError
+from .errors import InvalidParameterError
 from .extensions import HalflineExtension
-from .numerics import Bracket, refine_root, scan_brackets
+from .numerics import Bracket, refine_root
 
 
 def alpha_to_lambda(alpha: float) -> float:
@@ -120,27 +120,6 @@ class DeuteronSolution:
     residual: float
 
 
-def _ground_state_equation(y: float, ell: float):
-    """Pole-free form of the bound-state matching condition.
-
-    For finite ell = lambda/a the eigencondition
-        Y = -X (1 - ell X tan X) / (tan X + ell X)
-    is multiplied through by cos X:
-        g(X) = Y (sin X + ell X cos X) + X (cos X - ell X sin X),
-    which is analytic across the tan poles.  For ell = inf the limit is
-    g(X) = Y cos X - X sin X (i.e. X tan X = Y).  A float X gives a float,
-    an array an array, through the same numpy expression.
-    """
-    ell_inf = math.isinf(ell)
-
-    def g(x):
-        sn, cs = np.sin(x), np.cos(x)
-        out = y * cs - x * sn if ell_inf else y * (sn + ell * x * cs) + x * (cs - ell * x * sn)
-        return out if isinstance(out, np.ndarray) else float(out)
-
-    return g
-
-
 def _equation_residual(x: float, y: float, ell: float) -> float:
     """|lhs - rhs| of the matching condition in its original (tan) form."""
     if math.isinf(ell):
@@ -149,50 +128,32 @@ def _equation_residual(x: float, y: float, ell: float) -> float:
     return abs(y + x * (1.0 - ell * x * t) / (t + ell * x))
 
 
-def deuteron_v0(p: DeuteronParams, x_hint: float | None = None) -> DeuteronSolution:
+def deuteron_v0(p: DeuteronParams) -> DeuteronSolution:
     """Ground-state well depth V0 for the given lambda/a.
 
-    Finds the smallest X > 0 solving the matching condition (the branch on
-    which the tuned level is the ground state of the well): X in (pi/2, pi)
-    at lambda/a = 0, migrating continuously into (0, pi/2) as lambda/a grows.
-    An optional ``x_hint`` from a neighbouring lambda value narrows the scan;
-    the cold-start search over (0, pi) is the fallback, so sweep results do
-    not depend on evaluation order.
+    Inside the well phi = sin(k x + delta) with tan delta = ell X from the
+    wall condition (ell = lambda/a, X = k a); matching to e^{-rho x} at x = a
+    gives the phase equation h(X) = X + atan(ell X) + atan(X/Y) - pi = 0.
+    h increases strictly from h(0) = -pi to h(pi) > 0, so the ground state
+    is its one root in (0, pi) for every ell >= 0, ell = inf included (there
+    atan(ell X) = pi/2): X lies in (pi/2, pi) at ell = 0 and falls into
+    (0, pi/2) as ell grows.  The residual is that of the tan form.
     """
-    y = p.y
-    ell = p.lam_over_a
-    g = _ground_state_equation(y, ell)
+    y, ell = p.y, p.lam_over_a
 
-    brackets: list[Bracket] = []
-    if x_hint is not None and 0.0 < x_hint < math.pi:
-        lo = max(1e-9, 0.7 * x_hint)
-        hi = min(math.pi - 1e-12, 1.3 * x_hint + 0.1)
-        g_lo, g_hi = g(lo), g(hi)
-        if g_lo * g_hi < 0:
-            brackets = [Bracket(lo, hi, g_lo, g_hi)]
-    if not brackets:
-        brackets = [b for b in scan_brackets(g, 1e-9, math.pi - 1e-12, math.pi / 64.0)
-                    if not b.double_root]
-    if not brackets:
-        raise ModelInconsistencyError(
-            f"no ground-state solution with Y = {y!r}, lambda/a = {ell!r}"
-        )
-    report = refine_root(brackets[0], g, tol=1e-14)
-    x = report.root
+    def h(x):
+        return x + math.atan(ell * x) + math.atan(x / y) - math.pi
+
+    # h(0) = -pi given outright: at ell = inf, ell * 0 is NaN
+    x = refine_root(Bracket(0.0, math.pi, -math.pi, h(math.pi)), h, tol=1e-14).root
     residual = _equation_residual(x, y, ell)
     v0 = p.binding_energy * (1.0 + (x / y) ** 2)
     return DeuteronSolution(X=x, Y=y, V0=v0, residual=residual)
 
 
 def deuteron_sweep(base: DeuteronParams, lam_over_a_values) -> list[DeuteronSolution]:
-    """Solve for each lambda/a, using continuation from the previous root."""
-    solutions: list[DeuteronSolution] = []
-    hint: float | None = None
-    for ell in lam_over_a_values:
-        sol = deuteron_v0(replace(base, lam_over_a=float(ell)), x_hint=hint)
-        solutions.append(sol)
-        hint = sol.X
-    return solutions
+    """``deuteron_v0`` for each lambda/a, in order."""
+    return [deuteron_v0(replace(base, lam_over_a=float(ell))) for ell in lam_over_a_values]
 
 
 def deuteron_wall_matching(sol: DeuteronSolution, ell: float) -> tuple[float, float]:

@@ -10,7 +10,8 @@ full accounting, including the surface term that exactly restores 30.
 
 The finite well of dimensionless depth v0 = sqrt(2 m V0 L^2 / hbar^2)
 approaches the Dirichlet box as v0 -> infinity.  Both parity matching
-conditions reduce exactly to k_n = n pi - 2 asin(k_n / v0), so
+conditions reduce exactly to the monotone phase equation
+k_n = n pi - 2 asin(k_n / v0), one per level, so
 k_n L = n pi (1 - 2/v0) to first order with remainder 4 n pi / v0^2 +
 O(v0^-3).  Wall values decay like n pi / v0 while the derivative at the wall
 stays finite (so first-derivative continuity is lost in the limit).
@@ -24,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DiagnosticError, InvalidParameterError
-from .numerics import Bracket, integrate, refine_brackets
+from .errors import InvalidParameterError
+from .numerics import Bracket, integrate, refine_root
 
 SQRT15 = math.sqrt(15.0)
 SQRT30 = math.sqrt(30.0)
@@ -195,98 +196,66 @@ class FiniteWellLevel:
         return np.where(x < 0.0, left, np.where(x > 1.0, right, inside))
 
 
-def _parity_condition(v0: float, even: bool):
-    """Pole-free matching condition for one parity about the midpoint.
-
-    even: k tan(k/2) = rho  ->  g(K) = K sin(K/2) - R cos(K/2)
-    odd:  k cot(k/2) = -rho ->  g(K) = K cos(K/2) + R sin(K/2)
-    with R = sqrt(v0^2 - K^2).  A float K gives a float, an array an array.
-    """
-
-    def g(k):
-        r = np.sqrt(np.maximum(v0 * v0 - k * k, 0.0))
-        sn, cs = np.sin(k / 2.0), np.cos(k / 2.0)
-        out = k * sn - r * cs if even else k * cs + r * sn
-        return out if isinstance(out, np.ndarray) else float(out)
-
-    return g
-
-
-# Deepest well the 1e-12 (1 + n pi) bracket margin resolves: level n sits
-# 2 n pi / v0 below n pi, which the margin swallows from v0 ~ 1.5e12 (n = 1).
-MAX_WELL_DEPTH = 1e12
-
-
 def finite_well_levels(v0: float, max_n: int) -> list[FiniteWellLevel]:
-    """All bound levels (kL < v0) up to max_n, via parity-resolved bracketing.
+    """All bound levels (kL < v0) up to max_n, one monotone phase equation each.
 
-    Level n lies in ((n-1) pi, min(n pi, v0)); odd n are even states about
-    the midpoint, even n odd states.  Every level with (n-1) pi < v0 is bound.
-    Brackets keep a 1e-12 (1 + min(n pi, v0)) margin from their ends; just
-    above a binding threshold (v0 - (n-1) pi below a few 1e-6) the root lies
-    about (n-1) pi delta^2 / 8 below v0, inside that margin, and the bracket
-    is retried ending at v0 itself, where R = 0.  A level that still shows no
-    sign change (v0 within the margin of (n-1) pi) raises DiagnosticError
-    instead of shortening the list.
-    ``v0`` must lie in (0, MAX_WELL_DEPTH]: deeper wells put every level
-    inside that margin.  ``max_n`` must be an integer >= 1.
+    Both parity conditions are exactly h_n(k) = k + 2 asin(k/v0) - n pi = 0, with
+    h_n strictly increasing, negative at (n-1) pi exactly when level n is bound
+    and >= 0 at min(n pi, v0): that interval brackets level n with no margin.
+    Odd n are even states about the midpoint, even n odd states.  ``v0`` must be
+    positive and finite, ``max_n`` an integer >= 1.
     """
     return _well_levels(v0, range(1, _count(max_n, "max_n") + 1))
 
 
 def _well_levels(v0: float, ns) -> list[FiniteWellLevel]:
-    """The bound levels among the increasing ``ns``, one ``refine_brackets`` call per parity."""
-    if not 0 < v0 <= MAX_WELL_DEPTH:  # also rejects NaN
-        raise InvalidParameterError(
-            f"v0 must be positive and at most {MAX_WELL_DEPTH:g}, got {v0!r}")
-    conditions = {even: _parity_condition(v0, even) for even in (True, False)}
-    pending: dict[bool, list[tuple[int, Bracket]]] = {True: [], False: []}
+    """The bound levels among the increasing ``ns``, one ``refine_root`` call each."""
+    if not 0 < v0 < math.inf:  # also rejects NaN
+        raise InvalidParameterError(f"v0 must be positive and finite, got {v0!r}")
+    levels: list[FiniteWellLevel] = []
     for n in ns:
         lo = (n - 1) * math.pi
         if lo >= v0:
             break  # level n is not bound; neither is any later one
-        hi = min(n * math.pi, v0)
-        even = n % 2 == 1
-        g = conditions[even]
-        eps = 1e-12 * (1.0 + hi)
-        end = hi - eps
-        f_lo, f_hi = g(lo + eps), g(end)
-        if not (lo + eps < end and f_lo * f_hi < 0) and hi == v0:
-            # just above threshold the root lies within the margin of v0, where R = 0
-            end = v0
-            f_hi = g(end)
-        if not (lo + eps < end and f_lo * f_hi < 0):
-            raise DiagnosticError(
-                f"level {n} is bound at v0 = {v0!r} but its bracket "
-                f"[{lo + eps!r}, {end!r}] shows no sign change")
-        pending[even].append((n, Bracket(lo + eps, end, f_lo, f_hi)))
-    roots: dict[int, float] = {}
-    for even, items in pending.items():
-        reports = refine_brackets([br for _, br in items], conditions[even], [1e-14] * len(items))
-        roots.update((n, report.root) for (n, _), report in zip(items, reports))
-    levels: list[FiniteWellLevel] = []
-    for n in sorted(roots):
-        k = roots[n]
-        even = n % 2 == 1
-        r = math.sqrt(max(v0 * v0 - k * k, 0.0))
-        if r:
-            d_n = (k / r) * math.sqrt(2.0) / math.sqrt((1.0 + 2.0 / r) * (1.0 + (k / r) ** 2))
-        else:
-            d_n = 0.0  # at threshold the state no longer decays: its norm constant vanishes
+        n_pi = n * math.pi
+
+        def h(k):
+            return k + 2.0 * math.asin(k / v0) - n_pi
+
+        hi = min(n_pi, v0)
+        k = refine_root(Bracket(lo, hi, h(lo), h(hi)), h, tol=1e-14).root
+        r = math.sqrt(v0 - k) * math.sqrt(v0 + k)  # v0^2 - k^2 would overflow above ~1e154
+        # (k/r) sqrt(2 / ((1 + 2/r)(1 + k^2/r^2))) without overflow; 0 at threshold (r = 0)
+        d_n = k * math.sqrt(r / (0.5 * r + 1.0)) / math.hypot(r, k)
         levels.append(
             FiniteWellLevel(
-                n=n, kL=k, E=k * k, parity=+1 if even else -1, norm_const=d_n, rhoL=r
+                n=n, kL=k, E=k * k, parity=+1 if n % 2 else -1, norm_const=d_n, rhoL=r
             )
         )
     return levels
+
+
+def _law_deviation(k: float, v0: float) -> float:
+    """kL - n pi (1 - 2/v0) for a root k of level n, without cancellation.
+
+    With u = k/v0, k = n pi - 2 asin(u) gives D = 4 asin(u)/v0 - 2 (asin(u) - u);
+    below u = 1e-2, asin(u) - u comes from its series (next term 1e-17 of the sum).
+    """
+    u = k / v0
+    arc = math.asin(u)
+    if u < 1e-2:
+        u2 = u * u
+        excess = u * u2 * (1.0 / 6.0 + u2 * (3.0 / 40.0 + u2 * (5.0 / 112.0 + u2 * 35.0 / 1152.0)))
+    else:
+        excess = arc - u
+    return 4.0 * arc / v0 - 2.0 * excess
 
 
 @dataclass(frozen=True)
 class WellLimitRow:
     v0: float
     kL: float
-    kL_deviation: float       # kL - n pi (1 - 2/v0) = 4 n pi/v0^2 + O(v0^-3),
-                              # from the exact kL = n pi - 2 asin(kL/v0)
+    kL_deviation: float       # kL - n pi (1 - 2/v0) = 4 n pi/v0^2 + O(v0^-3)
     energy: float
     energy_ratio: float       # E / E_infinity
     wall_value: float         # |phi(0)| = |phi(L)| = d_n, decays like n pi / v0
@@ -326,7 +295,7 @@ def infinite_limit_study(v0_list, n: int) -> WellLimitStudy:
             WellLimitRow(
                 v0=v0,
                 kL=lv.kL,
-                kL_deviation=lv.kL - n * math.pi * (1.0 - 2.0 / v0),
+                kL_deviation=_law_deviation(lv.kL, v0),
                 energy=lv.E,
                 energy_ratio=lv.E / e_inf,
                 wall_value=abs(lv.norm_const),

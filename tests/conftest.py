@@ -46,3 +46,20 @@ def gl_inner(f, g, panels: int = 60) -> complex:
     xs = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
     ws = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
     return complex(np.sum(ws * np.conj(f(xs)) * g(xs)))
+
+
+def well_parity_condition(v0, even: bool, lib=np):
+    """The finite well's matching condition for one parity, as derived, pole-free.
+
+    even: k tan(k/2) = rho  ->  K sin(K/2) - R cos(K/2)
+    odd:  k cot(k/2) = -rho ->  K cos(K/2) + R sin(K/2)
+    with R = sqrt(v0^2 - K^2), for K <= v0: floats or arrays, or mpmath numbers
+    with ``lib=mpmath``.  saext solves the phase equation k + 2 asin(k/v0) = n pi
+    instead, so this stays an independent oracle.
+    """
+    def g(k):
+        r = lib.sqrt(v0 * v0 - k * k)
+        sn, cs = lib.sin(k / 2), lib.cos(k / 2)
+        return k * sn - r * cs if even else k * cs + r * sn
+
+    return g

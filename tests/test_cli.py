@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from saext import DeuteronParams, deuteron_v0, momentum
+from saext import DeuteronParams, DeuteronSolution, cli, deuteron_v0, halfline, momentum
 from saext.cli import run
 
 
@@ -127,8 +127,33 @@ class TestScalarCommands:
         assert code == 0
         sol = deuteron_v0(DeuteronParams(lam_over_a=float(ell)))
         row = json.loads(out)["results"][0]
-        assert (row["X"], row["Y"], row["V0_MeV"], row["residual"]) == (
-            sol.X, sol.Y, sol.V0, sol.residual)
+        assert (row["X"], row["Y"], row["V0_MeV"]) == (sol.X, sol.Y, sol.V0)
+        # the residual prints as a one-digit bound, at least the floor
+        bound = cli._residual_bound(sol.residual, cli._DEUTERON_RESIDUAL_FLOOR)
+        assert row["residual"] == bound >= max(sol.residual, cli._DEUTERON_RESIDUAL_FLOOR)
+
+    @pytest.mark.parametrize("ulps", [-2, -1, 1, 2])
+    def test_deuteron_root_moved_by_ulps_prints_the_same_bytes(self, capsys, monkeypatch, ulps):
+        argv = "deuteron --sweep 0,0.1,0.2,0.5,1,2,5,10,100,inf"
+        solve = halfline.deuteron_v0
+
+        def moved(p):
+            x = solve(p).X
+            for _ in range(abs(ulps)):
+                x = math.nextafter(x, math.copysign(math.inf, ulps))
+            return DeuteronSolution(X=x, Y=p.y, V0=p.binding_energy * (1.0 + (x / p.y) ** 2),
+                                    residual=halfline._equation_residual(x, p.y, p.lam_over_a))
+
+        monkeypatch.setattr(halfline, "deuteron_v0", moved)
+        code, out, err = invoke(capsys, *argv.split())
+        assert code == 0, err
+        assert out == README_GOLDEN[argv]
+
+    @pytest.mark.parametrize("residual, bound", [
+        (0.0, 4e-15), (4e-15, 4e-15), (4.000000000000001e-15, 5e-15), (6.1e-15, 7e-15),
+        (9.99e-15, 1e-14), (1e-14, 1e-14), (math.nextafter(1e-14, 1.0), 2e-14), (0.3, 0.3)])
+    def test_residual_bound_rounds_up_to_one_digit(self, residual, bound):
+        assert cli._residual_bound(residual, 4e-15) == bound
 
     def test_deuteron_requires_exactly_one_mode(self, capsys):
         code, _, err = invoke(capsys, "deuteron")
@@ -159,16 +184,24 @@ class TestScalarCommands:
         assert abs(payload["energy_order"] - 1.0) < 0.2
 
     @pytest.mark.parametrize("argv, reason", [
-        (("well-limit", "--v0-list", "100,1e13"), "at most 1e+12"),  # not "level 1 is not bound"
+        (("well-limit", "--v0-list", "100,inf"), "positive and finite"),
         (("well-limit", "--v0-list", "100,1000", "--level", "0"), "level must be >= 1"),
         (("well-limit", "--v0-list", "100,1000", "--level", "-1"), "level must be >= 1"),
         (("well-limit", "--v0-list", "1e6", "--level", "1000000"), "level 1000000 is not bound"),
-    ], ids=["v0-1e13", "level-0", "level-minus-1", "level-unbound"])
+    ], ids=["v0-inf", "level-0", "level-minus-1", "level-unbound"])
     def test_well_limit_bad_input_is_usage_error(self, capsys, argv, reason):
         code, out, err = invoke(capsys, *argv)
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and reason in err
+
+    def test_well_limit_accepts_any_finite_depth(self, capsys):
+        code, out, err = invoke(capsys, "--format", "csv", "well-limit",
+                                "--v0-list", "100,1e13,1e200")
+        assert code == 0, err
+        rows = read_csv(out)
+        assert [row["v0"] for row in rows] == ["100", "1e+13", "1e+200"]
+        assert all(abs(float(row["kL"]) - math.pi) < 1e-9 for row in rows[1:])
 
 
 class TestOutputDiscipline:

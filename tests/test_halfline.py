@@ -136,6 +136,23 @@ class TestDeuteron:
         for a, b in zip(swept, cold):
             assert abs(a.X - b.X) < 1e-12
 
+    @pytest.mark.parametrize("ell", [0.0, 1e-300, 1e300, math.inf])
+    def test_extreme_wall_parameters(self, ell):
+        # atan(ell X) is 0 or pi/2 to the bit at these ell, and h(0) = -pi is given
+        # outright, as ell * 0 is NaN at ell = inf; X is the tan-form root at 50 digits
+        mpmath = pytest.importorskip("mpmath")
+        sol = deuteron_v0(DeuteronParams(lam_over_a=ell))
+        limit = deuteron_v0(DeuteronParams(lam_over_a=0.0 if ell < 1.0 else math.inf))
+        assert sol.X == limit.X and 0.0 < sol.X < math.pi and sol.residual <= 4e-15
+        with mpmath.workdps(50):
+            y, l = mpmath.mpf(sol.Y), mpmath.mpf(ell)
+            if math.isinf(ell):
+                tan_form = lambda x: x * mpmath.tan(x) - y
+            else:
+                tan_form = lambda x: y + x * (1 - l * x * mpmath.tan(x)) / (mpmath.tan(x) + l * x)
+            x = mpmath.findroot(tan_form, mpmath.mpf(sol.X))
+            assert abs(sol.X - x) <= 4 * math.ulp(sol.X)
+
     def test_wall_matching(self):
         for ell in (0.0, 1.0, 10.0, math.inf):
             sol = deuteron_v0(DeuteronParams(lam_over_a=ell))

@@ -17,11 +17,9 @@ from saext import (
     scan_brackets,
 )
 from saext.box_spectrum import SCAN_STEP, _reduced_negative, _reduced_positive
-from saext.halfline import _ground_state_equation
 from saext.numerics import fourier_coefficients
-from saext.wells import _parity_condition
 
-from conftest import random_extension
+from conftest import random_extension, well_parity_condition
 
 
 def test_scan_finds_sine_roots():
@@ -193,7 +191,7 @@ def test_refine_brackets_matches_refine_root_on_dirichlet_count_200():
 def test_refine_brackets_matches_refine_root_on_finite_well_levels():
     v0 = 1e3
     for even in (True, False):
-        g = _parity_condition(v0, even)
+        g = well_parity_condition(v0, even)
         brackets = []
         for n in range(1 if even else 2, int(v0 / math.pi) + 1, 2):
             eps = 1e-12 * (1.0 + n * math.pi)
@@ -412,16 +410,3 @@ def test_reduced_negative_scalar_matches_grid():
     rs += spread(0.0, 1.0, 400) + spread(0.0, 30.0) + spread(340.0, 360.0, 20)
     for ext in agreement_extensions():
         assert_scalar_matches_grid(_reduced_negative(ext), rs)
-
-
-@pytest.mark.parametrize("ell", [0.0, 0.7, 1e3, math.inf])
-def test_deuteron_equation_scalar_matches_grid(ell):
-    assert_scalar_matches_grid(_ground_state_equation(0.4606477240002425, ell),
-                               [1e-9, 0.3, 1.5707963, 2.0, math.pi - 1e-12] + spread(0.0, 3.2))
-
-
-@pytest.mark.parametrize("v0", [3.0, 1e3])
-@pytest.mark.parametrize("even", [True, False])
-def test_parity_condition_scalar_matches_grid(v0, even):
-    ks = [1e-12, 0.25 * v0, 0.5 * v0, 0.99 * v0, v0 - 1e-9, v0] + spread(0.0, v0)
-    assert_scalar_matches_grid(_parity_condition(v0, even), ks)

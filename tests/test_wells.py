@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from saext import (
-    DiagnosticError,
     InvalidParameterError,
     finite_well_levels,
     infinite_limit_study,
@@ -14,7 +13,9 @@ from saext import (
     well_coefficients,
     wells,
 )
-from saext.wells import MAX_WELL_DEPTH, _SERIES_BLOCK, well_coefficient_quadrature
+from saext.wells import _SERIES_BLOCK, well_coefficient_quadrature
+
+from conftest import well_parity_condition
 
 SQRT15 = math.sqrt(15.0)
 
@@ -140,14 +141,13 @@ class TestFiniteWell:
         assert levels[0].parity == +1
 
     def test_level_count_oracle(self):
-        # graphical count: dense sign-change scan of both parity conditions
-        from saext.wells import _parity_condition
-
+        # graphical count: dense sign-change scan of both parity conditions in their
+        # original matching form, which the library no longer evaluates
         for v0 in (1.0, 4.0, 10.0, 25.0):
             grid = np.linspace(1e-9, v0 - 1e-9, 200_000)
             count = 0
             for even in (True, False):
-                vals = _parity_condition(v0, even)(grid)
+                vals = well_parity_condition(v0, even)(grid)
                 count += int(np.sum(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0))
             levels = finite_well_levels(v0, 50)
             assert len(levels) == count
@@ -184,31 +184,39 @@ class TestFiniteWell:
         with pytest.raises(InvalidParameterError):
             finite_well_levels(0.0, 3)
 
-    @pytest.mark.parametrize("v0", [2e12, 1e13, 1e200, math.inf, math.nan])
-    def test_rejects_depth_beyond_bracket_margin(self, v0):
-        # level 1 sits 2 pi / v0 below pi, inside the 1e-12 (1 + pi) margin from v0 ~ 1.5e12
-        with pytest.raises(InvalidParameterError):
+    @pytest.mark.parametrize("v0", [math.inf, math.nan])
+    def test_rejects_non_finite_depth(self, v0):
+        with pytest.raises(InvalidParameterError, match="positive and finite"):
             finite_well_levels(v0, 3)
 
     def test_deepest_well_still_resolves_every_level(self):
-        levels = finite_well_levels(MAX_WELL_DEPTH, 5)
-        assert [lv.n for lv in levels] == [1, 2, 3, 4, 5]
-        for lv in levels:
-            assert 0.0 < lv.n * math.pi - lv.kL < 1.5 * 2.0 * lv.n * math.pi / MAX_WELL_DEPTH
+        # level n sits 2 n pi / v0 below n pi; rhoL = sqrt(v0 - k) sqrt(v0 + k) stays
+        # finite at any finite v0, and the wall slope tends to the box's n pi sqrt(2)
+        for v0 in (1e12, 1e13, 1e200, 1e300):
+            levels = finite_well_levels(v0, 5)
+            assert [lv.n for lv in levels] == [1, 2, 3, 4, 5]
+            for lv in levels:
+                n_pi = lv.n * math.pi
+                assert n_pi - 2.0 * n_pi / v0 - 4 * math.ulp(n_pi) <= lv.kL <= n_pi
+                slope = abs(lv.norm_const * lv.rhoL)
+                assert abs(slope - n_pi * math.sqrt(2.0)) <= n_pi * math.sqrt(2.0) * (
+                    4.0 / v0 + 1e-15)
 
     @pytest.mark.parametrize("n", [2, 3, 5])
-    def test_unresolved_bound_level_is_an_error_not_a_short_list(self, n):
-        # v0 within the 1e-12 (1 + v0) bracket margin of the threshold (n-1) pi:
-        # the level is bound, but no bracket inside the margin holds it
-        with pytest.raises(DiagnosticError, match=f"level {n} is bound"):
-            finite_well_levels((n - 1) * math.pi + 1e-12, n + 3)
+    def test_level_at_its_binding_threshold_is_returned(self, n):
+        # v0 one float, or 1e-12, above the threshold (n-1) pi: level n is bound, with
+        # kL between (n-1) pi and v0
+        for v0 in (math.nextafter((n - 1) * math.pi, math.inf), (n - 1) * math.pi + 1e-12):
+            levels = finite_well_levels(v0, n + 3)
+            assert [lv.n for lv in levels] == list(range(1, n + 1))
+            assert (n - 1) * math.pi <= levels[-1].kL <= v0
 
     @pytest.mark.parametrize("delta", [1e-10, 1e-8, 1e-7, 1e-6])
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_near_threshold_level_is_resolved(self, n, delta):
         # with delta = v0 - (n-1) pi, kL = (n-1) pi + 2 acos(kL/v0) puts the root
-        # (n-1) pi delta^2 / 8 + O(v0^2 delta^3) below v0, inside the bracket margin;
-        # brackets are refined to a width of 1e-14
+        # (n-1) pi delta^2 / 8 + O(v0^2 delta^3) below v0; roots are refined to a
+        # bracket width of 1e-14
         v0 = (n - 1) * math.pi + delta
         levels = finite_well_levels(v0, n + 3)
         assert [lv.n for lv in levels] == list(range(1, n + 1))
@@ -261,9 +269,25 @@ class TestInfiniteLimit:
         with pytest.raises(InvalidParameterError):
             infinite_limit_study([100.0, 1000.0], n)
 
-    def test_rejects_depth_beyond_bracket_margin(self):
-        with pytest.raises(InvalidParameterError, match="at most"):
-            infinite_limit_study([100.0, 1e13], 1)
+    def test_rejects_non_finite_depth(self):
+        with pytest.raises(InvalidParameterError, match="positive and finite"):
+            infinite_limit_study([100.0, math.inf], 1)
+
+    def test_deviation_matches_a_50_digit_solve(self):
+        # kL - n pi (1 - 2/v0) from the parity condition at 50 digits; the plain
+        # difference of two numbers near n pi loses up to all of its digits
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(400)
+        with mpmath.workdps(50):
+            for _ in range(400):
+                v0 = float(10.0 ** rng.uniform(1.0, 11.0))
+                n = int(rng.integers(1, min(30, math.ceil(v0 / math.pi)) + 1))
+                (row,) = infinite_limit_study([v0], n).rows
+                v = mpmath.mpf(v0)
+                k = mpmath.findroot(well_parity_condition(v, n % 2 == 1, mpmath),
+                                    mpmath.mpf(row.kL))
+                want = k - n * mpmath.pi * (1 - 2 / v)
+                assert abs(row.kL_deviation - want) <= 1e-12 * abs(want), (v0, n)
 
     @given(n=st.integers(min_value=1, max_value=60),
            log_v0s=st.lists(st.floats(min_value=2.3, max_value=11.0), min_size=1, max_size=4,
@@ -277,10 +301,9 @@ class TestInfiniteLimit:
 
     @pytest.mark.parametrize("n", [1, 2, 30, 1000])
     def test_one_bracket_per_depth(self, monkeypatch, n):
-        refine = wells.refine_brackets
-        sizes = []
-        monkeypatch.setattr(wells, "refine_brackets",
-                            lambda brackets, f, tols: sizes.append(len(brackets))
-                            or refine(brackets, f, tols))
+        refine = wells.refine_root
+        calls = []
+        monkeypatch.setattr(wells, "refine_root",
+                            lambda br, f, tol: calls.append(br) or refine(br, f, tol))
         infinite_limit_study([1e4, 1e5, 1e6], n)
-        assert sum(sizes) == 3
+        assert len(calls) == 3
