@@ -78,9 +78,9 @@ def _fmt(value, precision: int) -> str:
     return str(value)
 
 
-def _residual_bound(residual: float, floor: float) -> float:
-    """max(residual, floor) rounded up to one significant digit; ``floor`` has one digit."""
-    bound = max(residual, floor)
+def _residual_bound(residual: float) -> float:
+    """max(residual, _DEUTERON_RESIDUAL_FLOOR) rounded up to one significant digit."""
+    bound = max(residual, _DEUTERON_RESIDUAL_FLOOR)
     digit, exp = f"{bound:.0e}".split("e")  # the nearest one-digit value, then up if below
     nearest = float(f"{digit}e{exp}")
     return nearest if nearest >= bound else float(f"{int(digit) + 1}e{exp}")
@@ -309,7 +309,7 @@ def _cmd_deuteron(args):
     sols = halfline.deuteron_sweep(base, ells)
     rows = [
         {"lam_over_a": ell, "X": sol.X, "Y": sol.Y, "V0_MeV": sol.V0,
-         "residual": _residual_bound(sol.residual, _DEUTERON_RESIDUAL_FLOOR)}
+         "residual": _residual_bound(sol.residual)}
         for ell, sol in zip(ells, sols)
     ]
     inputs = {"lambda_over_a": args.lam_over_a, "sweep": args.sweep, "binding": args.binding,

@@ -310,7 +310,8 @@ def infinite_limit_study(v0_list, n: int) -> WellLimitStudy:
                 out.append(math.log(ra / rb) / math.log(vb / va))
         return tuple(out)
 
-    energy_orders = orders([e_inf - row.energy for row in rows])
+    # E_inf - E = (n pi - kL)(n pi + kL), n pi - kL = 2 asin(kL/v0): no cancellation near n pi
+    energy_orders = orders([2.0 * math.asin(r.kL / r.v0) * (n * math.pi + r.kL) for r in rows])
     deviation_orders = orders([abs(row.kL_deviation) for row in rows])
     energy_order = sum(energy_orders) / len(energy_orders) if energy_orders else math.nan
     return WellLimitStudy(

@@ -63,3 +63,15 @@ def well_parity_condition(v0, even: bool, lib=np):
         return k * sn - r * cs if even else k * cs + r * sn
 
     return g
+
+
+def deuteron_tan_form(y, ell, lib=np):
+    """The deuteron's matching condition in tan form, as derived, for a root X in (0, pi).
+
+    y + X (1 - ell X tan X) / (tan X + ell X), with its ell = inf limit X tan X - y:
+    floats, or mpmath numbers with ``lib=mpmath``.  saext solves the phase equation
+    X + atan(ell X) + atan(X/Y) = pi instead, so this stays an independent oracle.
+    """
+    if ell == math.inf:
+        return lambda x: x * lib.tan(x) - y
+    return lambda x: y + x * (1 - ell * x * lib.tan(x)) / (lib.tan(x) + ell * x)

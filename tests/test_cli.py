@@ -129,7 +129,7 @@ class TestScalarCommands:
         row = json.loads(out)["results"][0]
         assert (row["X"], row["Y"], row["V0_MeV"]) == (sol.X, sol.Y, sol.V0)
         # the residual prints as a one-digit bound, at least the floor
-        bound = cli._residual_bound(sol.residual, cli._DEUTERON_RESIDUAL_FLOOR)
+        bound = cli._residual_bound(sol.residual)
         assert row["residual"] == bound >= max(sol.residual, cli._DEUTERON_RESIDUAL_FLOOR)
 
     @pytest.mark.parametrize("ulps", [-2, -1, 1, 2])
@@ -153,7 +153,7 @@ class TestScalarCommands:
         (0.0, 4e-15), (4e-15, 4e-15), (4.000000000000001e-15, 5e-15), (6.1e-15, 7e-15),
         (9.99e-15, 1e-14), (1e-14, 1e-14), (math.nextafter(1e-14, 1.0), 2e-14), (0.3, 0.3)])
     def test_residual_bound_rounds_up_to_one_digit(self, residual, bound):
-        assert cli._residual_bound(residual, 4e-15) == bound
+        assert cli._residual_bound(residual) == bound
 
     def test_deuteron_requires_exactly_one_mode(self, capsys):
         code, _, err = invoke(capsys, "deuteron")
@@ -202,6 +202,12 @@ class TestScalarCommands:
         rows = read_csv(out)
         assert [row["v0"] for row in rows] == ["100", "1e+13", "1e+200"]
         assert all(abs(float(row["kL"]) - math.pi) < 1e-9 for row in rows[1:])
+
+    def test_well_limit_energy_order_at_extreme_depths(self, capsys):
+        code, out, err = invoke(capsys, "well-limit", "--v0-list", "100,1e300", "--level", "7")
+        assert code == 0, err
+        (order,) = [line for line in out.splitlines() if line.startswith("# energy_order")]
+        assert "nan" not in out and abs(float(order.split("=")[1]) - 1.0) < 0.01
 
 
 class TestOutputDiscipline:

@@ -17,6 +17,8 @@ from saext import (
 )
 from saext.halfline import deuteron_wall_matching
 
+from conftest import deuteron_tan_form
+
 
 class TestReflection:
     def test_lambda_zero_full_flip(self):
@@ -145,11 +147,7 @@ class TestDeuteron:
         limit = deuteron_v0(DeuteronParams(lam_over_a=0.0 if ell < 1.0 else math.inf))
         assert sol.X == limit.X and 0.0 < sol.X < math.pi and sol.residual <= 4e-15
         with mpmath.workdps(50):
-            y, l = mpmath.mpf(sol.Y), mpmath.mpf(ell)
-            if math.isinf(ell):
-                tan_form = lambda x: x * mpmath.tan(x) - y
-            else:
-                tan_form = lambda x: y + x * (1 - l * x * mpmath.tan(x)) / (mpmath.tan(x) + l * x)
+            tan_form = deuteron_tan_form(mpmath.mpf(sol.Y), mpmath.mpf(ell), mpmath)
             x = mpmath.findroot(tan_form, mpmath.mpf(sol.X))
             assert abs(sol.X - x) <= 4 * math.ulp(sol.X)
 

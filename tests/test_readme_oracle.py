@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import well_parity_condition
+from conftest import deuteron_tan_form, well_parity_condition
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -49,11 +49,7 @@ def test_deuteron_row(row):
     with mpmath.workdps(50):
         binding, range_a, hbar_c, mass_c2 = map(mpmath.mpf, (2.2, 2.0, 197.3269804, 938.919))
         y = range_a * mpmath.sqrt(mass_c2 * binding) / hbar_c
-        ell = mpmath.mpf(float(row["lam_over_a"]))
-        if mpmath.isinf(ell):
-            tan_form = lambda x: x * mpmath.tan(x) - y
-        else:
-            tan_form = lambda x: y + x * (1 - ell * x * mpmath.tan(x)) / (mpmath.tan(x) + ell * x)
+        tan_form = deuteron_tan_form(y, mpmath.mpf(float(row["lam_over_a"])), mpmath)
         x = mpmath.findroot(tan_form, mpmath.mpf(row["X"]))
         assert 0 < x < mpmath.pi
         for name, value in (("X", x), ("Y", y), ("V0_MeV", binding * (1 + (x / y) ** 2))):
@@ -82,3 +78,17 @@ def test_well_limit_row(row):
         }
         for name, value in values.items():
             assert_correctly_rounded(row[name], value)
+
+
+def test_well_limit_energy_order():
+    # the mean of the fitted orders log(gap_a / gap_b) / log(v0_b / v0_a) of E_inf - E
+    (token,) = [line.split("=")[1].strip() for line in GOLDEN[WELL_LIMIT].splitlines()
+                if line.startswith("# energy_order")]
+    with mpmath.workdps(50):
+        v0s = [mpmath.mpf(float(row["v0"])) for row in table(WELL_LIMIT)]
+        gaps = [mpmath.pi ** 2 - mpmath.findroot(well_parity_condition(v0, True, mpmath),
+                                                 mpmath.pi * (1 - 2 / v0)) ** 2
+                for v0 in v0s]
+        orders = [mpmath.log(ga / gb) / mpmath.log(vb / va)
+                  for ga, gb, va, vb in zip(gaps, gaps[1:], v0s, v0s[1:])]
+        assert_correctly_rounded(token, sum(orders) / len(orders))

@@ -248,6 +248,13 @@ class TestInfiniteLimit:
         study = infinite_limit_study([100.0, 1000.0, 10000.0], 1)
         assert abs(study.energy_order - 1.0) <= 0.1
 
+    def test_energy_order_holds_in_deep_wells(self):
+        # the gap (n pi)^2 - kL^2 is a few ulps of (n pi)^2 above v0 ~ 1e12 and 0 once
+        # kL rounds to n pi; it is taken as 2 asin(kL/v0) (n pi + kL) instead
+        study = infinite_limit_study([1e12, 1e13, 1e14, 1e15, 1e16], 3)
+        assert all(abs(p - 1.0) < 1e-3 for p in study.energy_orders), study.energy_orders
+        assert abs(infinite_limit_study([100.0, 1e300], 7).energy_order - 1.0) < 0.01
+
     def test_wall_value_scaling(self):
         study = infinite_limit_study([100.0, 1000.0, 10000.0], 1)
         for row in study.rows:
