@@ -30,13 +30,14 @@ from .errors import (
     InvalidParameterError,
     InvalidRootError,
 )
-from .extensions import ExtensionU2, SimpleFamily, classify_simple_family, to_matrix
+from .extensions import ExtensionU2, SimpleFamily, classify_simple_family, unitary_entries
 from .numerics import Bracket, refine_brackets, scan_brackets
 
 SCAN_STEP = math.pi / 8.0          # roots of F interlace no tighter than ~pi/2
 ZERO_MODE_TOL = 1e-10              # |Z| threshold for an exact zero mode
 _BC_RTOL = 1e-9                    # boundary defect |(L - U M) c| relative to scale |c|
-_RANK_RTOL = 1e-8                  # singular-value ratio declaring rank deficiency
+_RANK_RTOL = 1e-8                  # sigma_max(L - U M) / scale at or below which a level is double
+_MERGE_RTOL = 1e-9                 # roots closer than this times (1 + value) are one level
 _NEG_SCAN_MAX = 30.0               # beyond ~25 the scaled equation is a pure quadratic
 _QUAD_REGIME = 25.0
 
@@ -49,6 +50,29 @@ NEGATIVE = "negative"
 # characteristic functions and boundary matrices
 
 
+def _lm_entries(sa, wa0, wa1, sb, wb0, wb1):
+    """L and M, each as row-major entries, on a basis pair f_a, f_b of solutions.
+
+    Each f solves -i f' = sigma f with f(0) = w0 and f(1) = w1, so for
+    phi = c_a f_a + c_b f_b
+
+    (phi'(0) - i phi(0), phi'(1) + i phi(1)) = i L (c_a, c_b)
+    (phi'(0) + i phi(0), phi'(1) - i phi(1)) = i M (c_a, c_b)
+
+    and the column of f is ((sigma - 1) w0, (sigma + 1) w1) in L and
+    ((sigma + 1) w0, (sigma - 1) w1) in M.
+    """
+    return (
+        ((sa - 1.0) * wa0, (sb - 1.0) * wb0, (sa + 1.0) * wa1, (sb + 1.0) * wb1),
+        ((sa + 1.0) * wa0, (sb + 1.0) * wb0, (sa - 1.0) * wa1, (sb - 1.0) * wb1),
+    )
+
+
+def _lm_exponential(s: complex):
+    """L(s), M(s) entries for phi = A e^{isx} + B e^{-isx}, acting on (A, B)."""
+    return _lm_entries(s, 1.0, cmath.exp(1j * s), -s, 1.0, cmath.exp(-1j * s))
+
+
 def lm_matrices(s: complex) -> tuple[np.ndarray, np.ndarray]:
     """Boundary-value matrices L(s), M(s) for phi = A e^{isx} + B e^{-isx}.
 
@@ -58,22 +82,12 @@ def lm_matrices(s: complex) -> tuple[np.ndarray, np.ndarray]:
     det M(s) = 2[i(s^2+1) sin s - 2 s cos s]; both determinants vanish only
     at s = 0.  Accepts complex s (the negative sector uses s = i r).
     """
-    e_pos = np.exp(1j * s)
-    e_neg = np.exp(-1j * s)
-    l_matrix = np.array(
-        [[s - 1.0, -s - 1.0], [(s + 1.0) * e_pos, -(s - 1.0) * e_neg]], dtype=complex
-    )
-    m_matrix = np.array(
-        [[s + 1.0, -s + 1.0], [(s - 1.0) * e_pos, -(s + 1.0) * e_neg]], dtype=complex
-    )
-    return l_matrix, m_matrix
+    return tuple(np.array(entries, dtype=complex).reshape(2, 2)
+                 for entries in _lm_exponential(s))
 
 
-def _zero_matrices() -> tuple[np.ndarray, np.ndarray]:
-    """Boundary matrices for the zero sector phi = a + b x (acting on (a, b))."""
-    l0 = np.array([[-1j, 1.0], [1j, 1.0 + 1j]], dtype=complex)
-    m0 = np.array([[1j, 1.0], [-1j, 1.0 - 1j]], dtype=complex)
-    return l0, m0
+# L and M for the zero sector phi = a + b x, acting on (a, b), without the factor i
+_ZERO_LM = ((-1j, 1.0, 1j, 1.0 + 1j), (1j, 1.0, -1j, 1.0 - 1j))
 
 
 def char_positive(e: ExtensionU2, s):
@@ -208,41 +222,59 @@ def expanded_values(roots) -> list[float]:
 # solver
 
 
-def _lm_negative_scaled(r: float) -> tuple[np.ndarray, np.ndarray]:
-    """L(ir) and M(ir) with the second column scaled by e^{-r}.
+def _defect(e: ExtensionU2, sector: str, value: float) -> tuple[complex, complex, complex, complex]:
+    """Row-major entries of (L - U M) / scale at a sector value, scale = max(|L|, |M|, 1).
 
-    Column scaling leaves rank and null-space structure intact while keeping
-    every entry finite for arbitrarily large r (the raw matrices contain
-    e^{+r}).  A null vector v of the scaled defect matrix corresponds to the
-    coefficient vector (v0, e^{-r} v1) of the raw one.
-    """
-    ir = 1j * r
-    em = math.exp(-r) if r < 700 else 0.0
-    l_s = np.array([[ir - 1.0, (-ir - 1.0) * em], [(ir + 1.0) * em, -(ir - 1.0)]], dtype=complex)
-    m_s = np.array([[ir + 1.0, (-ir + 1.0) * em], [(ir - 1.0) * em, -(ir + 1.0)]], dtype=complex)
-    return l_s, m_s
-
-
-def _defect(e: ExtensionU2, sector: str, value: float) -> tuple[np.ndarray, float]:
-    """Defect matrix L - U M at a sector value and its scale max(|L|, |M|, 1).
-
-    The negative sector uses the column-scaled matrices of _lm_negative_scaled,
-    which act on (B, e^{r} A) for phi = A e^{rx} + B e^{-rx}.
+    The negative sector works in the basis (e^{-rx}, e^{r(x-1)}), whose L and
+    M hold no e^{+r}, so every entry stays finite for any r; its coordinates
+    are (B, e^{r} A) for phi = A e^{rx} + B e^{-rx}.  Dividing by the scale
+    keeps the entries at order 1, so det D stays finite in _sigma_max.
     """
     if sector == POSITIVE:
-        l_m, m_m = lm_matrices(value)
+        l_m, m_m = _lm_exponential(value)
     elif sector == NEGATIVE:
-        l_m, m_m = _lm_negative_scaled(value)
+        ir, em = 1j * value, math.exp(-value)
+        l_m, m_m = _lm_entries(ir, 1.0, em, -ir, em, 1.0)
     else:
-        l_m, m_m = _zero_matrices()
-    scale = max(np.linalg.norm(l_m), np.linalg.norm(m_m), 1.0)
-    return l_m - to_matrix(e) @ m_m, float(scale)
+        l_m, m_m = _ZERO_LM
+    scale = max(math.hypot(*map(abs, l_m)), math.hypot(*map(abs, m_m)), 1.0)
+    u00, u01, u10, u11 = unitary_entries(e)
+    l00, l01, l10, l11 = l_m
+    m00, m01, m10, m11 = m_m
+    return (
+        (l00 - u00 * m00 - u01 * m10) / scale, (l01 - u00 * m01 - u01 * m11) / scale,
+        (l10 - u10 * m00 - u11 * m10) / scale, (l11 - u10 * m01 - u11 * m11) / scale,
+    )
+
+
+def _sigma_max(entries) -> float:
+    """Largest singular value of the 2x2 matrix D with row-major entries (a, b, c, d).
+
+    (sigma_1 +- sigma_2)^2 = |D|_F^2 +- 2 |det D|.  With w = det D / |det D|
+    each side is a sum of two squared moduli, |a +- w conj(d)|^2 + |b -+ w conj(c)|^2,
+    so no difference of squares loses the smaller singular value.
+    """
+    a, b, c, d = entries
+    det = a * d - b * c
+    w = det / abs(det) if det else 1.0
+    wd, wc = w * d.conjugate(), w * c.conjugate()
+    return 0.5 * (math.hypot(abs(a + wd), abs(b - wc)) + math.hypot(abs(a - wd), abs(b + wc)))
+
+
+def _null_vector(entries) -> tuple[complex, complex]:
+    """(q, -p) for the row (p, q) of larger norm: a null vector of a rank-1 2x2 matrix.
+
+    It annihilates that row exactly, and the other row up to det / |(p, q)|,
+    at most sqrt(2) sigma_min relative to its own norm.
+    """
+    a, b, c, d = entries
+    p, q = (a, b) if math.hypot(abs(a), abs(b)) >= math.hypot(abs(c), abs(d)) else (c, d)
+    return q, -p
 
 
 def degeneracy(e: ExtensionU2, sector: str, value: float) -> int:
     """Multiplicity (1 or 2) of a verified eigenvalue: 2 when L - U M has rank 0."""
-    d, scale = _defect(e, sector, value)
-    return 2 if np.linalg.svd(d, compute_uv=False)[0] <= _RANK_RTOL * scale else 1
+    return 2 if _sigma_max(_defect(e, sector, value)) <= _RANK_RTOL else 1
 
 
 def _merge_roots(
@@ -251,11 +283,11 @@ def _merge_roots(
 ) -> list[SpectralRoot]:
     """Refine brackets and merge the roots into the sorted, classified known roots.
 
-    Roots within 1e-9 relative of a kept one are duplicates from overlapping
+    Roots within the merge distance of a kept one are duplicates from overlapping
     brackets.  A root below sqrt(ZERO_MODE_TOL) is dropped only when the zero
     mode is reported (|Z| <= ZERO_MODE_TOL): it is that zero mode, since the
     reduced characteristic is Z + O(value^2) at the origin.  New roots carry
-    multiplicity 0 until kept; each kept one gets one degeneracy SVD.
+    multiplicity 0 until kept; each kept one gets one rank test (degeneracy).
     """
     fresh = []
     tols = [1e-13 * max(1.0, abs(0.5 * (br.lo + br.hi))) for br in brackets]
@@ -271,7 +303,7 @@ def _merge_roots(
     merged: list[SpectralRoot] = []
     for root in sorted(known + fresh, key=lambda root: root.value):
         if root.value < floor or (
-            merged and abs(root.value - merged[-1].value) <= 1e-9 * (1.0 + abs(root.value))
+            merged and abs(root.value - merged[-1].value) <= _MERGE_RTOL * (1.0 + abs(root.value))
         ):
             continue
         if not root.multiplicity:
@@ -381,13 +413,51 @@ def _cross_validate_family(e: ExtensionU2, roots: list[SpectralRoot]) -> None:
                 )
 
 
+def _check_level_count(below: int, positive: list[SpectralRoot]) -> None:
+    """Raise unless 0 <= N_U(E) - N_D(E) <= 2 up to the last positive level.
+
+    N_U counts the levels at or below E with multiplicity; ``below`` is the
+    count at E = 0 (negative levels and the zero mode), and the Dirichlet
+    count is N_D(s^2) = floor(s / pi).  Every U(2) extension and the
+    Dirichlet one extend the same minimal operator, of deficiency (2, 2), so
+    the bound holds for every E.  N_U - N_D peaks at a level and dips at an
+    n pi, so those are the points checked, with the merge distance as slack
+    on either side in favour of the bound.
+    """
+    def slack(s):
+        return _MERGE_RTOL * (1.0 + s)
+
+    def breach(s, n_u, n_d):
+        return DiagnosticError(f"level count N_U = {n_u} against Dirichlet N_D = {n_d} "
+                               f"at s = {s!r} breaks 0 <= N_U - N_D <= 2")
+
+    if below > 2:
+        raise breach(0.0, below, 0)
+    n_u = below
+    for root in positive:
+        n_u += root.multiplicity
+        n_d = math.floor((root.value + slack(root.value)) / math.pi)
+        if n_u > n_d + 2:
+            raise breach(root.value, n_u, n_d)
+    n_u, i = below, 0
+    for n in range(1, math.floor(positive[-1].value / math.pi) + 1):
+        s = n * math.pi
+        while i < len(positive) and positive[i].value <= s + slack(s):
+            n_u += positive[i].multiplicity
+            i += 1
+        if n_u < n:
+            raise breach(s, n_u, n)
+
+
 def solve_spectrum(req: BoxSpectrumRequest) -> SpectrumResult:
     """Negative, zero, and positive spectrum of the boxed Hamiltonian for req.ext.
 
     Scans the reduced characteristic functions with step pi/8, refines every
     bracket, detects double eigenvalues through the rank of L - U M at the
     root, and cross-validates against the closed forms whenever the boundary
-    condition belongs to one of the two simple families.
+    condition belongs to one of the two simple families.  The level count is
+    checked against the Dirichlet count (_check_level_count); a breach
+    raises DiagnosticError.
     """
     e = req.ext
     z = char_zero(e)
@@ -396,6 +466,10 @@ def solve_spectrum(req: BoxSpectrumRequest) -> SpectrumResult:
     negative = _solve_negative(e, req.tol)
     positive, ceiling = _solve_positive(req)
     _cross_validate_family(e, positive)
+    below = sum(root.multiplicity for root in negative)
+    if has_zero:
+        below += degeneracy(e, ZERO, 0.0)
+    _check_level_count(below, positive)
     return SpectrumResult(
         negative=tuple(negative),
         has_zero_mode=has_zero,
@@ -465,23 +539,17 @@ def _inner(sector: str, value: float, c1, c2) -> complex:
     The negative sector's pairs weight the bounded basis (e^{-rx}, e^{r(x-1)}),
     whose Gram matrix holds no e^{+r}.
     """
-    a1, b1 = c1
+    a1, b1 = (z.conjugate() for z in c1)  # conjugate-linear in the first pair
     a2, b2 = c2
     if sector == POSITIVE:
         s = value
         i2s = (cmath.exp(2j * s) - 1.0) / (2j * s)
-        return (
-            np.conj(a1) * a2
-            + np.conj(b1) * b2
-            + np.conj(a1) * b2 * np.conj(i2s)
-            + np.conj(b1) * a2 * i2s
-        )
+        return a1 * a2 + b1 * b2 + a1 * b2 * i2s.conjugate() + b1 * a2 * i2s
     if sector == NEGATIVE:
         diag = -math.expm1(-2.0 * value) / (2.0 * value)
         off = math.exp(-value)
-        cross = np.conj(a1) * b2 + np.conj(b1) * a2
-        return (np.conj(a1) * a2 + np.conj(b1) * b2) * diag + cross * off
-    return np.conj(a1) * a2 + (np.conj(a1) * b2 + np.conj(b1) * a2) / 2.0 + np.conj(b1) * b2 / 3.0
+        return (a1 * a2 + b1 * b2) * diag + (a1 * b2 + b1 * a2) * off
+    return a1 * a2 + (a1 * b2 + b1 * a2) / 2.0 + b1 * b2 / 3.0
 
 
 def _normalize(sector: str, value: float, coeffs) -> tuple[complex, complex]:
@@ -495,11 +563,14 @@ def _normalize(sector: str, value: float, coeffs) -> tuple[complex, complex]:
 def eigenfunction(e: ExtensionU2, root: tuple[str, float]) -> BoxEigenfunction:
     """Normalized eigenfunction(s) for a verified root of the spectrum.
 
-    ``root`` is a (sector, value) pair as produced by solve_spectrum.  One SVD
-    of the defect matrix L - U M decides the multiplicity and gives the null
-    vector.  A non-degenerate positive mode takes the gauge of the first-row
-    closed form instead; a doubly degenerate eigenvalue carries the second
-    orthonormal coefficient pair in ``degenerate_partner``.
+    ``root`` is a (sector, value) pair as produced by solve_spectrum.  The
+    defect matrix L - U M is formed in scalar arithmetic: its largest singular
+    value, in closed form, decides the multiplicity.  A simple level's null
+    vector is (q, -p) for the row (p, q) of larger norm; a non-degenerate
+    positive mode takes the gauge of the first-row closed form instead.  A
+    doubly degenerate eigenvalue carries the second orthonormal coefficient
+    pair in ``degenerate_partner``.  Every mode must satisfy the boundary
+    condition to _BC_RTOL, or DiagnosticError is raised.
     """
     sector, value = root
     if sector not in (POSITIVE, ZERO, NEGATIVE):
@@ -521,9 +592,8 @@ def eigenfunction(e: ExtensionU2, root: tuple[str, float]) -> BoxEigenfunction:
             name = "s" if sector == POSITIVE else "r"
             raise InvalidRootError(f"{name} = {value!r} does not solve the eigenvalue equation")
 
-    d, scale = _defect(e, sector, value)
-    _, sing, vh = np.linalg.svd(d)
-    if sing[0] <= _RANK_RTOL * scale:
+    d = _defect(e, sector, value)
+    if _sigma_max(d) <= _RANK_RTOL:
         # rank 0: orthonormalize the unit vectors, e^{isx}, 1 or e^{rx} first
         unit = [(1.0 + 0j, 0j), (0j, 1.0 + 0j)]
         first, second = unit[::-1] if sector == NEGATIVE else unit
@@ -532,21 +602,22 @@ def eigenfunction(e: ExtensionU2, root: tuple[str, float]) -> BoxEigenfunction:
         c2 = (second[0] - overlap * c1[0], second[1] - overlap * c1[1])
         modes = [c1, _normalize(sector, value, c2)]
     else:
-        coeffs = vh[-1].conj()
+        coeffs = _null_vector(d)
         if sector == POSITIVE:
             s = value
-            alpha, gamma = to_matrix(e)[0]
+            alpha, gamma = unitary_entries(e)[:2]
             a_coef = alpha * (s - 1.0) + (gamma * cmath.exp(-1j * s) - 1.0) * (s + 1.0)
             b_coef = alpha * (s + 1.0) + (gamma * cmath.exp(1j * s) - 1.0) * (s - 1.0)
             if abs(a_coef) + abs(b_coef) > 1e-9 * 4.0 * (1.0 + s):
                 coeffs = (a_coef, b_coef)
         modes = [_normalize(sector, value, coeffs)]
 
-    for vec in modes:
-        residual = float(np.linalg.norm(d @ np.array(vec)))
-        if residual > _BC_RTOL * scale * float(np.linalg.norm(vec)):
+    d00, d01, d10, d11 = d
+    for v0, v1 in modes:
+        residual = math.hypot(abs(d00 * v0 + d01 * v1), abs(d10 * v0 + d11 * v1))
+        if residual > _BC_RTOL * math.hypot(abs(v0), abs(v1)):
             raise DiagnosticError(
-                f"boundary-condition residual {residual:.3e} too large at {value!r}"
+                f"boundary-condition residual {residual:.3e} (relative) too large at {value!r}"
             )
     if sector == NEGATIVE:
         # (B, e^{r} A) -> (A, B)

@@ -25,10 +25,6 @@ import numpy as np
 from .errors import DiagnosticError, InvalidParameterError
 from .numerics import integrate
 
-TAU1 = np.array([[0, 1], [1, 0]], dtype=complex)
-TAU2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
-TAU3 = np.array([[1, 0], [0, -1]], dtype=complex)
-
 # 2x2 complex ndarray with rows (alpha, gamma | beta, delta)
 UnitaryMatrix2 = np.ndarray
 
@@ -133,11 +129,20 @@ class HalflineExtension:
         return math.isinf(self.lam)
 
 
-def to_matrix(e: ExtensionU2) -> UnitaryMatrix2:
-    """U = e^{i psi} (m0 I - i m.tau), unitary to 1e-12 by construction."""
+def unitary_entries(e: ExtensionU2) -> tuple[complex, complex, complex, complex]:
+    """Row-major entries (alpha, gamma, beta, delta) of U = e^{i psi} (m0 I - i m.tau).
+
+    m.tau = [[m3, m1 - i m2], [m1 + i m2, -m3]] with tau the Pauli matrices.
+    """
     m1, m2, m3 = e.m
-    m_dot_tau = m1 * TAU1 + m2 * TAU2 + m3 * TAU3
-    return cmath.exp(1j * e.psi) * (e.m0 * np.eye(2, dtype=complex) - 1j * m_dot_tau)
+    phase = cmath.exp(1j * e.psi)
+    return (phase * complex(e.m0, -m3), phase * complex(-m2, -m1),
+            phase * complex(m2, -m1), phase * complex(e.m0, m3))
+
+
+def to_matrix(e: ExtensionU2) -> UnitaryMatrix2:
+    """U as a 2x2 array, unitary to 1e-12 by construction (entries: unitary_entries)."""
+    return np.array(unitary_entries(e), dtype=complex).reshape(2, 2)
 
 
 def from_matrix(u: UnitaryMatrix2) -> ExtensionU2:

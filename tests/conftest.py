@@ -12,6 +12,11 @@ settings.register_profile(
 )
 settings.load_profile("ci")
 
+# The Pauli matrices tau_1, tau_2, tau_3; U = tau_1 is the periodic condition.
+TAU1 = np.array([[0, 1], [1, 0]], dtype=complex)
+TAU2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
+TAU3 = np.array([[1, 0], [0, -1]], dtype=complex)
+
 
 @pytest.fixture
 def rng():

@@ -28,9 +28,7 @@ from saext import (
     to_matrix,
     to_physical_energy,
 )
-from saext.extensions import TAU1
-
-from conftest import gl_inner, random_extension
+from conftest import TAU1, gl_inner, random_extension
 
 
 def solve(ext, count=10, **kwargs) -> "SpectrumResult":
@@ -124,9 +122,9 @@ class TestCharacteristics:
         assert abs(char_zero(from_matrix(TAU1))) < 1e-14
 
     def test_zero_indicator_matches_zero_sector_determinant(self, rng):
-        from saext.box_spectrum import _zero_matrices
+        from saext.box_spectrum import _ZERO_LM
 
-        l0, m0 = _zero_matrices()
+        l0, m0 = (np.reshape(entries, (2, 2)) for entries in _ZERO_LM)
         for _ in range(50):
             ext = random_extension(rng)
             det = np.linalg.det(l0 - to_matrix(ext) @ m0)
@@ -375,6 +373,49 @@ class TestSolveSpectrum:
         assert len(calls) == max(iterations) + sum(scan_calls)
 
 
+class TestLevelCountGuard:
+    """0 <= N_U(E) - N_D(E) <= 2 against the Dirichlet count N_D(s^2) = floor(s / pi)."""
+
+    @pytest.mark.parametrize("theta", [1.05e-8, 1.5e-8])
+    def test_collapsed_quasi_periodic_pairs_raise(self, theta):
+        # pairs 2 pi n +- theta closer than the merge distance come back as one level
+        with pytest.raises(DiagnosticError, match="level count"):
+            solve(named_extension("quasi_periodic", theta=theta), count=20)
+
+    def test_theta_sweep_is_right_or_raises(self):
+        """Near theta = 0 each returned spectrum is 2 pi n +- theta, or the solve raises."""
+        raised = 0
+        for theta in np.geomspace(1e-9, 1e-2, 100):
+            theta = float(theta)
+            levels = sorted([theta] + [2 * math.pi * n + sign * theta
+                                       for n in range(1, 12) for sign in (-1, 1)])
+            try:
+                res = solve(named_extension("quasi_periodic", theta=theta), count=20)
+            except DiagnosticError:
+                raised += 1
+                continue
+            expected = levels[1:21] if res.has_zero_mode else levels[:20]
+            values = expanded_values(res.positive)
+            assert len(values) == 20, theta
+            # below theta ~ 1e-8 a pair may come back as the double level 2 pi n
+            assert np.allclose(values, expected, rtol=1e-9, atol=1e-9 + theta), theta
+        assert 0 < raised < 10
+
+    @pytest.mark.parametrize("name", ["dirichlet", "periodic", "antiperiodic"])
+    def test_dropped_level_raises(self, monkeypatch, name):
+        from saext import box_spectrum
+
+        solve_positive = box_spectrum._solve_positive
+
+        def drop_third(req):
+            roots, ceiling = solve_positive(req)
+            return roots[:2] + roots[3:], ceiling
+
+        monkeypatch.setattr(box_spectrum, "_solve_positive", drop_third)
+        with pytest.raises(DiagnosticError, match="level count"):
+            solve(named_extension(name), count=8)
+
+
 class TestEigenfunctions:
     def test_dirichlet_modes_are_sines(self):
         ext = named_extension("dirichlet")
@@ -513,7 +554,7 @@ class TestEigenfunctions:
         gram = np.array([[inner(c1, c2) for c2 in pairs] for c1 in pairs])
         assert np.max(np.abs(gram - np.eye(2))) < 1e-10
 
-    def test_one_svd_per_call(self, monkeypatch):
+    def test_no_svd_call(self, monkeypatch):
         negative = ExtensionU2(psi=0.0, m0=0.0, m=(0.0, 1.0, 0.0))
         cases = [
             (named_extension("dirichlet"), ("positive", math.pi)),
@@ -522,19 +563,114 @@ class TestEigenfunctions:
             (negative, ("negative", solve(negative, count=1).negative[0].value)),
             (double_negative_extension(5.0), ("negative", 5.0)),
         ]
-        calls = []
-        svd = np.linalg.svd
-        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
-        for ext, root in cases:
-            calls.clear()
-            eigenfunction(ext, root)
-            assert len(calls) == 1, root
 
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg.svd called")
+
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        for ext, (sector, value) in cases:
+            fn = eigenfunction(ext, (sector, value))
+            assert degeneracy(ext, sector, value) == (1 if fn.degenerate_partner is None else 2)
 
     def test_shifted_double_level_rejected(self):
         ext = named_extension("periodic")
         with pytest.raises(DiagnosticError):
             eigenfunction(ext, ("positive", 40 * math.pi * (1 + 1e-9)))
+
+
+def extension_set(rng):
+    """321 extensions: 300 random U(2) points, the four named conditions,
+    quasi-periodic near its doubles and zero mode, m0 -> 1, exact double negative levels."""
+    exts = [random_extension(rng) for _ in range(300)]
+    exts += [named_extension(name) for name in ("dirichlet", "neumann", "periodic", "antiperiodic")]
+    exts += [named_extension("quasi_periodic", theta=theta) for theta in
+             (1e-5, 3e-5, 1e-4, 0.5, math.pi - 1e-3, math.pi, 2 * math.pi - 1e-5)]
+    for k in range(2, 9):
+        m0 = 1.0 - 10.0 ** -k
+        exts.append(ExtensionU2(psi=0.0, m0=m0, m=(0.0, math.sqrt(1 - m0 * m0), 0.0)))
+    exts += [double_negative_extension(r) for r in (5.0, 301.0, 650.0)]
+    return exts
+
+
+def svd_rule(ext, sector, value):
+    """The rank-0 rule on np.linalg.svd: 2 when sigma_max(L - U M) <= 1e-8 max(|L|, |M|, 1).
+
+    L and M are written out afresh: (A, B) of A e^{isx} + B e^{-isx}, the columns
+    (e^{-rx}, e^{r(x-1)}) for E = -r^2, and (a, b) of a + b x for E = 0.
+    """
+    if sector == "positive":
+        e_pos, e_neg = np.exp(1j * value), np.exp(-1j * value)
+        l_m = [[value - 1, -value - 1], [(value + 1) * e_pos, -(value - 1) * e_neg]]
+        m_m = [[value + 1, -value + 1], [(value - 1) * e_pos, -(value + 1) * e_neg]]
+    elif sector == "negative":
+        ir, em = 1j * value, math.exp(-value)
+        l_m = [[ir - 1, (-ir - 1) * em], [(ir + 1) * em, -(ir - 1)]]
+        m_m = [[ir + 1, (-ir + 1) * em], [(ir - 1) * em, -(ir + 1)]]
+    else:
+        l_m, m_m = [[-1j, 1], [1j, 1 + 1j]], [[1j, 1], [-1j, 1 - 1j]]
+    l_m, m_m = np.array(l_m, dtype=complex), np.array(m_m, dtype=complex)
+    scale = max(np.linalg.norm(l_m), np.linalg.norm(m_m), 1.0)
+    sigma = np.linalg.svd(l_m - to_matrix(ext) @ m_m, compute_uv=False)[0]
+    return 2 if sigma <= 1e-8 * scale else 1
+
+
+def sample_matrices(rng):
+    """Complex 2x2 matrices: random over six decades, rank 0 and near rank 1."""
+    def normal(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    out = [normal(2, 2) * 10.0 ** rng.uniform(-3.0, 3.0) for _ in range(300)]
+    out += [np.zeros((2, 2), dtype=complex)] + [1e-12 * normal(2, 2) for _ in range(20)]
+    out += [np.outer(normal(2), normal(2)) + 10.0 ** rng.uniform(-14.0, -6.0) * normal(2, 2)
+            for _ in range(100)]
+    return out
+
+
+class TestClosedFormRank:
+    """The closed-form rank test and null vector, with np.linalg.svd as the reference."""
+
+    def test_sigma_max_matches_svd(self, rng):
+        from saext.box_spectrum import _sigma_max
+
+        for mat in sample_matrices(rng):
+            ref = np.linalg.svd(mat, compute_uv=False)[0]
+            assert abs(_sigma_max(tuple(mat.ravel())) - ref) <= 1e-12 * ref
+
+    def test_null_vector_residual(self, rng):
+        from saext.box_spectrum import _null_vector
+
+        for mat in sample_matrices(rng):
+            sigma = np.linalg.svd(mat, compute_uv=False)
+            vec = np.array(_null_vector(tuple(mat.ravel())))
+            norm = np.linalg.norm(vec)
+            assert norm >= sigma[0] / math.sqrt(2) * (1 - 1e-15)
+            bound = (math.sqrt(2) * sigma[1] + 4 * np.finfo(float).eps * sigma[0]) * norm
+            assert np.linalg.norm(mat @ vec) <= bound
+
+    def test_degeneracy_matches_svd_rule_on_extension_set(self, rng):
+        doubles = 0
+        for ext in extension_set(rng):
+            res = solve(ext, count=12)
+            roots = [("negative", root) for root in res.negative]
+            roots += [("positive", root) for root in res.positive]
+            for sector, root in roots:
+                assert root.multiplicity == svd_rule(ext, sector, root.value), (ext, root)
+                assert degeneracy(ext, sector, root.value) == root.multiplicity
+                doubles += root.multiplicity == 2
+            if res.has_zero_mode:
+                assert degeneracy(ext, "zero", 0.0) == svd_rule(ext, "zero", 0.0)
+        assert doubles >= 20  # periodic, antiperiodic and the three double negative levels
+
+    @pytest.mark.parametrize("r", [1e200, 1e300])
+    def test_defect_stays_finite_at_huge_r(self, rng, r):
+        from saext.box_spectrum import _defect, _sigma_max
+
+        for _ in range(20):
+            ext = random_extension(rng)
+            entries = _defect(ext, "negative", r)
+            assert all(cmath.isfinite(x) for x in entries)
+            assert 0.0 < _sigma_max(entries) <= 2.0
+            assert degeneracy(ext, "negative", r) == 1
 
 
 def collocation_levels(ext, n=80):

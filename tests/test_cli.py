@@ -65,6 +65,13 @@ class TestSpectrumCommand:
         assert code == 3
         assert "numerical failure" in err
 
+    def test_miscounted_spectrum_is_numerical_failure(self, capsys):
+        # the pairs 2 pi n +- 1.05e-8 collapse into single levels: the count guard fires
+        code, out, err = invoke(capsys, "spectrum", "--u", "quasiperiodic:1.05e-8",
+                                "--count", "20")
+        assert code == 3 and out == ""
+        assert "numerical failure: level count" in err
+
 
 class TestDeficiencyCommand:
     def test_momentum_halfline(self, capsys):

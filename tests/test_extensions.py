@@ -21,9 +21,7 @@ from saext import (
     to_matrix,
     verify_deficiency,
 )
-from saext.extensions import TAU1
-
-from conftest import random_extension
+from conftest import TAU1, TAU2, TAU3, random_extension
 
 
 class TestMatrixMaps:
@@ -38,6 +36,14 @@ class TestMatrixMaps:
     def test_tau1(self):
         e = ExtensionU2(psi=math.pi / 2, m0=0.0, m=(1, 0, 0))
         assert np.allclose(to_matrix(e), TAU1, atol=1e-14)
+
+    def test_matches_pauli_sum(self, rng):
+        # the defining sum U = e^{i psi} (m0 I - i m.tau), entry by entry
+        for _ in range(200):
+            e = random_extension(rng)
+            m_dot_tau = e.m1 * TAU1 + e.m2 * TAU2 + e.m3 * TAU3
+            u = cmath.exp(1j * e.psi) * (e.m0 * np.eye(2) - 1j * m_dot_tau)
+            assert np.max(np.abs(to_matrix(e) - u)) <= 4e-16
 
     def test_from_identity(self):
         e = from_matrix(np.eye(2, dtype=complex))

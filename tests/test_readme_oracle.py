@@ -1,14 +1,20 @@
-"""Every printed digit of the README `deuteron` and `well-limit` lines, at 50 digits.
+"""Every printed digit of the README `deuteron`, `well-limit`, `reflect` and
+`bound-state` lines and of the `spectrum` value column, at 50 digits.
 
 The golden file pins the bytes the CLI prints; this module checks that those
 bytes are true.  Each value is derived again with mpmath from its defining
 equation, not from the library's phase equations: the deuteron from the tan
 form of its matching condition, the finite well from its parity condition
-and a quadrature of its norm.  A printed token must equal the value rounded
-correctly to the printed precision; where the value lies within 1e-3 units
-in the last printed place of a rounding boundary, either neighbour passes.
+and a quadrature of its norm, box levels from their closed forms or the
+characteristic functions F and G, reflection and the bound state from their
+closed forms.  A printed token must equal the value rounded correctly to the
+printed precision; where the value lies within 1e-3 units in the last
+printed place of a rounding boundary, either neighbour passes.  The spectrum
+residuals and eigenfunction coefficients are round-off and stay out.
 """
 
+import csv
+import io
 import json
 from decimal import ROUND_FLOOR, Decimal
 from pathlib import Path
@@ -24,9 +30,16 @@ GOLDEN = json.loads(
 DIGITS = 10  # the CLI's default precision
 DEUTERON = "deuteron --sweep 0,0.1,0.2,0.5,1,2,5,10,100,inf"
 WELL_LIMIT = "well-limit --v0-list 100,1000,10000 --level 1"
+DIRICHLET = "spectrum --u dirichlet --count 3"
+GENERIC = "spectrum --u psi=0.4,m=(0.5,0.5,0.5,0.5) --count 5 --include-negative"
+QUASI = "spectrum --u quasiperiodic:1.57 --count 4 --eigenfunctions --format csv"
+REFLECT = "reflect --lambda 1 --k 2"
+BOUND_STATE = "bound-state --lambda=-1"
 
 
 def table(command):
+    if "--format csv" in command:
+        return list(csv.DictReader(io.StringIO(GOLDEN[command])))
     header, *rows = [line.split() for line in GOLDEN[command].splitlines()
                      if not line.startswith("#")]
     return [dict(zip(header, row)) for row in rows]
@@ -92,3 +105,72 @@ def test_well_limit_energy_order():
         orders = [mpmath.log(ga / gb) / mpmath.log(vb / va)
                   for ga, gb, va, vb in zip(gaps, gaps[1:], v0s, v0s[1:])]
         assert_correctly_rounded(token, sum(orders) / len(orders))
+
+
+def test_dirichlet_levels():
+    rows = table(DIRICHLET)
+    assert len(rows) == 3
+    with mpmath.workdps(50):
+        for n, row in enumerate(rows, start=1):
+            assert_correctly_rounded(row["value"], (n * mpmath.pi) ** 2)
+
+
+def test_quasi_periodic_levels():
+    # phi(1) = e^{i theta} phi(0), phi'(1) = e^{i theta} phi'(0): s = |2 pi n + theta|
+    rows = table(QUASI)
+    assert len(rows) == 4
+    with mpmath.workdps(50):
+        theta = mpmath.mpf(1.57)
+        levels = sorted(abs(2 * mpmath.pi * n + theta) for n in range(-2, 2))
+        for row, s in zip(rows, levels):
+            assert_correctly_rounded(row["value"], s * s)
+
+
+def test_generic_levels():
+    # F(s) = 2 s [sin(psi) cos(s) - m1] - sin(s) [cos(psi)(s^2+1) - m0(s^2-1)] for E = s^2,
+    # G(r) = 2 r [sin(psi) cosh(r) - m1] - sinh(r) [m0(r^2+1) - cos(psi)(r^2-1)] for E = -r^2
+    rows = table(GENERIC)
+    assert [row["sector"] for row in rows] == ["negative"] + ["positive"] * 5
+    with mpmath.workdps(50):
+        psi, m0, m1 = mpmath.mpf(0.4), mpmath.mpf(0.5), mpmath.mpf(0.5)
+        sp, cp = mpmath.sin(psi), mpmath.cos(psi)
+
+        def f(s):
+            return 2 * s * (sp * mpmath.cos(s) - m1) - mpmath.sin(s) * (
+                cp * (s * s + 1) - m0 * (s * s - 1))
+
+        def g(r):
+            return 2 * r * (sp * mpmath.cosh(r) - m1) - mpmath.sinh(r) * (
+                m0 * (r * r + 1) - cp * (r * r - 1))
+
+        for row in rows:
+            printed = mpmath.mpf(row["value"])
+            if row["sector"] == "negative":
+                seed = mpmath.sqrt(-printed)
+                root = mpmath.findroot(g, seed)
+                value = -root * root
+            else:
+                seed = mpmath.sqrt(printed)
+                root = mpmath.findroot(f, seed)
+                value = root * root
+            assert abs(root - seed) < 1e-8 * seed
+            assert_correctly_rounded(row["value"], value)
+
+
+def test_reflect_row():
+    (row,) = table(REFLECT)
+    with mpmath.workdps(50):
+        lam, k = mpmath.mpf(1), mpmath.mpf(2)
+        r = -(1 + 1j * lam * k) / (1 - 1j * lam * k)
+        for name, value in (("re_r", r.real), ("im_r", r.imag), ("R", abs(r) ** 2)):
+            assert_correctly_rounded(row[name], value)
+
+
+def test_bound_state_row():
+    # phi = sqrt(2/|lambda|) e^{-x/|lambda|} at E = -1/lambda^2, for lambda < 0
+    (row,) = table(BOUND_STATE)
+    assert row["exists"] == "true"
+    with mpmath.workdps(50):
+        lam = mpmath.mpf(-1)
+        assert_correctly_rounded(row["energy"], -1 / lam ** 2)
+        assert_correctly_rounded(row["amplitude"], mpmath.sqrt(2 / abs(lam)))
