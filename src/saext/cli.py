@@ -7,20 +7,21 @@ default of 10 significant digits can be overridden per run (--precision) or
 through the SAEXT_PRECISION environment variable.
 
 Exit codes: 0 success, 2 usage error (also a NaN, an infinity other than a
-lambda or lambda/a, or a size above its cap), 3 numerical failure.
+lambda or lambda/a, a size above its cap, an empty list, or an --output path
+that cannot be written), 3 numerical failure.
+
+Each subcommand imports the modules it runs when it runs: ``reflect``,
+``bound-state``, ``deficiency``, ``deuteron`` and ``well-limit`` load no numpy.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
 from dataclasses import dataclass
 
-from . import box_spectrum as box
-from . import halfline, momentum, wells
 from .errors import InvalidParameterError, SaextError
 from .extensions import (
     IntervalKind,
@@ -39,6 +40,7 @@ _OPERATORS = {"momentum": OperatorKind.MOMENTUM, "hamiltonian": OperatorKind.HAM
 
 # Input-size caps: the largest accepted input runs in a few seconds.
 _MAX_COUNT = 5000         # spectrum --count
+_MAX_S_MAX = 1e5          # spectrum --s-max (a scan to 1e5 takes about 2 s and 70 MB)
 _MAX_TERMS = 10 ** 7      # paradox --terms (bounds time, ~35 ms; the sums take constant memory)
 _MAX_RANGE_ROWS = 2001    # --range rows (-1000:1000)
 # expand: the whole table is validated on one FFT grid of P uniform panels, P the power of
@@ -104,6 +106,8 @@ def _csv_escape(text: str) -> str:
 
 def _render(columns, rows, extras, inputs, out: OutputSpec) -> str:
     if out.format == "json":
+        import json
+
         payload = {
             "inputs": {k: _json_value(v, out.precision) for k, v in inputs.items()},
             "results": [
@@ -133,9 +137,12 @@ def _render(columns, rows, extras, inputs, out: OutputSpec) -> str:
 def _emit(text: str, out: OutputSpec) -> None:
     if out.destination == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out.destination, "w", encoding="utf-8") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise InvalidParameterError(f"--output: {exc}") from None
 
 
 def _parse_u(text: str):
@@ -173,6 +180,8 @@ def _parse_range(text: str, flag: str) -> tuple[int, int]:
 
 def _parse_float_list(text: str, flag: str) -> list[float]:
     tokens = [tok for tok in text.split(",") if tok.strip() != ""]
+    if not tokens:
+        raise InvalidParameterError(f"{flag}: no values in {text!r}")
     if len(tokens) > _MAX_LIST:
         raise InvalidParameterError(f"{flag}: at most {_MAX_LIST} values, got {len(tokens)}")
     try:
@@ -201,15 +210,21 @@ def _cmd_deficiency(args):
 
 
 def _cmd_spectrum(args):
+    from . import box_spectrum as box
+
     if args.count > _MAX_COUNT:
         raise InvalidParameterError(f"--count must be at most {_MAX_COUNT}, got {args.count}")
+    if args.s_max is not None and args.s_max <= 0:
+        raise InvalidParameterError(f"--s-max must be positive, got {args.s_max:g}")
+    if args.s_max is not None and args.s_max > _MAX_S_MAX:
+        raise InvalidParameterError(f"--s-max must be at most {_MAX_S_MAX:g}, got {args.s_max:g}")
     ext = _parse_u(args.u)
     req = box.BoxSpectrumRequest(
         ext=ext,
         count=args.count,
         s_max_hint=args.s_max,
         tol=args.tol,
-        s_max_cap=args.s_max if args.s_max else None,
+        s_max_cap=args.s_max,
     )
     result = box.solve_spectrum(req)
 
@@ -260,6 +275,8 @@ def _cmd_classify(args):
 
 
 def _cmd_momentum_spectrum(args):
+    from . import momentum
+
     lo, hi = _parse_range(args.range, "--range")
     states = momentum.p_spectrum(args.theta, (lo, hi))
     rows = [{"n": st.n, "nu": st.nu, "eigenvalue": st.eigenvalue} for st in states]
@@ -267,6 +284,8 @@ def _cmd_momentum_spectrum(args):
 
 
 def _cmd_expand(args):
+    from . import momentum
+
     lo, hi = _parse_range(args.range, "--range")
     shift = MomentumExtension(args.theta).theta / (2.0 * math.pi)
     panels = 1 << max(0, 2 * math.ceil(max(abs(lo + shift), abs(hi + shift))) - 1).bit_length()
@@ -286,6 +305,8 @@ def _cmd_expand(args):
 
 
 def _cmd_paradox(args):
+    from . import wells
+
     if args.terms > _MAX_TERMS:
         raise InvalidParameterError(f"--terms must be at most {_MAX_TERMS}, got {args.terms}")
     rep = wells.paradox_report(args.terms)
@@ -296,6 +317,8 @@ def _cmd_paradox(args):
 
 
 def _cmd_deuteron(args):
+    from . import halfline
+
     if (args.lam_over_a is None) == (args.sweep is None):
         raise InvalidParameterError("exactly one of --lambda-over-a or --sweep is required")
     base = halfline.DeuteronParams(
@@ -318,7 +341,12 @@ def _cmd_deuteron(args):
 
 
 def _cmd_well_limit(args):
+    from . import wells
+
     study = wells.infinite_limit_study(_parse_float_list(args.v0_list, "--v0-list"), args.level)
+    if len(study.rows) < 2:  # after the level checks, which a single depth also runs
+        raise InvalidParameterError(
+            f"--v0-list: at least two depths are needed for energy_order, got {len(study.rows)}")
     cols = ["v0", "kL", "kL_deviation", "energy", "energy_ratio", "wall_value",
             "wall_derivative"]
     rows = [{c: getattr(row, c) for c in cols} for row in study.rows]
@@ -327,12 +355,16 @@ def _cmd_well_limit(args):
 
 
 def _cmd_reflect(args):
+    from . import halfline
+
     r, big_r = halfline.reflection(args.lam, args.k)
     row = {"lam": args.lam, "k": args.k, "re_r": r.real, "im_r": r.imag, "R": big_r}
     return ["lam", "k", "re_r", "im_r", "R"], [row], {}, {"lambda": args.lam, "k": args.k}
 
 
 def _cmd_bound_state(args):
+    from . import halfline
+
     state = halfline.bound_state(args.lam)
     if state is None:
         row = {"lam": args.lam, "exists": False, "energy": "", "amplitude": ""}
@@ -372,7 +404,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=10)
     p.add_argument("--include-negative", action="store_true")
     p.add_argument("--eigenfunctions", action="store_true")
-    p.add_argument("--s-max", type=_finite_float, default=None, help="scan ceiling in s")
+    p.add_argument("--s-max", type=_finite_float, default=None,
+                   help=f"scan ceiling in s, in (0, {_MAX_S_MAX:g}]")
     p.add_argument("--tol", type=_finite_float, default=1e-9)
     p.set_defaults(func=_cmd_spectrum)
 
@@ -409,7 +442,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub("well-limit", help="finite well converging to the Dirichlet box")
     p.add_argument("--v0-list", dest="v0_list", required=True,
-                   help=f"comma list of at most {_MAX_LIST} increasing depths")
+                   help=f"comma list of 2 to {_MAX_LIST} increasing depths")
     p.add_argument("--level", type=int, default=1, help="level n")
     p.set_defaults(func=_cmd_well_limit)
 
@@ -446,13 +479,13 @@ def run(argv=None) -> int:
 
     try:
         columns, rows, extras, inputs = args.func(args)
+        _emit(_render(columns, rows, extras, inputs, out), out)
     except InvalidParameterError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except SaextError as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return 3
-    _emit(_render(columns, rows, extras, inputs, out), out)
     return 0
 
 

@@ -19,14 +19,18 @@ import math
 import re
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DiagnosticError, InvalidParameterError
-from .numerics import integrate
 
-# 2x2 complex ndarray with rows (alpha, gamma | beta, delta)
-UnitaryMatrix2 = np.ndarray
+# numpy and the quadrature load inside the functions that use them, so the
+# deficiency table and the half-line model (which uses HalflineExtension)
+# import without them
+if TYPE_CHECKING:
+    import numpy as np
+
+    # 2x2 complex ndarray with rows (alpha, gamma | beta, delta)
+    UnitaryMatrix2 = np.ndarray
 
 _S3_CONSTRUCT_TOL = 1e-9
 _UNITARY_TOL = 1e-9
@@ -47,6 +51,8 @@ class ExtensionU2:
     m: tuple[float, float, float]
 
     def __post_init__(self):
+        import numpy as np
+
         vec = np.array([self.m0, *self.m], dtype=float)
         norm = float(np.linalg.norm(vec))
         if not math.isfinite(norm) or abs(norm - 1.0) > _S3_CONSTRUCT_TOL:
@@ -142,11 +148,15 @@ def unitary_entries(e: ExtensionU2) -> tuple[complex, complex, complex, complex]
 
 def to_matrix(e: ExtensionU2) -> UnitaryMatrix2:
     """U as a 2x2 array, unitary to 1e-12 by construction (entries: unitary_entries)."""
+    import numpy as np
+
     return np.array(unitary_entries(e), dtype=complex).reshape(2, 2)
 
 
 def from_matrix(u: UnitaryMatrix2) -> ExtensionU2:
     """Invert to_matrix, up to the (psi, m) ~ (psi + pi, -m) identification."""
+    import numpy as np
+
     u = np.asarray(u, dtype=complex)
     if u.shape != (2, 2):
         raise InvalidParameterError(f"expected a 2x2 matrix, got shape {u.shape}")
@@ -214,6 +224,8 @@ def deficiency_indices(op: OperatorKind, iv: IntervalKind) -> DeficiencyReport:
 
 def _square_integrable(density, iv: IntervalKind, cutoff: float) -> bool:
     """Doubling-cutoff growth test of integral(density) on the given interval."""
+    from .numerics import integrate
+
     if iv is IntervalKind.FINITE_BOX:
         val = integrate(density, 0.0, 1.0, tol=1e-10)
         return math.isfinite(val)
@@ -244,6 +256,7 @@ def verify_deficiency(
     """
     if d_or_k0 <= 0 or cutoff <= 0:
         raise InvalidParameterError("d_or_k0 and cutoff must be positive")
+    import numpy as np
 
     if op is OperatorKind.MOMENTUM:
         d = d_or_k0
@@ -271,6 +284,8 @@ def is_time_reversal(e: ExtensionU2, tol: float = CLASSIFY_TOL) -> bool:
     Cross-checked against the determinant criterion det(I - conj(U) U) = 0,
     which equals 4 m2^2 identically; a mismatch means corrupted state.
     """
+    import numpy as np
+
     u = to_matrix(e)
     det_val = np.linalg.det(np.eye(2) - u.conj() @ u)
     if abs(det_val - 4.0 * e.m2 ** 2) > 1e-9:
@@ -303,6 +318,8 @@ def named_extension(name: str, theta: float | None = None) -> ExtensionU2:
                       phi'(L) = e^{i theta} phi'(0)
     periodic / antiperiodic are quasi_periodic with theta = 0 / pi.
     """
+    import numpy as np
+
     key = name.strip().lower().replace("-", "_")
     if key == "dirichlet":
         return ExtensionU2(psi=0.0, m0=1.0, m=(0.0, 0.0, 0.0))
@@ -323,7 +340,8 @@ def named_extension(name: str, theta: float | None = None) -> ExtensionU2:
     raise InvalidParameterError(f"unknown extension name {name!r}")
 
 
-_RAW_PATTERN = re.compile(
+# compiled on first use, through the re module's cache
+_RAW_PATTERN = (
     r"^psi=(?P<psi>[^,]+),m=\((?P<m0>[^,]+),(?P<m1>[^,]+),(?P<m2>[^,]+),(?P<m3>[^)]+)\)$"
 )
 _CLI_RENORM_TOL = 1e-6
@@ -337,6 +355,8 @@ def parse_extension(text: str) -> ExtensionU2:
     Raw quadruples within 1e-6 of the unit sphere are renormalized; anything
     farther is rejected.
     """
+    import numpy as np
+
     s = text.strip()
     low = s.lower()
     if low in ("dirichlet", "neumann", "periodic", "antiperiodic"):
@@ -348,7 +368,7 @@ def parse_extension(text: str) -> ExtensionU2:
         except ValueError:
             raise InvalidParameterError(f"bad quasiperiodic angle {arg!r}") from None
         return named_extension("quasi_periodic", theta=theta)
-    match = _RAW_PATTERN.match(s.replace(" ", ""))
+    match = re.match(_RAW_PATTERN, s.replace(" ", ""))
     if match is None:
         raise InvalidParameterError(
             f"bad extension syntax {text!r}; expected a named extension or "

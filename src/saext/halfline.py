@@ -13,11 +13,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .errors import InvalidParameterError
 from .extensions import HalflineExtension
-from .numerics import Bracket, refine_root
+from .roots import Bracket, refine_root
+
+# numpy loads inside BoundState.wavefunction, its one user, so the reflection,
+# bound-state and deuteron paths import without it
 
 
 def alpha_to_lambda(alpha: float) -> float:
@@ -47,12 +48,13 @@ def _as_lambda(lam) -> float:
 def reflection(lam, k: float) -> tuple[complex, float]:
     """Reflection amplitude r(k) = -(1 + i lambda k)/(1 - i lambda k) and R = |r|^2.
 
-    Every extension reflects perfectly (R = 1); lambda = inf gives r = +1.
+    Every extension reflects perfectly (R = 1); lambda = inf gives r = +1,
+    which is also the limit as |lambda k| -> inf, taken when lambda k overflows.
     """
     lam = _as_lambda(lam)
     if not 0 < k < math.inf:  # also rejects NaN
         raise InvalidParameterError(f"k must be positive and finite, got {k!r}")
-    if math.isinf(lam):
+    if math.isinf(lam * k):
         r = complex(1.0)
     else:
         r = -(1.0 + 1j * lam * k) / (1.0 - 1j * lam * k)
@@ -68,16 +70,26 @@ class BoundState:
     amplitude: float    # sqrt(2 / |lambda|)
 
     def wavefunction(self, x):
+        import numpy as np
+
         x = np.asarray(x, dtype=float)
         return self.amplitude * np.exp(-x / abs(self.lam))
 
 
 def bound_state(lam) -> BoundState | None:
-    """The unique bound state for lambda < 0; None for lambda >= 0 or infinite."""
+    """The unique bound state for lambda < 0; None for lambda >= 0 or infinite.
+
+    Raises InvalidParameterError when the energy -1/lambda^2 overflows
+    (|lambda| below about 1e-154).
+    """
     lam = _as_lambda(lam)
     if math.isinf(lam) or lam >= 0.0:
         return None
-    return BoundState(lam=lam, energy=-1.0 / (lam * lam), amplitude=math.sqrt(2.0 / abs(lam)))
+    square = lam * lam
+    energy = -1.0 / square if square else -math.inf
+    if math.isinf(energy):
+        raise InvalidParameterError(f"the energy -1/lambda^2 overflows at lambda = {lam!r}")
+    return BoundState(lam=lam, energy=energy, amplitude=math.sqrt(2.0 / abs(lam)))
 
 
 # ---------------------------------------------------------------------------

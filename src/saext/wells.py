@@ -23,10 +23,11 @@ import math
 import operator
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import InvalidParameterError
-from .numerics import Bracket, integrate, refine_root
+from .roots import Bracket, refine_root
+
+# numpy and the quadrature load inside the functions that use them, so the
+# finite-well levels and the limit study import without them
 
 SQRT15 = math.sqrt(15.0)
 SQRT30 = math.sqrt(30.0)
@@ -49,12 +50,16 @@ def _count(value, name: str) -> int:
 
 def parabola_state(x):
     """Psi(x) = -sqrt(30) (x^2 - 1/4), the normalized even parabola (L = 1)."""
+    import numpy as np
+
     x = np.asarray(x, dtype=float)
     return -SQRT30 * (x * x - 0.25)
 
 
 def even_mode(n: int, x):
     """Even infinite-well eigenfunction sqrt(2) cos((2n-1) pi x), n >= 1."""
+    import numpy as np
+
     x = np.asarray(x, dtype=float)
     return math.sqrt(2.0) * np.cos((2 * n - 1) * math.pi * x)
 
@@ -69,6 +74,8 @@ def well_coefficients(n: int) -> float:
 
 def well_coefficient_quadrature(n: int, tol: float = 1e-12) -> float:
     """The same overlap by direct quadrature; the independent route."""
+    from .numerics import integrate
+
     return float(integrate(lambda x: even_mode(n, x) * parabola_state(x), -0.5, 0.5, tol))
 
 
@@ -104,6 +111,8 @@ def _odd_inverse_power_sums(terms: int) -> tuple[float, float]:
     array serves every block: a fresh block-sized array per block page-faults
     (about 10^4 faults at 10^7 terms) and took twice as long.
     """
+    import numpy as np
+
     sum4 = sum2 = 0.0
     steps = np.arange(0.0, -2.0 * _SERIES_BLOCK, -2.0)
     work = np.empty(_SERIES_BLOCK)
@@ -126,6 +135,8 @@ def paradox_report(terms: int) -> ParadoxReport:
     240 / (pi^2 (2n-1)^2); they are summed in constant memory, whatever
     ``terms`` is.  ``terms`` must be an integer >= 1.
     """
+    from .numerics import integrate
+
     terms = _count(terms, "terms")
     sum4, sum2 = _odd_inverse_power_sums(terms)
     mean_e_series = (480.0 / math.pi ** 4) * sum4
@@ -180,6 +191,8 @@ class FiniteWellLevel:
     rhoL: float
 
     def wavefunction(self, x):
+        import numpy as np
+
         x = np.asarray(x, dtype=float)
         k, rho, d = self.kL, self.rhoL, self.norm_const
         inside = d * (np.cos(k * x) + (rho / k) * np.sin(k * x))
@@ -188,6 +201,8 @@ class FiniteWellLevel:
         return np.where(x < 0.0, left, np.where(x > 1.0, right, inside))
 
     def wavefunction_derivative(self, x):
+        import numpy as np
+
         x = np.asarray(x, dtype=float)
         k, rho, d = self.kL, self.rhoL, self.norm_const
         inside = d * (-k * np.sin(k * x) + rho * np.cos(k * x))

@@ -173,6 +173,14 @@ class TestScalarCommands:
         assert abs(float(row["R"]) - 1.0) < 1e-12
         assert abs(float(row["re_r"]) - 0.6) < 1e-9
 
+    @pytest.mark.parametrize("lam, k", [("1e300", "1e300"), ("-1e300", "1e10")])
+    def test_reflect_overflowing_lambda_k(self, capsys, lam, k):
+        code, out, err = invoke(capsys, "reflect", f"--lambda={lam}", "--k", k,
+                                "--format", "csv")
+        assert code == 0, err
+        (row,) = read_csv(out)
+        assert (row["re_r"], row["im_r"], row["R"]) == ("1", "0", "1")
+
     def test_bound_state_none(self, capsys):
         code, out, _ = invoke(capsys, "bound-state", "--lambda", "2", "--format", "csv")
         (row,) = read_csv(out)
@@ -251,6 +259,14 @@ class TestOutputDiscipline:
         assert code == 0 and out == ""
         assert "sector" in target.read_text()
 
+    def test_unwritable_output_is_usage_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "spec.csv"
+        code, out, err = invoke(capsys, "spectrum", "--u", "dirichlet", "--count", "3",
+                                "--output", str(target))
+        assert code == 2 and out == ""
+        assert err.startswith("error: --output: ") and err.count("\n") == 1
+        assert not target.exists()
+
     def test_unknown_flag_exit_two(self, capsys):
         code, _, _ = invoke(capsys, "spectrum", "--u", "dirichlet", "--bogus")
         assert code == 2
@@ -306,6 +322,22 @@ class TestInputHygiene:
         assert out == ""
         assert "numerical failure" not in err
 
+    @pytest.mark.parametrize("argv, reason", [
+        (("deuteron", "--sweep", ","), "--sweep: no values"),
+        (("well-limit", "--v0-list", ","), "--v0-list: no values"),
+        (("well-limit", "--v0-list", "100"), "at least two depths"),
+        (("spectrum", "--u", "dirichlet", "--s-max", "-5"), "--s-max must be positive"),
+        (("spectrum", "--u", "dirichlet", "--s-max", "0"), "--s-max must be positive"),
+        (("bound-state", "--lambda=-1e-160"), "overflows"),
+        (("bound-state", "--lambda=-1e-320"), "overflows"),
+    ], ids=["sweep-empty", "v0-list-empty", "v0-list-one-depth", "s-max-negative", "s-max-zero",
+            "lambda-1e-160", "lambda-1e-320"])
+    def test_empty_or_degenerate_input_is_usage_error(self, capsys, argv, reason):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and reason in err
+
     def test_well_limit_at_level_cap_accepted(self, capsys):
         code, out, err = invoke(capsys, "--format", "csv", "well-limit",
                                 "--v0-list", "1e10,1e11", "--level", "5000")
@@ -343,6 +375,9 @@ class TestInputHygiene:
         ("paradox", "--terms", str(10 ** 7 + 1)),
         ("paradox", "--terms", str(10 ** 8)),
         ("spectrum", "--u", "dirichlet", "--count", "5001"),
+        ("spectrum", "--u", "dirichlet", "--s-max", "100001"),
+        ("spectrum", "--u", "dirichlet", "--s-max", "1e9"),
+        ("spectrum", "--u", "dirichlet", "--s-max", "1e300"),
         ("expand", "--theta", "0", "--range=-1000:1001"),
         ("expand", "--theta", "0", "--range=0:2000000"),
         ("expand", "--theta", "0", "--range=1048577:1048577"),

@@ -57,12 +57,28 @@ class TestReflection:
         with pytest.raises(InvalidParameterError):
             reflection(1.0, k)
 
+    @pytest.mark.parametrize("lam, k", [(1e300, 1e300), (-1e300, 1e10)])
+    def test_overflowing_lambda_k_takes_the_infinite_limit(self, lam, k):
+        assert reflection(lam, k) == (complex(1.0), 1.0)
+
+    @pytest.mark.parametrize("lam, k", [(1e154, 1e154), (-1.7e308, 1.0), (1e150, 3.0)])
+    def test_large_finite_lambda_k_uses_the_formula(self, lam, k):
+        assert reflection(lam, k)[0] == -(1.0 + 1j * lam * k) / (1.0 - 1j * lam * k)
+
 
 class TestBoundState:
     def test_lambda_minus_one(self):
         state = bound_state(-1.0)
         assert abs(state.energy + 1.0) < 1e-14
         assert abs(state.amplitude - math.sqrt(2.0)) < 1e-14
+
+    @pytest.mark.parametrize("lam", [-1e-160, -1e-320])
+    def test_overflowing_energy_rejected(self, lam):
+        with pytest.raises(InvalidParameterError, match="overflows"):
+            bound_state(lam)
+
+    def test_tiny_lambda_with_a_finite_energy_accepted(self):
+        assert bound_state(-1e-154).energy == -1.0 / 1e-154 ** 2
 
     def test_absent_for_nonnegative_lambda(self):
         assert bound_state(1.0) is None
