@@ -373,7 +373,9 @@ def _solve_positive(req: BoxSpectrumRequest) -> tuple[list[SpectralRoot], float]
     lo = 1e-8
     ceiling = min(start, cap)
     while True:
-        brackets = scan_brackets(f, lo, ceiling, SCAN_STEP)
+        # a cap below lo + SCAN_STEP scans one shorter step; a cap at or below lo, nothing
+        step = min(SCAN_STEP, ceiling - lo)
+        brackets = scan_brackets(f, lo, ceiling, step) if step > 0 else []
         roots = _merge_roots(e, POSITIVE, f, brackets, roots, tol_gate=max(req.tol, 1e-9))
         if sum(root.multiplicity for root in roots) >= req.count:
             break

@@ -41,7 +41,7 @@ _OPERATORS = {"momentum": OperatorKind.MOMENTUM, "hamiltonian": OperatorKind.HAM
 # Input-size caps: the largest accepted input runs in a few seconds.
 _MAX_COUNT = 5000         # spectrum --count
 _MAX_S_MAX = 1e5          # spectrum --s-max (a scan to 1e5 takes about 2 s and 70 MB)
-_MAX_TERMS = 10 ** 7      # paradox --terms (bounds time, ~35 ms; the sums take constant memory)
+_MAX_TERMS = 10 ** 7      # paradox --terms (the sums are closed forms: any N takes ~0.14 ms)
 _MAX_RANGE_ROWS = 2001    # --range rows (-1000:1000)
 # expand: the whole table is validated on one FFT grid of P uniform panels, P the power of
 # two >= 2 ceil(max |nu|) (numerics.fourier_coefficients); P = 2^21 takes about 4 s and 180 MB

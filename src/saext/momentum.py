@@ -15,12 +15,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DiagnosticError, InvalidParameterError
 from .extensions import MomentumExtension
-from .numerics import fourier_coefficients, integrate
+
+# numpy and the quadrature load inside the functions that use them, so the
+# spectrum and the closed-form coefficients import without them
+if TYPE_CHECKING:
+    import numpy as np
 
 SQRT30 = math.sqrt(30.0)
 
@@ -35,6 +38,8 @@ class MomentumEigenstate:
     eigenvalue: float    # 2 pi hbar nu / L
 
     def wavefunction(self, x, length: float = 1.0):
+        import numpy as np
+
         x = np.asarray(x, dtype=float)
         return np.exp(2j * math.pi * self.nu * x / length) / math.sqrt(length)
 
@@ -80,6 +85,10 @@ def _quadrature_rows(theta: float, ns, tol: float = 1e-12) -> np.ndarray:
     Each row's tol is raised to the phase round-off, 8 eps |nu|, where that is larger
     (|nu| > 560): rounding 2 pi nu x moves the integrand by ~eps |nu|.
     """
+    import numpy as np
+
+    from .numerics import fourier_coefficients
+
     shift = theta / (2.0 * math.pi)
     nus = np.asarray(ns, dtype=float) + shift
     tols = np.maximum(tol, 8.0 * np.finfo(float).eps * np.abs(nus))
@@ -177,6 +186,8 @@ def uncertainty_product(state: MomentumEigenstate, length: float = 1.0) -> Uncer
     bound has no force.  The position moments are computed by quadrature of
     |phi|^2 = 1/L, which gives Delta X = L / sqrt(12).
     """
+    from .numerics import integrate
+
     density = lambda x: abs(state.wavefunction(x, length)) ** 2
     mean = integrate(lambda x: x * density(x), 0.0, length, tol=1e-12)
     mean_sq = integrate(lambda x: x * x * density(x), 0.0, length, tol=1e-12)

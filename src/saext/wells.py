@@ -99,32 +99,39 @@ class ParadoxReport:
     delta_E: float
 
 
-# terms per block of the streamed paradox sums: the work arrays stay in cache
-_SERIES_BLOCK = 1 << 15
+_HURWITZ_FROM = 32    # below this many terms the paradox sums are added term by term
+_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730)    # B_2, B_4, ..., B_12
+
+
+def _hurwitz_zeta(s: int, a: float) -> float:
+    """zeta(s, a) = sum over k >= 0 of (k + a)^-s, for s = 2 or 4 and a >= 32.5.
+
+    Euler-Maclaurin (DLMF 25.11.43): a^(1-s)/(s-1) + a^-s/2 + sum over j <= 6
+    of B_2j (s)_(2j-1)/(2j)! a^(1-s-2j).  The remainder is below the first
+    omitted term, 140 a^-14 of the leading one for s = 4: under 1e-19 relative.
+    """
+    x, power, rising, total = 1.0 / (a * a), 1.0, s / 2.0, 1.0 / (s - 1) + 0.5 / a
+    for j, b in enumerate(_BERNOULLI, 1):
+        power *= x
+        total += b * rising * power    # rising = (s)_(2j-1) / (2j)!
+        rising *= (s + 2 * j - 1) * (s + 2 * j) / ((2 * j + 1) * (2 * j + 2))
+    return a ** (1 - s) * total
 
 
 def _odd_inverse_power_sums(terms: int) -> tuple[float, float]:
-    """(sum k^-4, sum k^-2) over odd k = 1, 3, ..., 2 terms - 1, in constant memory.
+    """(sum k^-4, sum k^-2) over odd k = 1, 3, ..., 2 terms - 1, in O(1) time.
 
-    Blocks of ``_SERIES_BLOCK`` terms run from the tail inward, each block
-    descending in k, so the terms are added in ascending magnitude.  One work
-    array serves every block: a fresh block-sized array per block page-faults
-    (about 10^4 faults at 10^7 terms) and took twice as long.
+    Below ``_HURWITZ_FROM`` terms they are added smallest first; from there on
+    sum over n <= N of (2n-1)^-s = (1 - 2^-s) zeta(s) - 2^-s zeta(s, N + 1/2),
+    where (1 - 2^-s) zeta(s) is pi^4/96 or pi^2/8.  The tail beyond 2^60 terms
+    is below 1e-18, so it is taken there.
     """
-    import numpy as np
-
-    sum4 = sum2 = 0.0
-    steps = np.arange(0.0, -2.0 * _SERIES_BLOCK, -2.0)
-    work = np.empty(_SERIES_BLOCK)
-    for stop in range(terms, 0, -_SERIES_BLOCK):
-        block = work[:min(stop, _SERIES_BLOCK)]
-        np.add(steps[:block.size], 2.0 * stop - 1.0, out=block)    # odd k, descending
-        np.multiply(block, block, out=block)
-        np.divide(1.0, block, out=block)                           # k^-2
-        sum2 += float(block.sum())
-        np.multiply(block, block, out=block)                       # k^-4
-        sum4 += float(block.sum())
-    return sum4, sum2
+    if terms < _HURWITZ_FROM:
+        odd = range(2 * terms - 1, 0, -2)
+        return sum(1.0 / k ** 4 for k in odd), sum(1.0 / (k * k) for k in odd)
+    a = min(terms, 1 << 60) + 0.5
+    return (math.pi ** 4 / 96.0 - _hurwitz_zeta(4, a) / 16.0,
+            math.pi ** 2 / 8.0 - _hurwitz_zeta(2, a) / 4.0)
 
 
 def paradox_report(terms: int) -> ParadoxReport:
@@ -132,7 +139,8 @@ def paradox_report(terms: int) -> ParadoxReport:
 
     With b_n^2 = 960 / (pi^6 (2n-1)^6) and E'_n = pi^2 (2n-1)^2 / 2, the series
     terms are b_n^2 E'_n = 480 / (pi^4 (2n-1)^4) and b_n^2 E'_n^2 =
-    240 / (pi^2 (2n-1)^2); they are summed in constant memory, whatever
+    240 / (pi^2 (2n-1)^2); their partial sums come from the Hurwitz zeta
+    closed form (``_odd_inverse_power_sums``) in constant time, whatever
     ``terms`` is.  ``terms`` must be an integer >= 1.
     """
     from .numerics import integrate

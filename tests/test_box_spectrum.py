@@ -24,6 +24,7 @@ from saext import (
     integrate,
     lm_matrices,
     named_extension,
+    parse_extension,
     solve_spectrum,
     to_matrix,
     to_physical_energy,
@@ -282,6 +283,20 @@ class TestSolveSpectrum:
         with pytest.raises(IncompleteSpectrumError) as err:
             solve(named_extension("dirichlet"), count=50, s_max_hint=10.0, s_max_cap=10.0)
         assert len(err.value.roots_found) == 3
+
+    @pytest.mark.parametrize("name, kwargs", [
+        ("quasiperiodic:0.2", {}), ("psi=0.4,m=(0.5,0.5,0.5,0.5)", {"count": 50}),
+        ("periodic", {"s_max_hint": 1.0, "s_max_cap": 40.0}), ("dirichlet", {"s_max_cap": 3.5}),
+    ])
+    def test_plain_solves_scan_whole_steps(self, monkeypatch, name, kwargs):
+        # the step is shortened only below one SCAN_STEP of span, so other roots keep their bits
+        from saext import box_spectrum
+
+        steps, scan = [], box_spectrum.scan_brackets
+        monkeypatch.setattr(box_spectrum, "scan_brackets",
+                            lambda f, lo, hi, step: steps.append(step) or scan(f, lo, hi, step))
+        solve(parse_extension(name), **{"count": 1, **kwargs})
+        assert steps and set(steps) == {box_spectrum.SCAN_STEP}
 
     def test_generic_branch_equations(self, rng):
         # roots obey tan(s/2) = [Q(s) +/- sqrt(D(s))] / (2 s (m1 + sin psi)) with

@@ -65,6 +65,20 @@ class TestSpectrumCommand:
         assert code == 3
         assert "numerical failure" in err
 
+    def test_s_max_below_one_scan_step(self, capsys):
+        code, out, _ = invoke(capsys, "spectrum", "--u", "quasiperiodic:0.2", "--count", "1",
+                              "--s-max", "0.3", "--format", "csv")
+        assert code == 0
+        (row,) = read_csv(out)
+        assert abs(float(row["value"]) - 0.04) < 1e-12
+
+    @pytest.mark.parametrize("s_max", ["0.01", "1e-9"])
+    def test_s_max_below_the_level_is_numerical_failure(self, capsys, s_max):
+        code, _, err = invoke(capsys, "spectrum", "--u", "quasiperiodic:0.2", "--count", "1",
+                              "--s-max", s_max)
+        assert code == 3
+        assert "scan ceiling" in err and "exhausted" in err
+
     def test_miscounted_spectrum_is_numerical_failure(self, capsys):
         # the pairs 2 pi n +- 1.05e-8 collapse into single levels: the count guard fires
         code, out, err = invoke(capsys, "spectrum", "--u", "quasiperiodic:1.05e-8",

@@ -69,7 +69,8 @@ def modules_after_command(*argv: str) -> set[str]:
     (("deficiency", "--operator", "momentum", "--interval", "halfline"), set()),
     (("deuteron", "--sweep", "0,1,inf"), {"saext.halfline"}),
     (("well-limit", "--v0-list", "100,1000", "--level", "2"), {"saext.wells"}),
-], ids=["reflect", "bound-state", "deficiency", "deuteron", "well-limit"])
+    (("momentum-spectrum", "--theta", "3.14159", "--range=-5:5"), {"saext.momentum"}),
+], ids=["reflect", "bound-state", "deficiency", "deuteron", "well-limit", "momentum-spectrum"])
 def test_scalar_commands_load_no_numpy(argv, home):
     loaded = modules_after_command(*argv)
     assert not loaded & {"numpy", "saext.numerics"}

@@ -1,5 +1,6 @@
-"""Every printed digit of the README `deuteron`, `well-limit`, `reflect` and
-`bound-state` lines and of the `spectrum` value column, at 50 digits.
+"""Every printed digit of the README `deuteron`, `well-limit`, `reflect`,
+`bound-state` and `paradox` lines and of the `spectrum` value column, at 50
+digits.
 
 The golden file pins the bytes the CLI prints; this module checks that those
 bytes are true.  Each value is derived again with mpmath from its defining
@@ -7,10 +8,12 @@ equation, not from the library's phase equations: the deuteron from the tan
 form of its matching condition, the finite well from its parity condition
 and a quadrature of its norm, box levels from their closed forms or the
 characteristic functions F and G, reflection and the bound state from their
-closed forms.  A printed token must equal the value rounded correctly to the
-printed precision; where the value lies within 1e-3 units in the last
-printed place of a rounding boundary, either neighbour passes.  The spectrum
-residuals and eigenfunction coefficients are round-off and stay out.
+closed forms, the paradox series from Hurwitz zeta and its direct values
+from the exact 5, 30, 0 and 30.  A printed token must equal the value
+rounded correctly to the printed precision; where the value lies within 1e-3
+units in the last printed place of a rounding boundary, either neighbour
+passes.  The spectrum residuals and eigenfunction coefficients are round-off
+and stay out.
 """
 
 import csv
@@ -35,6 +38,7 @@ GENERIC = "spectrum --u psi=0.4,m=(0.5,0.5,0.5,0.5) --count 5 --include-negative
 QUASI = "spectrum --u quasiperiodic:1.57 --count 4 --eigenfunctions --format csv"
 REFLECT = "reflect --lambda 1 --k 2"
 BOUND_STATE = "bound-state --lambda=-1"
+PARADOX = "paradox --terms 1000000"
 
 
 def table(command):
@@ -174,3 +178,28 @@ def test_bound_state_row():
         lam = mpmath.mpf(-1)
         assert_correctly_rounded(row["energy"], -1 / lam ** 2)
         assert_correctly_rounded(row["amplitude"], mpmath.sqrt(2 / abs(lam)))
+
+
+def test_paradox_row():
+    # sum over n <= N of (2n-1)^-s = (1 - 2^-s) zeta(s) - 2^-s zeta(s, N + 1/2)
+    (row,) = table(PARADOX)
+    terms = int(row["terms_used"])
+    assert terms == 1000000
+    with mpmath.workdps(50):
+        def odd_sum(s):
+            return (1 - mpmath.mpf(2) ** -s) * mpmath.zeta(s) \
+                - mpmath.mpf(2) ** -s * mpmath.zeta(s, terms + mpmath.mpf(0.5))
+
+        mean_e = 480 / mpmath.pi ** 4 * odd_sum(4)
+        mean_e2 = 240 / mpmath.pi ** 2 * odd_sum(2)
+        values = {
+            "mean_E_series": mean_e,
+            "mean_E_direct": 5,
+            "mean_E2_series": mean_e2,
+            "mean_E2_direct": 30,
+            "naive_E2": 0,
+            "boundary_term": 30,
+            "delta_E": mpmath.sqrt(mean_e2 - mean_e ** 2),
+        }
+        for name, value in values.items():
+            assert_correctly_rounded(row[name], mpmath.mpf(value))

@@ -13,7 +13,7 @@ from saext import (
     well_coefficients,
     wells,
 )
-from saext.wells import _SERIES_BLOCK, well_coefficient_quadrature
+from saext.wells import _HURWITZ_FROM, well_coefficient_quadrature
 
 from conftest import well_parity_condition
 
@@ -90,8 +90,10 @@ class TestParadox:
         assert rep.terms_used == 10 and type(rep.terms_used) is int
         assert rep == paradox_report(10)
 
-    @pytest.mark.parametrize("terms", [1, 2, _SERIES_BLOCK - 1, _SERIES_BLOCK, _SERIES_BLOCK + 1,
-                                       3 * _SERIES_BLOCK + 7, 10 ** 6])
+    # either side of the switch to the closed form, and far beyond any count a loop could add
+    @pytest.mark.parametrize("terms", [1, 2, _HURWITZ_FROM - 1, _HURWITZ_FROM, _HURWITZ_FROM + 1,
+                                       2 ** 15 - 1, 2 ** 15, 2 ** 15 + 1, 3 * 2 ** 15 + 7,
+                                       10 ** 6, 10 ** 7, 10 ** 12, 2 ** 53])
     def test_series_match_hurwitz_partial_sums(self, terms):
         # sum_{n<=N} (2n-1)^-s = (1 - 2^-s) zeta(s) - 2^-s zeta(s, N + 1/2), to 40 digits
         mpmath = pytest.importorskip("mpmath")
@@ -104,6 +106,12 @@ class TestParadox:
             rep = paradox_report(terms)
             assert abs(rep.mean_E_series - want_e) <= 1e-14 * want_e
             assert abs(rep.mean_E2_series - want_e2) <= 1e-14 * want_e2
+
+    def test_series_increase_across_the_switch(self):
+        reps = [paradox_report(n) for n in range(_HURWITZ_FROM - 3, _HURWITZ_FROM + 4)]
+        for a, b in zip(reps, reps[1:]):
+            assert a.mean_E_series < b.mean_E_series
+            assert a.mean_E2_series < b.mean_E2_series
 
     def test_series_memory_is_constant(self):
         tracemalloc.start()
