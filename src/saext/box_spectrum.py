@@ -117,6 +117,8 @@ def _reduced_positive(e: ExtensionU2):
     """F(s)/s, continuous at 0 with limit Z; kills the trivial root at s = 0.
 
     sin(t)/t at t = pi (s/pi + 1e-300) is np.sinc(s/pi) to the bit, finite at 0.
+    A scalar s takes numpy's cos and sin as Python floats: the same IEEE
+    operations, without the slower numpy scalar arithmetic.
     """
     sp, cp = math.sin(e.psi), math.cos(e.psi)
     m0, m1 = e.m0, e.m1
@@ -124,15 +126,23 @@ def _reduced_positive(e: ExtensionU2):
     def f(s):
         t = math.pi * (s / math.pi + 1e-300)
         ss = s * s
-        out = 2.0 * (sp * np.cos(s) - m1) - np.sin(t) / t * (cp * (ss + 1.0) - m0 * (ss - 1.0))
+        c, st = np.cos(s), np.sin(t)
+        if not isinstance(s, np.ndarray):
+            c, st = float(c), float(st)
+        out = 2.0 * (sp * c - m1) - st / t * (cp * (ss + 1.0) - m0 * (ss - 1.0))
         return out if isinstance(out, np.ndarray) else float(out)
 
     return f
 
 
+# The scalar branches of _rcoth and _rcsch take numpy's exp and expm1 as Python
+# floats (as _reduced_positive does) and give the nan of 0/0 at r = 0.
 def _rcoth(r):
     if not isinstance(r, np.ndarray):
-        return r + 2.0 * r / np.expm1(2.0 * r) if r < 350.0 else r
+        if r >= 350.0:
+            return r
+        em1 = float(np.expm1(2.0 * r))
+        return r + 2.0 * r / em1 if em1 else math.nan
     small = r < 350.0
     safe = np.where(small, r, 1.0)
     return np.where(small, safe + 2.0 * safe / np.expm1(2.0 * safe), r)
@@ -140,7 +150,10 @@ def _rcoth(r):
 
 def _rcsch(r):
     if not isinstance(r, np.ndarray):
-        return -2.0 * r * np.exp(-r) / np.expm1(-2.0 * r) if r < 350.0 else 0.0
+        if r >= 350.0:
+            return 0.0
+        em1 = float(np.expm1(-2.0 * r))
+        return -2.0 * r * float(np.exp(-r)) / em1 if em1 else math.nan
     small = r < 350.0
     safe = np.where(small, r, 1.0)
     return np.where(small, -2.0 * safe * np.exp(-safe) / np.expm1(-2.0 * safe), 0.0)

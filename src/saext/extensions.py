@@ -17,6 +17,7 @@ from __future__ import annotations
 import cmath
 import math
 import re
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING
@@ -233,8 +234,9 @@ def _square_integrable(density, iv: IntervalKind, cutoff: float) -> bool:
         lo1, hi1, lo2, hi2 = 0.0, cutoff, 0.0, 2.0 * cutoff
     else:
         lo1, hi1, lo2, hi2 = -cutoff, cutoff, -2.0 * cutoff, 2.0 * cutoff
-    crude = max(density(lo2), density(hi2), density(0.0)) * (hi2 - lo2)
-    tol = 1e-9 * max(1.0, crude)
+    crude = float(max(density(lo2), density(hi2), density(0.0))) * (hi2 - lo2)
+    # crude overflows when |psi|^2 nears the largest float; integrate needs a finite tol
+    tol = 1e-9 * min(max(1.0, crude), sys.float_info.max)
     i1 = integrate(density, lo1, hi1, tol=tol)
     i2 = integrate(density, lo2, hi2, tol=tol)
     ratio = i2 / i1

@@ -344,48 +344,45 @@ class TestSolveSpectrum:
 
 
     def test_refinement_takes_one_batched_call_per_step(self, monkeypatch):
-        """Dirichlet at count 200: refining costs max(iterations) calls, not their sum."""
-        from saext import box_spectrum
+        """Dirichlet at count 200: one batched call per step while many brackets are live.
 
-        calls = []
-        reduced, scan, refine = (box_spectrum._reduced_positive, box_spectrum.scan_brackets,
-                                 box_spectrum.refine_brackets)
+        Each refinement step evaluates f once per live bracket, so the points of all
+        calls sum to the iterations.  A grid call serves at least _GRID_MIN_LIVE
+        brackets; fewer finish on scalar calls, so there are at most max(iterations)
+        grid calls.
+        """
+        from saext import box_spectrum
+        from saext.numerics import _GRID_MIN_LIVE
+
+        calls = []  # (grid call?, points) of every call of F/s
+        reduced, refine = box_spectrum._reduced_positive, box_spectrum.refine_brackets
 
         def counted_reduced(ext):
             f = reduced(ext)
-            return lambda s: calls.append(np.size(s)) or f(s)
-
-        scan_calls = []
-
-        def counted_scan(*args, **kwargs):
-            before = len(calls)
-            out = scan(*args, **kwargs)
-            scan_calls.append(len(calls) - before)
-            return out
+            return lambda s: calls.append((isinstance(s, np.ndarray), np.size(s))) or f(s)
 
         refined = []
 
         def counted_refine(brackets, f, tols):
             before = len(calls)
             reports = refine(brackets, f, tols)
-            refined.append((len(calls) - before, reports))
+            refined.append((calls[before:], reports))
             return reports
 
         monkeypatch.setattr(box_spectrum, "_reduced_positive", counted_reduced)
-        monkeypatch.setattr(box_spectrum, "scan_brackets", counted_scan)
         monkeypatch.setattr(box_spectrum, "refine_brackets", counted_refine, raising=False)
         result = solve(named_extension("dirichlet"), count=200)
 
         assert len(result.positive) == 200
-        most = max(root.iterations for root in result.positive)
-        assert len(calls) <= 2 * most + sum(scan_calls)  # one at a time: ~30 calls per root
-        positive = [(n, reports) for n, reports in refined if n]
+        positive = [(refine_calls, reports) for refine_calls, reports in refined if refine_calls]
         assert len(positive) == 1
-        n_calls, reports = positive[0]
+        refine_calls, reports = positive[0]
         iterations = [rep.iterations for rep in reports]
         assert len(reports) >= 200 and min(iterations) >= 10
-        assert n_calls == max(iterations) < sum(iterations) / 100
-        assert len(calls) == max(iterations) + sum(scan_calls)
+        assert sum(points for _, points in refine_calls) == sum(iterations)
+        grid = [points for is_grid, points in refine_calls if is_grid]
+        assert all(points >= _GRID_MIN_LIVE for points in grid)
+        assert 0 < len(grid) <= max(iterations)
 
 
 class TestLevelCountGuard:

@@ -138,6 +138,13 @@ class TestDeficiency:
         (n_plus, n_minus), _ = self.TABLE[(op, iv)]
         assert verify_deficiency(op, iv, d_or_k0=1.0, cutoff=10.0) == (n_plus, n_minus)
 
+    @pytest.mark.parametrize("iv", [IntervalKind.SEMI_AXIS, IntervalKind.FULL_LINE])
+    def test_numerical_verification_near_float_overflow(self, iv):
+        # at cutoff 250, |psi|^2 = e^(sqrt(2) x) reaches 1.3e307 on the doubled window,
+        # so its crude scale (times the window width) overflows to inf
+        want, _ = self.TABLE[(OperatorKind.HAMILTONIAN, iv)]
+        assert verify_deficiency(OperatorKind.HAMILTONIAN, iv, d_or_k0=1.0, cutoff=250.0) == want
+
     def test_verify_rejects_bad_inputs(self):
         with pytest.raises(InvalidParameterError):
             verify_deficiency(OperatorKind.MOMENTUM, IntervalKind.FULL_LINE, -1.0, 10.0)

@@ -17,7 +17,8 @@ from saext import (
     scan_brackets,
 )
 from saext.box_spectrum import SCAN_STEP, _reduced_negative, _reduced_positive
-from saext.numerics import fourier_coefficients
+from saext.numerics import TANGENCY_RTOL, _GRID_MIN_LIVE, fourier_coefficients
+from saext.roots import _refine_extremum
 
 from conftest import random_extension, well_parity_condition
 
@@ -70,6 +71,109 @@ def test_scan_finds_all_separated_roots(k):
     expected = [n * math.pi / k for n in range(1, int(hi * k / math.pi) + 1) if n * math.pi / k < hi - 1e-9]
     hits = [any(b.lo <= r <= b.hi for b in brackets) for r in expected]
     assert all(hits)
+
+
+@pytest.mark.parametrize("lo, hi", [(0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0),
+                                    (0.0, math.nan)])
+def test_scan_rejects_non_finite_ends(lo, hi):
+    with pytest.raises(InvalidParameterError):
+        scan_brackets(math.sin, lo, hi, 0.5)
+
+
+def reference_scan(f, lo, hi, step):
+    """scan_brackets as two Python loops over the grid cells, the form the masks replaced."""
+    n = max(1, math.ceil((hi - lo) / step))
+    xs = np.linspace(lo, hi, n + 1)
+    ys = np.asarray(f(xs), dtype=float)
+    brackets = []
+    signs = np.sign(ys)
+    for i in range(n):
+        if signs[i] * signs[i + 1] < 0:
+            brackets.append(Bracket(float(xs[i]), float(xs[i + 1]), float(ys[i]), float(ys[i + 1])))
+        elif ys[i] == 0.0 and i > 0:
+            h = (xs[i + 1] - xs[i]) * 1e-6
+            fl, fr = float(f(xs[i] - h)), float(f(xs[i] + h))
+            if fl * fr < 0:
+                brackets.append(Bracket(float(xs[i] - h), float(xs[i] + h), fl, fr))
+            else:
+                brackets.append(Bracket(float(xs[i] - h), float(xs[i] + h), fl, fr,
+                                        double_root=True, x_min=float(xs[i])))
+    handled = []
+    for i in range(1, n):
+        if signs[i - 1] == signs[i] == signs[i + 1] != 0 and (
+            abs(ys[i]) <= abs(ys[i - 1]) and abs(ys[i]) <= abs(ys[i + 1])
+        ):
+            a, b = float(xs[i - 1]), float(xs[i + 1])
+            x_star = _refine_extremum(f, a, b, 1e-11 * max(1.0, abs(xs[i])))
+            if x_star is None:
+                continue
+            if any(abs(x_star - seen) <= 1e-3 * step for seen in handled):
+                continue
+            handled.append(x_star)
+            f_star = float(f(x_star))
+            scale = max(abs(ys[i - 1]), abs(ys[i + 1]), 1e-300)
+            if abs(f_star) <= TANGENCY_RTOL * scale:
+                w = max(1e-9, 1e-7 * abs(x_star))
+                brackets.append(Bracket(x_star - w, x_star + w, float(f(x_star - w)),
+                                        float(f(x_star + w)), double_root=True, x_min=x_star))
+            elif np.sign(f_star) != 0 and np.sign(f_star) != signs[i]:
+                brackets.append(Bracket(a, x_star, float(ys[i - 1]), f_star))
+                brackets.append(Bracket(x_star, b, f_star, float(ys[i + 1])))
+    brackets.sort(key=lambda br: br.lo)
+    return brackets
+
+
+def assert_scan_matches_reference(f, lo, hi, step):
+    """Same brackets in the same order, every end, value, flag and x_min to the bit."""
+    brackets = scan_brackets(f, lo, hi, step)
+    assert [repr(br) for br in brackets] == [repr(br) for br in reference_scan(f, lo, hi, step)]
+    return brackets
+
+
+def test_scan_matches_cell_loops_on_random_u2_scans():
+    rng = np.random.default_rng(20241019)
+    exts = [random_extension(rng) for _ in range(300)] + [
+        named_extension(name) for name in ("dirichlet", "neumann", "periodic", "antiperiodic")] + [
+        named_extension("quasi_periodic", theta=theta) for theta in (1e-5, 1e-3, 2 * math.pi - 1e-5)]
+    kinds = {"sign change": 0, "double root": 0}
+    for ext in exts:
+        for f, hi in [(_reduced_positive(ext), 25 * math.pi), (_reduced_negative(ext), 30.0)]:
+            for br in assert_scan_matches_reference(f, 1e-8, hi, SCAN_STEP):
+                kinds["double root" if br.double_root else "sign change"] += 1
+    assert kinds["sign change"] >= 300 * 20 and kinds["double root"] >= 20
+
+
+@pytest.mark.parametrize("name, theta", [("periodic", None), ("antiperiodic", None),
+                                         ("quasi_periodic", 1e-3)])
+def test_scan_matches_cell_loops_on_long_tangency_scans(name, theta):
+    # a double level or a close pair every pi: hundreds of polished dips in one scan
+    ext = named_extension(name) if theta is None else named_extension(name, theta=theta)
+    brackets = assert_scan_matches_reference(_reduced_positive(ext), 1e-8, 1000.0, SCAN_STEP)
+    assert len(brackets) >= 150
+
+
+@pytest.mark.parametrize("f, lo, hi, step, kinds", [
+    # exact grid-node zeros, crossing and touching (nodes 0, 0.5, ..., 2)
+    (lambda s: s - 1.0, 0.0, 2.0, 0.5, [False]),
+    (lambda s: (s - 1.0) ** 2, 0.0, 2.0, 0.5, [True]),
+    (lambda s: -((s - 1.0) ** 2), 0.0, 2.0, 0.5, [True]),
+    # zeros at lo and at hi themselves are not bracketed
+    (lambda s: s * (s - 2.0), 0.0, 2.0, 0.5, []),
+    # a tangency between nodes
+    (lambda s: (s - math.pi) ** 2, 2.0, 4.0, 0.1, [True]),
+    # two crossings hidden inside one cell
+    (lambda s: (s - 0.99) * (s - 1.01), 0.1, 2.0, 0.5, [False, False]),
+    (lambda s: -(s - 0.99) * (s - 1.01), 0.1, 2.0, 0.5, [False, False]),
+    # equal |f| at the adjacent nodes 1.0 and 1.5: both are dips of one extremum
+    (lambda s: (s - 1.25) ** 2, 0.0, 2.0, 0.5, [True]),
+    (lambda s: (s - 1.25) ** 2 - 0.01, 0.0, 2.0, 0.5, [False, False]),
+    (lambda s: (s - 1.25) ** 2 + 0.01, 0.0, 2.0, 0.5, []),
+    # one cell
+    (lambda s: s - 0.3, 0.0, 1.0, 1.0, [False]),
+])
+def test_scan_matches_cell_loops_on_fixtures(f, lo, hi, step, kinds):
+    brackets = assert_scan_matches_reference(f, lo, hi, step)
+    assert [br.double_root for br in brackets] == kinds
 
 
 def test_refine_sine_root_to_pi():
@@ -224,7 +328,9 @@ def test_refine_brackets_accepts_scalar_only_callables():
     assert all(abs(rep.root - k * math.pi) <= 1e-12 for rep, k in zip(reports, (1, 2, 3)))
 
 
-@pytest.mark.parametrize("others", [0, 1])  # one bracket runs on scalar calls, two share a grid
+# with fewer than _GRID_MIN_LIVE brackets every one runs on scalar calls; with that many
+# they share a grid, and the first grid call meets the NaN
+@pytest.mark.parametrize("others", [0, 1, _GRID_MIN_LIVE - 1])
 def test_refine_brackets_reports_non_finite_value_at_its_abscissa(others):
     f = lambda s: np.where((s > 6.0) & (s < 6.5), np.nan, np.sin(s))
     a, b, fa, fb = 6.0, 6.5, math.sin(6.0), math.sin(6.5)
@@ -233,6 +339,40 @@ def test_refine_brackets_reports_non_finite_value_at_its_abscissa(others):
         refine_brackets(brackets, f, [1e-12] * len(brackets))
     secant = b - fb * (b - a) / (fb - fa)  # the first abscissa the second bracket asks for
     assert err.value.abscissa == secant
+
+
+class CountedCalls:
+    """Wrap f; record the size of every grid call and count the scalar calls."""
+
+    def __init__(self, f):
+        self.f, self.grid, self.scalar = f, [], 0
+
+    def __call__(self, x):
+        if isinstance(x, np.ndarray):
+            self.grid.append(x.size)
+        else:
+            self.scalar += 1
+        return self.f(x)
+
+
+@pytest.mark.parametrize("size", [_GRID_MIN_LIVE - 1, _GRID_MIN_LIVE, _GRID_MIN_LIVE + 1, 205])
+def test_refine_brackets_matches_refine_root_around_the_grid_threshold(size):
+    ext = random_extension(np.random.default_rng(size))
+    f = _reduced_positive(ext)
+    brackets = [br for br in scan_brackets(f, 1e-8, 215 * math.pi, SCAN_STEP)
+                if not br.double_root][:size]
+    assert len(brackets) == size
+    counted = CountedCalls(f)
+    reports = refine_brackets(brackets, counted, merge_tols(brackets))
+    assert reports == [refine_root(br, f, tol) for br, tol in zip(brackets, merge_tols(brackets))]
+    assert sum(counted.grid) + counted.scalar == sum(rep.iterations for rep in reports)
+    assert all(n >= _GRID_MIN_LIVE for n in counted.grid)
+    assert bool(counted.grid) == (size >= _GRID_MIN_LIVE)
+
+    sines = [Bracket(k * math.pi - 0.2, k * math.pi + 0.3, math.sin(k * math.pi - 0.2),
+                     math.sin(k * math.pi + 0.3)) for k in range(1, size + 1)]
+    reports = assert_lockstep_matches_one_at_a_time(sines, math.sin, [1e-12] * size)
+    assert all(abs(rep.root - k * math.pi) <= 1e-12 * k for k, rep in enumerate(reports, 1))
 
 
 def test_refine_brackets_of_nothing_is_empty():
@@ -314,6 +454,21 @@ def test_integrate_reports_accuracy_failure():
     assert err.value.achieved_error > 1e-30
 
 
+@pytest.mark.parametrize("a, b", [(0.0, math.inf), (-math.inf, 0.0), (-math.inf, math.inf),
+                                  (math.nan, 1.0), (0.0, math.nan)])
+def test_integrate_rejects_non_finite_limits(a, b):
+    # (0, inf) used to return nan with a RuntimeWarning
+    with pytest.raises(InvalidParameterError):
+        integrate(lambda x: np.exp(-x), a, b, 1e-12)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-12])
+def test_integrate_rejects_tol_not_positive_and_finite(tol):
+    # nan used to spend the whole panel budget and end in AccuracyError; inf took the first pass
+    with pytest.raises(InvalidParameterError):
+        integrate(math.cos, 0.0, 1.0, tol)
+
+
 def test_fourier_coefficients_of_a_line_at_every_integer():
     # integral of x e^{-2 pi i n x} over [0, 1]: 1/2 at n = 0, i / (2 pi n) otherwise;
     # rows far beyond P/2 alias onto the same FFT bins and stay exact
@@ -360,9 +515,9 @@ def test_fourier_coefficients_rejects_bad_input(ns, tol):
         fourier_coefficients(lambda x: x, ns, tol)
 
 
-# Characteristic functions take a float or an array through one numpy
-# expression; refine_brackets mixes grid steps with scalar steps on its last
-# live bracket, so the two must agree to the bit.
+# Characteristic functions take a float or an array through the same IEEE
+# operations; refine_brackets finishes its last live brackets on scalar calls
+# after grid steps, so the two must agree to the bit.
 def assert_scalar_matches_grid(f, xs):
     grid = f(np.array(xs))
     for x, in_grid in zip(xs, grid):
@@ -408,5 +563,7 @@ def test_reduced_positive_keeps_np_sinc_rounding():
 def test_reduced_negative_scalar_matches_grid():
     rs = [1e-8, 1.0, 25.0, 349.9, 350.0, 354.9, 355.0, 700.0]  # 350: the far-range switch
     rs += spread(0.0, 1.0, 400) + spread(0.0, 30.0) + spread(340.0, 360.0, 20)
+    rs += [0.0]  # 0/0 in coth and csch: nan on both paths
     for ext in agreement_extensions():
-        assert_scalar_matches_grid(_reduced_negative(ext), rs)
+        with np.errstate(invalid="ignore"):
+            assert_scalar_matches_grid(_reduced_negative(ext), rs)
