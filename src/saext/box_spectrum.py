@@ -20,7 +20,7 @@ from __future__ import annotations
 import cmath
 import math
 import operator
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -179,44 +179,48 @@ def _reduced_negative(e: ExtensionU2):
 # request / result containers
 
 
-@dataclass(frozen=True)
-class BoxSpectrumRequest:
+class _BoxSpectrumFields(NamedTuple):
     ext: ExtensionU2
     count: int = 10
     s_max_hint: float | None = None
     tol: float = 1e-9
     s_max_cap: float | None = None
 
-    def __post_init__(self):
+
+class BoxSpectrumRequest(_BoxSpectrumFields):
+    """A validated solve_spectrum request; ``count`` is stored as an int."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         try:
-            object.__setattr__(self, "count", operator.index(self.count))
+            count = operator.index(self.count)
         except TypeError:
             raise InvalidParameterError(f"count must be an integer, got {self.count!r}") from None
-        if self.count < 1:
+        if count < 1:
             raise InvalidParameterError("count must be >= 1")
         if not 0 < self.tol < math.inf:
             raise InvalidParameterError("tol must be positive and finite")
         for name in ("s_max_hint", "s_max_cap"):
             if getattr(self, name) is not None and not math.isfinite(getattr(self, name)):
                 raise InvalidParameterError(f"{name} must be finite")
+        return self._replace(count=count)
 
 
-@dataclass(frozen=True)
-class SpectralRoot:
+class SpectralRoot(NamedTuple):
     value: float          # s (positive sector) or r (negative sector), both > 0
     multiplicity: int
     residual: float       # |reduced characteristic| at the root, locally rescaled
     iterations: int = 0
 
 
-@dataclass(frozen=True)
-class SolveDiagnostics:
+class SolveDiagnostics(NamedTuple):
     zero_value: float     # Z, the zero-mode indicator
     scan_ceiling: float   # final s ceiling used by the positive scan
 
 
-@dataclass(frozen=True)
-class SpectrumResult:
+class SpectrumResult(NamedTuple):
     negative: tuple[SpectralRoot, ...]
     has_zero_mode: bool
     positive: tuple[SpectralRoot, ...]
@@ -320,7 +324,7 @@ def _merge_roots(
         ):
             continue
         if not root.multiplicity:
-            root = replace(root, multiplicity=degeneracy(e, sector, root.value))
+            root = root._replace(multiplicity=degeneracy(e, sector, root.value))
         merged.append(root)
     return merged
 
@@ -497,8 +501,7 @@ def solve_spectrum(req: BoxSpectrumRequest) -> SpectrumResult:
 # eigenfunctions
 
 
-@dataclass(frozen=True)
-class BoxEigenfunction:
+class BoxEigenfunction(NamedTuple):
     """Normalized eigenfunction of the box Hamiltonian on [0, 1].
 
     positive sector: phi = A e^{isx} + B e^{-isx}

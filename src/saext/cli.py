@@ -11,7 +11,8 @@ lambda or lambda/a, a size above its cap, an empty list, or an --output path
 that cannot be written), 3 numerical failure.
 
 Each subcommand imports the modules it runs when it runs: ``reflect``,
-``bound-state``, ``deficiency``, ``deuteron`` and ``well-limit`` load no numpy.
+``bound-state``, ``deficiency``, ``deuteron``, ``well-limit``,
+``momentum-spectrum`` and ``paradox`` load no numpy.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InvalidParameterError, SaextError
 from .extensions import (
@@ -41,7 +42,7 @@ _OPERATORS = {"momentum": OperatorKind.MOMENTUM, "hamiltonian": OperatorKind.HAM
 # Input-size caps: the largest accepted input runs in a few seconds.
 _MAX_COUNT = 5000         # spectrum --count
 _MAX_S_MAX = 1e5          # spectrum --s-max (a scan to 1e5: 2-5 s, 70 MB; 2.1 GHz Xeon)
-_MAX_TERMS = 10 ** 7      # paradox --terms (the sums are closed forms: any N takes ~0.14 ms)
+_MAX_TERMS = 10 ** 7      # paradox --terms (all closed forms: any N takes ~10 us)
 _MAX_RANGE_ROWS = 2001    # --range rows (-1000:1000)
 # expand: the whole table is validated on one FFT grid of P uniform panels, P the power of
 # two >= 2 ceil(max |nu|) (numerics.fourier_coefficients); P = 2^21 takes about 4 s and 180 MB
@@ -54,8 +55,7 @@ _MAX_LIST = 10_000        # --sweep and --v0-list values (10^4 deuteron depths: 
 _DEUTERON_RESIDUAL_FLOOR = 4e-15
 
 
-@dataclass(frozen=True)
-class OutputSpec:
+class OutputSpec(NamedTuple):
     format: str = "table"          # table | csv | json
     destination: str = "-"         # path or "-" for stdout
     precision: int = 10            # significant digits

@@ -18,9 +18,8 @@ import cmath
 import math
 import re
 import sys
-from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DiagnosticError, InvalidParameterError
 
@@ -38,8 +37,10 @@ _UNITARY_TOL = 1e-9
 CLASSIFY_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class ExtensionU2:
+# The value types are NamedTuples.  A validating one subclasses a NamedTuple of its
+# fields to check and canonicalize in __new__; _replace skips __new__ and its checks.
+class ExtensionU2(NamedTuple("ExtensionU2", [("psi", float), ("m0", float),
+                                             ("m", tuple[float, float, float])])):
     """One self-adjoint boundary condition of the box Hamiltonian.
 
     Construction renormalizes (m0, m) onto the unit 3-sphere (rejecting
@@ -47,29 +48,26 @@ class ExtensionU2:
     using the (psi, m) ~ (psi + pi, -m) identification.
     """
 
-    psi: float
-    m0: float
-    m: tuple[float, float, float]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, psi: float, m0: float, m: tuple[float, float, float]):
         import numpy as np
 
-        vec = np.array([self.m0, *self.m], dtype=float)
+        vec = np.array([m0, *m], dtype=float)
         norm = float(np.linalg.norm(vec))
         if not math.isfinite(norm) or abs(norm - 1.0) > _S3_CONSTRUCT_TOL:
             raise InvalidParameterError(
                 f"(m0, m) must lie on the unit 3-sphere (|norm-1| = {abs(norm - 1.0):.3e})"
             )
-        if not math.isfinite(self.psi):
-            raise InvalidParameterError(f"psi must be finite, got {self.psi!r}")
+        if not math.isfinite(psi):
+            raise InvalidParameterError(f"psi must be finite, got {psi!r}")
         vec /= norm
-        psi = float(self.psi) % (2.0 * math.pi)
+        psi = float(psi) % (2.0 * math.pi)
         if psi >= math.pi:
             psi -= math.pi
             vec = -vec
-        object.__setattr__(self, "psi", psi)
-        object.__setattr__(self, "m0", float(vec[0]))
-        object.__setattr__(self, "m", (float(vec[1]), float(vec[2]), float(vec[3])))
+        m0, m1, m2, m3 = map(float, vec)
+        return super().__new__(cls, psi, m0, (m1, m2, m3))
 
     @property
     def m1(self) -> float:
@@ -108,28 +106,26 @@ class SimpleFamily(Enum):
     GENERIC = "generic"
 
 
-@dataclass(frozen=True)
-class MomentumExtension:
+class MomentumExtension(NamedTuple("MomentumExtension", [("theta", float)])):
     """U(1) boundary condition phi(L) = e^{i theta} phi(0) of -i hbar D."""
 
-    theta: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not math.isfinite(self.theta):
+    def __new__(cls, theta: float):
+        if not math.isfinite(theta):
             raise InvalidParameterError("theta must be finite")
-        object.__setattr__(self, "theta", float(self.theta) % (2.0 * math.pi))
+        return super().__new__(cls, float(theta) % (2.0 * math.pi))
 
 
-@dataclass(frozen=True)
-class HalflineExtension:
+class HalflineExtension(NamedTuple("HalflineExtension", [("lam", float)])):
     """Boundary condition phi(0) = lambda phi'(0) on [0, inf); lambda=inf means phi'(0)=0."""
 
-    lam: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if math.isnan(self.lam):
+    def __new__(cls, lam: float):
+        if math.isnan(lam):
             raise InvalidParameterError("lambda must be a real number or infinity")
-        object.__setattr__(self, "lam", float(self.lam))
+        return super().__new__(cls, float(lam))
 
     @property
     def is_infinite(self) -> bool:
@@ -175,8 +171,7 @@ def from_matrix(u: UnitaryMatrix2) -> ExtensionU2:
     return ExtensionU2(psi=psi, m0=m0, m=(m1, m2, m3))
 
 
-@dataclass(frozen=True)
-class ExtensionFamilyInfo:
+class ExtensionFamilyInfo(NamedTuple):
     """How many self-adjoint extensions exist: none, exactly one, or a U(n) family."""
 
     kind: str                 # "unique" | "none" | "unitary"
@@ -194,8 +189,7 @@ class ExtensionFamilyInfo:
         return f"U({self.n}) family ({self.real_parameters} real parameters)"
 
 
-@dataclass(frozen=True)
-class DeficiencyReport:
+class DeficiencyReport(NamedTuple):
     n_plus: int
     n_minus: int
     family: ExtensionFamilyInfo
@@ -234,11 +228,15 @@ def _square_integrable(density, iv: IntervalKind, cutoff: float) -> bool:
         lo1, hi1, lo2, hi2 = 0.0, cutoff, 0.0, 2.0 * cutoff
     else:
         lo1, hi1, lo2, hi2 = -cutoff, cutoff, -2.0 * cutoff, 2.0 * cutoff
-    crude = float(max(density(lo2), density(hi2), density(0.0))) * (hi2 - lo2)
-    # crude overflows when |psi|^2 nears the largest float; integrate needs a finite tol
-    tol = 1e-9 * min(max(1.0, crude), sys.float_info.max)
+    peak = float(max(density(lo2), density(hi2), density(0.0)))
+    if not math.isfinite(peak):
+        raise InvalidParameterError(f"cutoff {cutoff!r} is undecidable: |psi|^2 overflows")
+    # peak times the width overflows when |psi|^2 nears the largest float; tol must be finite
+    tol = 1e-9 * min(max(1.0, peak * (hi2 - lo2)), sys.float_info.max)
     i1 = integrate(density, lo1, hi1, tol=tol)
     i2 = integrate(density, lo2, hi2, tol=tol)
+    if not (0.0 < i1 < math.inf and 0.0 < i2 < math.inf):    # the density is positive
+        raise InvalidParameterError(f"cutoff {cutoff!r} is undecidable: integrals {i1!r}, {i2!r}")
     ratio = i2 / i1
     if abs(ratio - 2.0) < 1e-6:
         raise DiagnosticError(f"integrability growth test inconclusive (ratio {ratio!r})")
@@ -254,7 +252,9 @@ def verify_deficiency(
     problem are e^{-x/d} and e^{+x/d}; for the Hamiltonian the -D^2 = +/- i
     k0^2 problem gives e^{k x} and e^{-k x} with k = (1 -/+ i) k0 / sqrt(2).
     Membership in L^2 is decided numerically by comparing the integral of
-    |psi|^2 on a cutoff window against the doubled window.
+    |psi|^2 on a cutoff window against the doubled window; a cutoff too large
+    to decide (|psi|^2 overflows, or an integral underflows to 0) raises
+    InvalidParameterError.
     """
     if d_or_k0 <= 0 or cutoff <= 0:
         raise InvalidParameterError("d_or_k0 and cutoff must be positive")
@@ -275,8 +275,9 @@ def verify_deficiency(
         }
 
     counts = {}
-    for sign, sols in solutions.items():
-        counts[sign] = sum(1 for density in sols if _square_integrable(density, iv, cutoff))
+    with np.errstate(over="ignore"):    # an |psi|^2 that overflows raises InvalidParameterError
+        for sign, sols in solutions.items():
+            counts[sign] = sum(1 for density in sols if _square_integrable(density, iv, cutoff))
     return counts[+1], counts[-1]
 
 

@@ -11,7 +11,7 @@ dependence discriminates between the extensions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .errors import InvalidParameterError
 from .extensions import HalflineExtension
@@ -61,8 +61,7 @@ def reflection(lam, k: float) -> tuple[complex, float]:
     return r, abs(r) ** 2
 
 
-@dataclass(frozen=True)
-class BoundState:
+class BoundState(NamedTuple):
     """Surface state phi(x) = sqrt(2/|lambda|) e^{-x/|lambda|}, E in units hbar^2/2m."""
 
     lam: float
@@ -96,36 +95,38 @@ def bound_state(lam) -> BoundState | None:
 # deuteron square-well model
 
 
-@dataclass(frozen=True)
-class DeuteronParams:
-    """Square well of range ``range_a`` with an infinite wall, tuned to a bound state.
-
-    The dimensionless decay parameter Y = rho a = a sqrt(M c^2 |E|) / hbar c
-    (with 2m = M, the nucleon mass) is fixed by the constants and cached.
-    """
-
+class _DeuteronFields(NamedTuple):
     binding_energy: float = 2.2            # |E|, MeV
     range_a: float = 2.0                   # fm
     hbar_c: float = 197.3269804            # MeV fm
     nucleon_mass_c2: float = 938.919       # MeV (average nucleon)
     lam_over_a: float = 0.0                # dimensionless lambda/a, inf allowed
 
-    def __post_init__(self):
+
+class DeuteronParams(_DeuteronFields):
+    """Square well of range ``range_a`` with an infinite wall, tuned to a bound state.
+
+    The dimensionless decay parameter Y = rho a = a sqrt(M c^2 |E|) / hbar c
+    (with 2m = M, the nucleon mass) is fixed by the constants.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for name in ("binding_energy", "range_a", "hbar_c", "nucleon_mass_c2"):
             if not 0 < getattr(self, name) < math.inf:
                 raise InvalidParameterError(f"{name} must be positive and finite")
         if math.isnan(self.lam_over_a) or self.lam_over_a < 0:
             raise InvalidParameterError("lam_over_a must be >= 0 (or infinity)")
-        y = self.range_a * math.sqrt(self.nucleon_mass_c2 * self.binding_energy) / self.hbar_c
-        object.__setattr__(self, "_y", y)
+        return self
 
     @property
     def y(self) -> float:
-        return self._y
+        return self.range_a * math.sqrt(self.nucleon_mass_c2 * self.binding_energy) / self.hbar_c
 
 
-@dataclass(frozen=True)
-class DeuteronSolution:
+class DeuteronSolution(NamedTuple):
     X: float            # k a
     Y: float            # rho a
     V0: float           # well depth, MeV; V0/|E| = 1 + (X/Y)^2 exactly
@@ -164,8 +165,9 @@ def deuteron_v0(p: DeuteronParams) -> DeuteronSolution:
 
 
 def deuteron_sweep(base: DeuteronParams, lam_over_a_values) -> list[DeuteronSolution]:
-    """``deuteron_v0`` for each lambda/a, in order."""
-    return [deuteron_v0(replace(base, lam_over_a=float(ell))) for ell in lam_over_a_values]
+    """``deuteron_v0`` for each lambda/a, in order; each lambda/a is validated."""
+    fixed = base[:-1]    # every field but lam_over_a, the last
+    return [deuteron_v0(DeuteronParams(*fixed, float(ell))) for ell in lam_over_a_values]
 
 
 def deuteron_wall_matching(sol: DeuteronSolution, ell: float) -> tuple[float, float]:

@@ -14,8 +14,7 @@ converted at the boundary.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DiagnosticError, InvalidParameterError
 from .extensions import MomentumExtension
@@ -28,8 +27,7 @@ if TYPE_CHECKING:
 SQRT30 = math.sqrt(30.0)
 
 
-@dataclass(frozen=True)
-class MomentumEigenstate:
+class MomentumEigenstate(NamedTuple):
     """Plane-wave eigenstate phi_n(x) = exp(2 i pi nu x / L) / sqrt(L)."""
 
     n: int
@@ -44,15 +42,13 @@ class MomentumEigenstate:
         return np.exp(2j * math.pi * self.nu * x / length) / math.sqrt(length)
 
 
-@dataclass(frozen=True)
-class ExpansionTable:
+class ExpansionTable(NamedTuple):
     theta: float
     entries: tuple[tuple[int, complex, float], ...]   # (n, c_n, |c_n|^2)
     parseval_defect: float
 
 
-@dataclass(frozen=True)
-class UncertaintyReport:
+class UncertaintyReport(NamedTuple):
     dP: float
     dX: float
     product: float

@@ -227,6 +227,9 @@ def integrate(
     the error metric is the modulus.  AccuracyError, with the estimate and the
     achieved error, reports an exhausted panel budget.  A non-finite a, b or
     tol raises InvalidParameterError.
+    Like any rule refined from fixed seed panels, it misses a feature narrower
+    than a seed panel that its nodes all miss: integrate(exp(-2x), 0, 1e4,
+    tol=1e-9) returns 8.9e-36, not 0.5; breakpoints at 1 and 10 recover 0.5.
     """
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise InvalidParameterError(f"need finite a < b, got [{a}, {b}]")

@@ -13,15 +13,14 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ConvergenceError, EvaluationError, InvalidParameterError
 
 _MAX_ROOT_ITERATIONS = 200
 
 
-@dataclass(frozen=True)
-class Bracket:
+class Bracket(NamedTuple):
     """A subinterval known to contain a root.
 
     Either a strict sign change (``f_lo * f_hi < 0``) or, when
@@ -37,8 +36,7 @@ class Bracket:
     x_min: float | None = None
 
 
-@dataclass(frozen=True)
-class RootReport:
+class RootReport(NamedTuple):
     root: float
     residual: float
     iterations: int

@@ -21,13 +21,13 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InvalidParameterError
 from .roots import Bracket, refine_root
 
 # numpy and the quadrature load inside the functions that use them, so the
-# finite-well levels and the limit study import without them
+# paradox report, the finite-well levels and the limit study import without them
 
 SQRT15 = math.sqrt(15.0)
 SQRT30 = math.sqrt(30.0)
@@ -79,8 +79,7 @@ def well_coefficient_quadrature(n: int, tol: float = 1e-12) -> float:
     return float(integrate(lambda x: even_mode(n, x) * parabola_state(x), -0.5, 0.5, tol))
 
 
-@dataclass(frozen=True)
-class ParadoxReport:
+class ParadoxReport(NamedTuple):
     """Energy accounting for the parabola state (units hbar^2/m L^2).
 
     ``mean_E2_direct`` is (H Psi, H Psi); ``naive_E2`` is (Psi, H H Psi)
@@ -142,26 +141,18 @@ def paradox_report(terms: int) -> ParadoxReport:
     240 / (pi^2 (2n-1)^2); their partial sums come from the Hurwitz zeta
     closed form (``_odd_inverse_power_sums``) in constant time, whatever
     ``terms`` is.  ``terms`` must be an integer >= 1.
-    """
-    from .numerics import integrate
 
+    The direct values are exact polynomial moments: H Psi is the constant
+    sqrt(30) inside the well, so (Psi, H Psi) = 30 times the integral of
+    1/4 - x^2 over [-1/2, 1/2] = 5, (H Psi, H Psi) = 30, and the blind
+    (Psi, H H Psi) = 0, since H of a constant vanishes.
+    """
     terms = _count(terms, "terms")
     sum4, sum2 = _odd_inverse_power_sums(terms)
     mean_e_series = (480.0 / math.pi ** 4) * sum4
     mean_e2_series = (240.0 / math.pi ** 2) * sum2
 
     psi_tilde = SQRT30  # H Psi inside the well: the constant sqrt(30)
-    mean_e_direct = float(integrate(lambda x: parabola_state(x) * psi_tilde, -0.5, 0.5, 1e-12))
-    mean_e2_direct = float(integrate(lambda x: psi_tilde * psi_tilde, -0.5, 0.5, 1e-12))
-
-    # blind second application of H: -(1/2) D^2 of a constant, by central
-    # differences -- identically zero in floating point, as in exact algebra
-    h = 1e-4
-    d2_psi_tilde = lambda x: (psi_tilde - 2.0 * psi_tilde + psi_tilde) / (h * h)
-    naive_e2 = float(
-        integrate(lambda x: parabola_state(x) * (-0.5) * d2_psi_tilde(x), -0.5, 0.5, 1e-12)
-    )
-
     # surface term -(1/2) [Psi' psi_tilde] at the walls
     d_psi = lambda x: -2.0 * SQRT30 * x
     boundary = -0.5 * psi_tilde * (d_psi(0.5) - d_psi(-0.5))
@@ -169,10 +160,10 @@ def paradox_report(terms: int) -> ParadoxReport:
     return ParadoxReport(
         terms_used=terms,
         mean_E_series=mean_e_series,
-        mean_E_direct=mean_e_direct,
+        mean_E_direct=5.0,
         mean_E2_series=mean_e2_series,
-        mean_E2_direct=mean_e2_direct,
-        naive_E2=naive_e2,
+        mean_E2_direct=30.0,
+        naive_E2=0.0,
         boundary_term=boundary,
         delta_E=math.sqrt(mean_e2_series - mean_e_series ** 2),
     )
@@ -182,8 +173,7 @@ def paradox_report(terms: int) -> ParadoxReport:
 # finite square well on [0, 1] with depth v0^2 (units hbar^2 / 2 m L^2)
 
 
-@dataclass(frozen=True)
-class FiniteWellLevel:
+class FiniteWellLevel(NamedTuple):
     """Bound level n of the finite well; E and v0^2 in units hbar^2 / 2 m L^2.
 
     Inside the well phi = d_n [cos(k x) + (rho/k) sin(k x)] (L = 1), outside
@@ -274,8 +264,7 @@ def _law_deviation(k: float, v0: float) -> float:
     return 4.0 * arc / v0 - 2.0 * excess
 
 
-@dataclass(frozen=True)
-class WellLimitRow:
+class WellLimitRow(NamedTuple):
     v0: float
     kL: float
     kL_deviation: float       # kL - n pi (1 - 2/v0) = 4 n pi/v0^2 + O(v0^-3)
@@ -285,8 +274,7 @@ class WellLimitRow:
     wall_derivative: float    # phi'(0+), stays finite in the limit
 
 
-@dataclass(frozen=True)
-class WellLimitStudy:
+class WellLimitStudy(NamedTuple):
     level: int
     rows: tuple[WellLimitRow, ...]
     energy_orders: tuple[float, ...]       # fitted order of E -> E_inf in 1/v0

@@ -145,6 +145,19 @@ class TestDeficiency:
         want, _ = self.TABLE[(OperatorKind.HAMILTONIAN, iv)]
         assert verify_deficiency(OperatorKind.HAMILTONIAN, iv, d_or_k0=1.0, cutoff=250.0) == want
 
+    @pytest.mark.parametrize("cutoff", [10.0, 200.0, 260.0, 1e6])
+    @pytest.mark.parametrize("op,iv", sorted(TABLE, key=str))
+    def test_large_cutoff_decides_or_is_a_usage_error(self, op, iv, cutoff):
+        # |psi|^2 overflows on the doubled window from cutoff 178 (momentum, d = 1) and
+        # 251 (-D^2, k0 = 1); at 1e6 the decaying half-line integrals underflow to 0
+        (n_plus, n_minus), _ = self.TABLE[(op, iv)]
+        try:
+            got = verify_deficiency(op, iv, d_or_k0=1.0, cutoff=cutoff)
+        except InvalidParameterError:
+            assert iv is not IntervalKind.FINITE_BOX
+        else:
+            assert got == (n_plus, n_minus)
+
     def test_verify_rejects_bad_inputs(self):
         with pytest.raises(InvalidParameterError):
             verify_deficiency(OperatorKind.MOMENTUM, IntervalKind.FULL_LINE, -1.0, 10.0)

@@ -117,7 +117,7 @@ class TestAlphaMap:
 
 class TestDeuteron:
     @pytest.mark.parametrize("name", ["binding_energy", "range_a", "hbar_c", "nucleon_mass_c2"])
-    @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0])
+    @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, -1.0])
     def test_rejects_non_finite_constants(self, name, value):
         with pytest.raises(InvalidParameterError):
             DeuteronParams(**{name: value})
@@ -179,6 +179,11 @@ class TestDeuteron:
             DeuteronParams(binding_energy=-1.0)
         with pytest.raises(InvalidParameterError):
             DeuteronParams(lam_over_a=-0.5)
+
+    @pytest.mark.parametrize("ell", [math.nan, -1.0])
+    def test_sweep_validates_each_lambda(self, ell):
+        with pytest.raises(InvalidParameterError):
+            deuteron_sweep(DeuteronParams(), [1.0, ell])
 
 
 class TestHalflineExtensionType:

@@ -70,11 +70,42 @@ def modules_after_command(*argv: str) -> set[str]:
     (("deuteron", "--sweep", "0,1,inf"), {"saext.halfline"}),
     (("well-limit", "--v0-list", "100,1000", "--level", "2"), {"saext.wells"}),
     (("momentum-spectrum", "--theta", "3.14159", "--range=-5:5"), {"saext.momentum"}),
-], ids=["reflect", "bound-state", "deficiency", "deuteron", "well-limit", "momentum-spectrum"])
+    (("paradox", "--terms", "1000000"), {"saext.wells"}),
+], ids=["reflect", "bound-state", "deficiency", "deuteron", "well-limit", "momentum-spectrum",
+        "paradox"])
 def test_scalar_commands_load_no_numpy(argv, home):
     loaded = modules_after_command(*argv)
     assert not loaded & {"numpy", "saext.numerics"}
     assert loaded & COMMAND_MODULES == home
+
+
+# the 12 README commands, as perfbench/workloads.py's README_COMMANDS lists them
+README_COMMANDS = [
+    ["spectrum", "--u", "dirichlet", "--count", "3"],
+    ["spectrum", "--u", "psi=0.4,m=(0.5,0.5,0.5,0.5)", "--count", "5", "--include-negative"],
+    ["spectrum", "--u", "quasiperiodic:1.57", "--count", "4", "--eigenfunctions",
+     "--format", "csv"],
+    ["classify", "--u", "psi=0.3,m=(0.6,0.8,0,0)"],
+    ["deficiency", "--operator", "momentum", "--interval", "halfline"],
+    ["momentum-spectrum", "--theta", "3.14159", "--range=-5:5"],
+    ["expand", "--theta", "0", "--range=-50:50", "--format", "json"],
+    ["paradox", "--terms", "1000000"],
+    ["deuteron", "--sweep", "0,0.1,0.2,0.5,1,2,5,10,100,inf"],
+    ["well-limit", "--v0-list", "100,1000,10000", "--level", "1"],
+    ["reflect", "--lambda", "1", "--k", "2"],
+    ["bound-state", "--lambda=-1"],
+]
+NUMPY_FREE = {"deficiency", "momentum-spectrum", "paradox", "deuteron", "well-limit", "reflect",
+              "bound-state"}
+
+
+@pytest.mark.parametrize("argv", README_COMMANDS, ids=" ".join)
+def test_readme_commands_skip_dataclasses_and_inspect(argv):
+    """Value types are NamedTuples: no command pays for dataclasses (and its inspect)."""
+    loaded = modules_after_command(*argv)
+    assert "dataclasses" not in loaded
+    if argv[0] in NUMPY_FREE:
+        assert "inspect" not in loaded  # numpy imports inspect itself
 
 
 def test_spectrum_loads_only_the_box():

@@ -408,6 +408,14 @@ def test_integrate_with_breakpoints():
     assert abs(val - (0.3 ** 2 / 2 + 0.7 ** 2 / 2)) < 1e-12
 
 
+def test_integrate_blind_spot_and_breakpoints():
+    # every node of the seed panel [0, 1e4] lies beyond x = 40, where exp(-2x) < 1e-34:
+    # K15 and G7 agree there, so the decay near 0 is never seen; breakpoints expose it
+    f = lambda x: np.exp(-2.0 * x)
+    assert integrate(f, 0.0, 1e4, tol=1e-9) < 1e-30
+    assert abs(integrate(f, 0.0, 1e4, tol=1e-9, breakpoints=(1.0, 10.0)) - 0.5) <= 1e-8
+
+
 def test_integrate_complex_integrand():
     val = integrate(lambda x: np.exp(2j * math.pi * x), 0.0, 1.0, 1e-12)
     assert abs(val) < 1e-12
@@ -425,7 +433,7 @@ def test_integrate_reports_non_finite_integrand(f):
 
 @pytest.mark.parametrize("value", [30.0, -0.0])
 def test_integrate_constant_integrand(value):
-    # paradox_report passes integrands that ignore x and return one float
+    # an integrand that ignores x returns one float, not an array: it is evaluated point by point
     val = integrate(lambda x: value, -0.5, 0.5, 1e-12)
     assert abs(val - value) <= 1e-12
     assert math.copysign(1.0, val) == 1.0   # a zero integral is +0, never -0
