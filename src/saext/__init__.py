@@ -39,8 +39,7 @@ _EXPORTS = {
         "expansion_coeff_quadrature", "expansion_table", "p_spectrum", "uncertainty_product",
     ),
     "numerics": (
-        "Bracket", "RootReport", "integrate", "refine_brackets", "refine_root",
-        "scan_brackets",
+        "Bracket", "RootReport", "integrate", "refine_root", "scan_brackets",
     ),
     "wells": (
         "FiniteWellLevel", "ParadoxReport", "WellLimitStudy", "finite_well_levels",

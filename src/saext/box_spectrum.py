@@ -31,7 +31,7 @@ from .errors import (
     InvalidRootError,
 )
 from .extensions import ExtensionU2, SimpleFamily, classify_simple_family, unitary_entries
-from .numerics import Bracket, refine_brackets, scan_brackets
+from .numerics import Bracket, refine_root, scan_brackets
 
 SCAN_STEP = math.pi / 8.0          # roots of F interlace no tighter than ~pi/2
 ZERO_MODE_TOL = 1e-10              # |Z| threshold for an exact zero mode
@@ -117,26 +117,24 @@ def _reduced_positive(e: ExtensionU2):
     """F(s)/s, continuous at 0 with limit Z; kills the trivial root at s = 0.
 
     sin(t)/t at t = pi (s/pi + 1e-300) is np.sinc(s/pi) to the bit, finite at 0.
-    A scalar s takes numpy's cos and sin as Python floats: the same IEEE
-    operations, without the slower numpy scalar arithmetic.
+    A scalar s takes math's cos and sin, which round as numpy's do, without
+    the slower numpy scalar arithmetic.
     """
     sp, cp = math.sin(e.psi), math.cos(e.psi)
     m0, m1 = e.m0, e.m1
 
     def f(s):
+        xp = np if isinstance(s, np.ndarray) else math
         t = math.pi * (s / math.pi + 1e-300)
         ss = s * s
-        c, st = np.cos(s), np.sin(t)
-        if not isinstance(s, np.ndarray):
-            c, st = float(c), float(st)
-        out = 2.0 * (sp * c - m1) - st / t * (cp * (ss + 1.0) - m0 * (ss - 1.0))
-        return out if isinstance(out, np.ndarray) else float(out)
+        return 2.0 * (sp * xp.cos(s) - m1) - xp.sin(t) / t * (cp * (ss + 1.0) - m0 * (ss - 1.0))
 
     return f
 
 
 # The scalar branches of _rcoth and _rcsch take numpy's exp and expm1 as Python
-# floats (as _reduced_positive does) and give the nan of 0/0 at r = 0.
+# floats (math's round apart from numpy's in the last bit) and give the nan of
+# 0/0 at r = 0.
 def _rcoth(r):
     if not isinstance(r, np.ndarray):
         if r >= 350.0:
@@ -289,8 +287,19 @@ def _null_vector(entries) -> tuple[complex, complex]:
     return q, -p
 
 
+def _check_sector(sector: str) -> None:
+    if sector not in (POSITIVE, ZERO, NEGATIVE):
+        raise InvalidParameterError(f"unknown sector {sector!r}")
+
+
 def degeneracy(e: ExtensionU2, sector: str, value: float) -> int:
-    """Multiplicity (1 or 2) of a verified eigenvalue: 2 when L - U M has rank 0."""
+    """Multiplicity (1 or 2) of a verified eigenvalue: 2 when L - U M has rank 0.
+
+    An unknown sector or a non-finite value raises InvalidParameterError.
+    """
+    _check_sector(sector)
+    if not math.isfinite(value):
+        raise InvalidParameterError(f"value must be finite, got {value!r}")
     return 2 if _sigma_max(_defect(e, sector, value)) <= _RANK_RTOL else 1
 
 
@@ -307,8 +316,8 @@ def _merge_roots(
     multiplicity 0 until kept; each kept one gets one rank test (degeneracy).
     """
     fresh = []
-    tols = [1e-13 * max(1.0, abs(0.5 * (br.lo + br.hi))) for br in brackets]
-    for br, report in zip(brackets, refine_brackets(brackets, f, tols)):
+    for br in brackets:
+        report = refine_root(br, f, 1e-13 * max(1.0, abs(0.5 * (br.lo + br.hi))))
         scale = max(abs(br.f_lo), abs(br.f_hi), 1e-30)
         residual = abs(report.residual) / scale
         if residual > tol_gate and not br.double_root:
@@ -591,8 +600,7 @@ def eigenfunction(e: ExtensionU2, root: tuple[str, float]) -> BoxEigenfunction:
     condition to _BC_RTOL, or DiagnosticError is raised.
     """
     sector, value = root
-    if sector not in (POSITIVE, ZERO, NEGATIVE):
-        raise InvalidParameterError(f"unknown sector {sector!r}")
+    _check_sector(sector)
 
     if sector == ZERO:
         if abs(char_zero(e)) > ZERO_MODE_TOL:
@@ -662,7 +670,14 @@ def boundary_form(phi, psi_fn) -> complex:
 def to_physical_energy(
     s_or_r: float, sector: str, length: float, hbar: float, mass: float
 ) -> float:
-    """E = +/- (hbar^2 / 2m) (s/L)^2 by sector; the zero sector maps to 0."""
+    """E = +/- (hbar^2 / 2m) (s/L)^2 by sector; the zero sector maps to 0.
+
+    An unknown sector, a non-finite input, or a length, hbar or mass that is
+    not positive raises InvalidParameterError.
+    """
+    _check_sector(sector)
+    if not all(map(math.isfinite, (s_or_r, length, hbar, mass))):
+        raise InvalidParameterError("s_or_r, length, hbar and mass must be finite")
     if length <= 0 or hbar <= 0 or mass <= 0:
         raise InvalidParameterError("length, hbar, and mass must be positive")
     if sector == ZERO:

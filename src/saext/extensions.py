@@ -225,16 +225,19 @@ def _square_integrable(density, iv: IntervalKind, cutoff: float) -> bool:
         val = integrate(density, 0.0, 1.0, tol=1e-10)
         return math.isfinite(val)
     if iv is IntervalKind.SEMI_AXIS:
-        lo1, hi1, lo2, hi2 = 0.0, cutoff, 0.0, 2.0 * cutoff
+        windows = ((0.0, cutoff), (0.0, 2.0 * cutoff))
     else:
-        lo1, hi1, lo2, hi2 = -cutoff, cutoff, -2.0 * cutoff, 2.0 * cutoff
-    peak = float(max(density(lo2), density(hi2), density(0.0)))
-    if not math.isfinite(peak):
-        raise InvalidParameterError(f"cutoff {cutoff!r} is undecidable: |psi|^2 overflows")
-    # peak times the width overflows when |psi|^2 nears the largest float; tol must be finite
-    tol = 1e-9 * min(max(1.0, peak * (hi2 - lo2)), sys.float_info.max)
-    i1 = integrate(density, lo1, hi1, tol=tol)
-    i2 = integrate(density, lo2, hi2, tol=tol)
+        windows = ((-cutoff, cutoff), (-2.0 * cutoff, 2.0 * cutoff))
+    integrals = []
+    for lo, hi in windows:
+        # each window's own scale: its peak, on its ends and 0, times its width
+        peak = float(max(density(lo), density(hi), density(0.0)))
+        if not math.isfinite(peak):
+            raise InvalidParameterError(f"cutoff {cutoff!r} is undecidable: |psi|^2 overflows")
+        # peak times the width overflows when |psi|^2 nears the largest float; tol must be finite
+        tol = 1e-9 * min(max(1.0, peak * (hi - lo)), sys.float_info.max)
+        integrals.append(integrate(density, lo, hi, tol=tol))
+    i1, i2 = integrals
     if not (0.0 < i1 < math.inf and 0.0 < i2 < math.inf):    # the density is positive
         raise InvalidParameterError(f"cutoff {cutoff!r} is undecidable: integrals {i1!r}, {i2!r}")
     ratio = i2 / i1

@@ -10,12 +10,7 @@ grid evaluation).  The spectral modules rely on four guarantees:
 * ``refine_root`` (defined in ``roots``, which needs no numpy) is a
   bisection/secant hybrid: secant steps when they help, bisection always as
   a fallback, so termination is guaranteed on any continuous function with a
-  sign-change bracket.  ``refine_brackets`` refines many brackets in lockstep
-  and gives the same reports as ``refine_root``, one bracket at a time: every
-  sign-change bracket runs the one step generator ``_secant_bisection``.  A
-  step is one batched evaluation while at least ``_GRID_MIN_LIVE`` brackets
-  are live; the rest finish on scalar calls, which are cheaper than a grid
-  call on a few points.
+  sign-change bracket.  It refines one bracket at a time on scalar calls.
 * ``integrate`` is adaptive Gauss-Kronrod G7-K15 in the QUADPACK QAG style
   (Piessens et al., 1983), exact through degree-13 polynomials on a panel.
   Each pass evaluates the integrand once, on every live panel, through the
@@ -26,8 +21,8 @@ grid evaluation).  The spectral modules rely on four guarantees:
   and the grid doubles until every row meets its tol.
 
 Characteristic functions take a float or an array through the same IEEE
-operations, so scalar and grid values agree bitwise (``refine_brackets``
-mixes grid steps with scalar ones).
+operations, so scalar and grid values agree bitwise: a bracket's end values
+come from a grid, the values ``refine_root`` adds from scalar calls.
 """
 
 from __future__ import annotations
@@ -38,8 +33,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import AccuracyError, EvaluationError, InvalidParameterError
-from .roots import Bracket, RootReport, _finish, _refine_extremum, _start
-from .roots import refine_root  # noqa: F401  (re-exported: the one-bracket case)
+from .roots import Bracket, _refine_extremum
+from .roots import RootReport, refine_root  # noqa: F401  (re-exported)
 
 # |f| threshold, relative to the local function scale, below which a polished
 # same-sign minimum is declared a double root.
@@ -139,51 +134,6 @@ def scan_brackets(
 
     brackets.sort(key=lambda br: br.lo)
     return brackets
-
-
-# Live brackets at or above which refine_brackets takes a batched grid step: a
-# grid call of F/s costs about 20 us, a scalar call with its generator step about
-# 1 us.  In perfbench box_survey (2-vCPU 2.1 GHz Xeon) any value from 18 to 48
-# gave the same throughput within noise; 2 gave 17% less, scalar calls only 4%.
-_GRID_MIN_LIVE = 24
-
-
-def refine_brackets(
-    brackets: Sequence[Bracket], f: Callable[[float], float], tols: Sequence[float]
-) -> list[RootReport]:
-    """Refine many brackets in lockstep; reports in input order.
-
-    Every sign-change bracket runs the arithmetic of ``refine_root``, so each
-    report equals ``refine_root(brackets[i], f, tols[i])``.  While at least
-    ``_GRID_MIN_LIVE`` brackets are live they share one grid evaluation of f
-    per step; the rest finish one at a time on scalar calls, which cost less
-    than a grid call on fewer points.  So a scalar-only f still works, and a
-    non-finite value raises EvaluationError at its abscissa.  Malformed input
-    raises InvalidParameterError as in ``refine_root``, and so does a tols
-    list whose length differs from that of brackets.
-    """
-    if len(tols) != len(brackets):
-        raise InvalidParameterError(f"{len(brackets)} brackets but {len(tols)} tolerances")
-    reports: list[RootReport | None] = [None] * len(brackets)
-    live = []  # (input index, generator, abscissa it waits on)
-    for i, (bracket, tol) in enumerate(zip(brackets, tols)):
-        started = _start(bracket, f, tol)
-        if isinstance(started, RootReport):
-            reports[i] = started
-        else:
-            live.append((i, *started))
-    while len(live) >= _GRID_MIN_LIVE:
-        ys = _eval_grid(f, np.array([x for _, _, x in live])).tolist()
-        waiting = []
-        for (i, steps, _), y in zip(live, ys):
-            try:
-                waiting.append((i, steps, steps.send(y)))
-            except StopIteration as done:
-                reports[i] = done.value
-        live = waiting
-    for i, steps, x in live:
-        reports[i] = _finish(steps, x, f)
-    return reports
 
 
 # QUADPACK qk15 on [-1, 1], one row per abscissa x >= 0 (the rule is symmetric):

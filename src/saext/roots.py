@@ -1,12 +1,9 @@
 """Bracketed root refinement of a scalar function, one bracket at a time.
 
-The bracket and report types and the one sign-change step,
-``_secant_bisection``, live here without numpy: the deuteron depth and the
-finite-well levels solve one bracket each and import this module alone.
-``numerics`` re-exports ``Bracket``, ``RootReport`` and ``refine_root``, and
-its ``refine_brackets`` drives many brackets in lockstep through the same
-step generator (``_start`` and ``_finish`` are the two ends it shares with
-``refine_root``).
+The bracket and report types and ``refine_root`` live here without numpy:
+the deuteron depth and the finite-well levels solve one bracket each and
+import this module alone.  ``numerics`` re-exports all three, and the box
+solver refines each of its brackets through the same ``refine_root``.
 """
 
 from __future__ import annotations
@@ -40,7 +37,6 @@ class RootReport(NamedTuple):
     root: float
     residual: float
     iterations: int
-    multiplicity_hint: int = 1
 
 
 def _fd_slope(f: Callable[[float], float], x: float) -> float:
@@ -81,18 +77,16 @@ def _check_bracket(bracket: Bracket, tol: float) -> None:
         raise InvalidParameterError(f"bracket needs lo < hi, got [{bracket.lo}, {bracket.hi}]")
 
 
-def _secant_bisection(bracket: Bracket, tol: float):
-    """The sign-change refinement of one bracket, as a generator.
+def _secant_bisection(bracket: Bracket, f: Callable[[float], float], tol: float) -> RootReport:
+    """Refine a sign-change bracket with secant steps, bisecting when one stalls.
 
-    Yields each abscissa at which f is needed and receives f there through
-    ``send``; returns the RootReport.  Keeping f out of the loop lets one
-    bracket or many in lockstep share exactly this arithmetic.
+    A non-finite value of f raises EvaluationError at its abscissa.
     """
     a, b, fa, fb = bracket.lo, bracket.hi, bracket.f_lo, bracket.f_hi
     if fa == 0.0:
-        return RootReport(a, 0.0, 0, 1)
+        return RootReport(a, 0.0, 0)
     if fb == 0.0:
-        return RootReport(b, 0.0, 0, 1)
+        return RootReport(b, 0.0, 0)
     if fa * fb > 0:
         raise InvalidParameterError("bracket does not contain a sign change")
 
@@ -110,9 +104,11 @@ def _secant_bisection(bracket: Bracket, tol: float):
         if not a < x < b:
             break  # a and b are adjacent floats: converged at float resolution
         iterations += 1
-        fx = yield x
+        fx = float(f(x))
+        if not math.isfinite(fx):
+            raise EvaluationError("non-finite function value", x)
         if fx == 0.0:
-            return RootReport(x, 0.0, iterations, 1)
+            return RootReport(x, 0.0, iterations)
         width_before = b - a
         if (fx > 0) == (fa > 0):
             a, fa = x, fx
@@ -125,55 +121,31 @@ def _secant_bisection(bracket: Bracket, tol: float):
     residual = fa if root == a else fb
     if b - a > tol and iterations == _MAX_ROOT_ITERATIONS:
         raise ConvergenceError("refine_root hit the iteration cap", root, residual, iterations)
-    return RootReport(root=root, residual=residual, iterations=iterations, multiplicity_hint=1)
+    return RootReport(root=root, residual=residual, iterations=iterations)
 
 
 def _refine_tangency(bracket: Bracket, f: Callable[[float], float], tol: float) -> RootReport:
-    """A double-root bracket: the extremum of f, with ``multiplicity_hint`` 2."""
+    """A double-root bracket: the extremum of f."""
     x0 = bracket.x_min if bracket.x_min is not None else 0.5 * (bracket.lo + bracket.hi)
     x = _refine_extremum(f, bracket.lo, bracket.hi, xtol=min(tol, 1e-11 * max(1.0, abs(x0))))
     if x is None:
         x = x0
-    return RootReport(root=x, residual=float(f(x)), iterations=0, multiplicity_hint=2)
-
-
-def _start(bracket: Bracket, f: Callable[[float], float], tol: float):
-    """Check a bracket and begin it: (step generator, first abscissa), or its report.
-
-    The report comes back at once for a double root and for an end value of 0.
-    """
-    _check_bracket(bracket, tol)
-    if bracket.double_root:
-        return _refine_tangency(bracket, f, tol)
-    steps = _secant_bisection(bracket, tol)
-    try:
-        return steps, next(steps)
-    except StopIteration as done:
-        return done.value
-
-
-def _finish(steps, x: float, f: Callable[[float], float]) -> RootReport:
-    """Run a step generator waiting on x to its report, with scalar calls of f."""
-    try:
-        while True:
-            fx = float(f(x))
-            if not math.isfinite(fx):
-                raise EvaluationError("non-finite function value", x)
-            x = steps.send(fx)
-    except StopIteration as done:
-        return done.value
+    return RootReport(root=x, residual=float(f(x)), iterations=0)
 
 
 def refine_root(bracket: Bracket, f: Callable[[float], float], tol: float) -> RootReport:
     """Refine a bracket to |hi-lo| <= tol with a bisection/secant hybrid.
 
     A bracket whose ends are adjacent floats counts as converged, whatever tol.
+    f is called on scalars only, once per iteration, and a non-finite value
+    raises EvaluationError at its abscissa.
 
-    Double-root brackets are refined by locating the extremum of f instead;
-    ``multiplicity_hint`` is 2 in that case.  A bracket with lo >= hi or a
-    non-finite end or end value, or a tol that is not finite and positive,
-    raises InvalidParameterError.  The report equals that of the one-bracket
-    ``numerics.refine_brackets`` call, and f is only ever called on scalars.
+    Double-root brackets are refined by locating the extremum of f instead,
+    with 0 iterations reported.  A bracket with lo >= hi or a non-finite end
+    or end value, or a tol that is not finite and positive, raises
+    InvalidParameterError.
     """
-    started = _start(bracket, f, tol)
-    return started if isinstance(started, RootReport) else _finish(*started, f)
+    _check_bracket(bracket, tol)
+    if bracket.double_root:
+        return _refine_tangency(bracket, f, tol)
+    return _secant_bisection(bracket, f, tol)

@@ -343,46 +343,39 @@ class TestSolveSpectrum:
             assert min(even_pi, tan_form / (4 * (1 + s * s))) <= 1e-8
 
 
-    def test_refinement_takes_one_batched_call_per_step(self, monkeypatch):
-        """Dirichlet at count 200: one batched call per step while many brackets are live.
+    def test_refinement_makes_one_scalar_call_per_iteration(self, monkeypatch):
+        """Dirichlet at count 200: refinement calls F/s on scalars only, once per iteration.
 
-        Each refinement step evaluates f once per live bracket, so the points of all
-        calls sum to the iterations.  A grid call serves at least _GRID_MIN_LIVE
-        brackets; fewer finish on scalar calls, so there are at most max(iterations)
-        grid calls.
+        Dirichlet has no negative levels, so every refinement is one of F/s.
         """
         from saext import box_spectrum
-        from saext.numerics import _GRID_MIN_LIVE
 
-        calls = []  # (grid call?, points) of every call of F/s
-        reduced, refine = box_spectrum._reduced_positive, box_spectrum.refine_brackets
+        calls = []  # is each call of F/s on an array?
+        reduced, refine = box_spectrum._reduced_positive, box_spectrum.refine_root
 
         def counted_reduced(ext):
             f = reduced(ext)
-            return lambda s: calls.append((isinstance(s, np.ndarray), np.size(s))) or f(s)
+            return lambda s: calls.append(isinstance(s, np.ndarray)) or f(s)
 
-        refined = []
+        refined = []  # (calls of F/s, report) per refine_root call
 
-        def counted_refine(brackets, f, tols):
+        def counted_refine(bracket, f, tol):
             before = len(calls)
-            reports = refine(brackets, f, tols)
-            refined.append((calls[before:], reports))
-            return reports
+            report = refine(bracket, f, tol)
+            refined.append((calls[before:], report))
+            return report
 
         monkeypatch.setattr(box_spectrum, "_reduced_positive", counted_reduced)
-        monkeypatch.setattr(box_spectrum, "refine_brackets", counted_refine, raising=False)
+        monkeypatch.setattr(box_spectrum, "refine_root", counted_refine)
         result = solve(named_extension("dirichlet"), count=200)
 
         assert len(result.positive) == 200
-        positive = [(refine_calls, reports) for refine_calls, reports in refined if refine_calls]
-        assert len(positive) == 1
-        refine_calls, reports = positive[0]
-        iterations = [rep.iterations for rep in reports]
-        assert len(reports) >= 200 and min(iterations) >= 10
-        assert sum(points for _, points in refine_calls) == sum(iterations)
-        grid = [points for is_grid, points in refine_calls if is_grid]
-        assert all(points >= _GRID_MIN_LIVE for points in grid)
-        assert 0 < len(grid) <= max(iterations)
+        assert len(refined) >= 200
+        refine_calls = [is_grid for f_calls, _ in refined for is_grid in f_calls]
+        iterations = [report.iterations for _, report in refined]
+        assert not any(refine_calls)
+        assert len(refine_calls) == sum(iterations)
+        assert min(iterations) >= 10
 
 
 class TestLevelCountGuard:
@@ -684,6 +677,13 @@ class TestClosedFormRank:
             assert 0.0 < _sigma_max(entries) <= 2.0
             assert degeneracy(ext, "negative", r) == 1
 
+    @pytest.mark.parametrize("sector, value", [
+        ("bogus", 3.0), ("Positive", 3.0), ("positive", math.nan), ("negative", math.inf),
+    ])
+    def test_degeneracy_rejects_unknown_sector_and_non_finite_value(self, sector, value):
+        with pytest.raises(InvalidParameterError):
+            degeneracy(named_extension("dirichlet"), sector, value)
+
 
 def collocation_levels(ext, n=80):
     """Eigenvalues of -d^2/dx^2 on [0, 1] by Chebyshev collocation, sorted.
@@ -795,3 +795,16 @@ class TestPhysicalEnergy:
         val = to_physical_energy(2.0, "positive", 3.0, 2.0, 5.0)
         assert abs(val - (4.0 / (2.0 * 5.0)) * (2.0 / 3.0) ** 2 * 5.0) < 1e-12 or val > 0
         assert abs(val - (2.0 ** 2 / (2 * 5.0)) * (2.0 / 3.0) ** 2) < 1e-12
+
+    @pytest.mark.parametrize("args", [
+        (2.0, "postive", 1.0, 1.0, 1.0),
+        (math.nan, "positive", 1.0, 1.0, 1.0),
+        (math.inf, "negative", 1.0, 1.0, 1.0),
+        (2.0, "positive", math.nan, 1.0, 1.0),
+        (2.0, "positive", 1.0, math.nan, 1.0),
+        (2.0, "positive", 1.0, 1.0, math.nan),
+        (2.0, "positive", math.inf, 1.0, 1.0),
+    ])
+    def test_rejects_unknown_sector_and_non_finite_input(self, args):
+        with pytest.raises(InvalidParameterError):
+            to_physical_energy(*args)

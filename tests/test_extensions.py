@@ -145,6 +145,27 @@ class TestDeficiency:
         want, _ = self.TABLE[(OperatorKind.HAMILTONIAN, iv)]
         assert verify_deficiency(OperatorKind.HAMILTONIAN, iv, d_or_k0=1.0, cutoff=250.0) == want
 
+    @pytest.mark.parametrize("cutoff", [10.0, 20.0, 50.0, 100.0])
+    def test_each_window_integral_meets_its_own_scale(self, monkeypatch, cutoff):
+        # |psi|^2 = e^(a x), a = +-sqrt(2) k0, on the whole line: a tol shared with the
+        # doubled window would leave the first integral unchecked (2.5% off at cutoff 100)
+        from saext import numerics
+
+        calls, plain = [], numerics.integrate
+
+        def recorded(f, lo, hi, tol, breakpoints=()):
+            value = plain(f, lo, hi, tol, breakpoints)
+            calls.append((f, lo, hi, value))
+            return value
+
+        monkeypatch.setattr(numerics, "integrate", recorded)
+        verify_deficiency(OperatorKind.HAMILTONIAN, IntervalKind.FULL_LINE, 1.0, cutoff)
+        assert len(calls) == 8  # two densities per sign, two windows each
+        for f, lo, hi, value in calls:
+            a = math.sqrt(2.0) * (1.0 if f(1.0) > 1.0 else -1.0)
+            exact = (math.exp(a * hi) - math.exp(a * lo)) / a
+            assert abs(value - exact) <= 1e-7 * exact, (lo, hi, a)
+
     @pytest.mark.parametrize("cutoff", [10.0, 200.0, 260.0, 1e6])
     @pytest.mark.parametrize("op,iv", sorted(TABLE, key=str))
     def test_large_cutoff_decides_or_is_a_usage_error(self, op, iv, cutoff):

@@ -17,7 +17,7 @@ import saext
 SRC = str(pathlib.Path(saext.__file__).resolve().parents[1])
 
 # what ``from saext import *`` bound when the package imported every module eagerly:
-# the 68 public names and the seven submodules
+# the 67 public names and the seven submodules
 STAR_NAMES = {
     "AccuracyError", "BoundState", "BoxEigenfunction", "BoxSpectrumRequest", "Bracket",
     "ConvergenceError", "DeficiencyReport", "DeuteronParams", "DeuteronSolution",
@@ -31,7 +31,7 @@ STAR_NAMES = {
     "expanded_values", "expansion_coeff", "expansion_coeff_quadrature", "expansion_table",
     "finite_well_levels", "from_matrix", "infinite_limit_study", "integrate",
     "is_parity_preserving", "is_time_reversal", "lambda_to_alpha", "lm_matrices",
-    "named_extension", "p_spectrum", "paradox_report", "parse_extension", "refine_brackets",
+    "named_extension", "p_spectrum", "paradox_report", "parse_extension",
     "refine_root", "reflection", "scan_brackets", "solve_spectrum", "to_matrix",
     "to_physical_energy", "uncertainty_product", "verify_deficiency", "well_coefficients",
     "box_spectrum", "errors", "extensions", "halfline", "momentum", "numerics", "wells",

@@ -12,15 +12,14 @@ from saext import (
     InvalidParameterError,
     integrate,
     named_extension,
-    refine_brackets,
     refine_root,
     scan_brackets,
 )
 from saext.box_spectrum import SCAN_STEP, _reduced_negative, _reduced_positive
-from saext.numerics import TANGENCY_RTOL, _GRID_MIN_LIVE, fourier_coefficients
+from saext.numerics import TANGENCY_RTOL, fourier_coefficients
 from saext.roots import _refine_extremum
 
-from conftest import random_extension, well_parity_condition
+from conftest import random_extension
 
 
 def test_scan_finds_sine_roots():
@@ -180,7 +179,6 @@ def test_refine_sine_root_to_pi():
     (bracket,) = scan_brackets(math.sin, 3.0, 3.4, 0.2)
     report = refine_root(bracket, math.sin, tol=1e-12)
     assert abs(report.root - math.pi) <= 1e-12
-    assert report.multiplicity_hint == 1
 
 
 def test_refine_sqrt2():
@@ -229,12 +227,13 @@ def test_refine_stops_at_float_resolution():
     assert edge.root == 64.5 and edge.iterations == 0
 
 
-def test_refine_double_root_hint():
+def test_refine_double_root_at_the_extremum():
     f = lambda s: (s - 1.5) ** 2
     (bracket,) = scan_brackets(f, 1.0, 2.0, 0.2)
+    assert bracket.double_root
     report = refine_root(bracket, f, tol=1e-12)
-    assert report.multiplicity_hint == 2
     assert abs(report.root - 1.5) < 1e-8
+    assert report.residual == f(report.root) and report.iterations == 0
 
 
 @pytest.mark.parametrize("bracket, tol", [
@@ -249,63 +248,12 @@ def test_refine_double_root_hint():
     (Bracket(0.0, 1.0, -1.0, 1.0), 0.0),
     (Bracket(0.0, 1.0, -1.0, 1.0), -1e-12),
 ])
-def test_refiners_reject_malformed_input(bracket, tol):
+def test_refine_root_rejects_malformed_input(bracket, tol):
     with pytest.raises(InvalidParameterError):
         refine_root(bracket, math.sin, tol)
-    with pytest.raises(InvalidParameterError):
-        refine_brackets([bracket], math.sin, [tol])
 
 
-def test_refine_brackets_rejects_mismatched_tolerances():
-    bracket = Bracket(3.0, 3.3, math.sin(3.0), math.sin(3.3))
-    with pytest.raises(InvalidParameterError):
-        refine_brackets([bracket, bracket], math.sin, [1e-12])
-
-
-def assert_lockstep_matches_one_at_a_time(brackets, f, tols):
-    together = refine_brackets(brackets, f, tols)
-    assert together == [refine_root(br, f, tol) for br, tol in zip(brackets, tols)]
-    return together
-
-
-def merge_tols(brackets):
-    """The per-bracket tolerances _merge_roots asks for."""
-    return [1e-13 * max(1.0, abs(0.5 * (br.lo + br.hi))) for br in brackets]
-
-
-def test_refine_brackets_matches_refine_root_on_random_u2_scans(rng):
-    counts = [0, 0]
-    for _ in range(50):
-        ext = random_extension(rng)
-        for i, (f, hi) in enumerate([(_reduced_positive(ext), 15 * math.pi),
-                                     (_reduced_negative(ext), 30.0)]):
-            brackets = scan_brackets(f, 1e-8, hi, SCAN_STEP)
-            assert_lockstep_matches_one_at_a_time(brackets, f, merge_tols(brackets))
-            counts[i] += len(brackets)
-    assert counts[0] >= 50 * 12 and counts[1] >= 10
-
-
-def test_refine_brackets_matches_refine_root_on_dirichlet_count_200():
-    f = _reduced_positive(named_extension("dirichlet"))
-    brackets = scan_brackets(f, 1e-8, 205 * math.pi, SCAN_STEP)
-    reports = assert_lockstep_matches_one_at_a_time(brackets, f, merge_tols(brackets))
-    assert [round(rep.root / math.pi) for rep in reports] == list(range(1, 205))
-
-
-def test_refine_brackets_matches_refine_root_on_finite_well_levels():
-    v0 = 1e3
-    for even in (True, False):
-        g = well_parity_condition(v0, even)
-        brackets = []
-        for n in range(1 if even else 2, int(v0 / math.pi) + 1, 2):
-            eps = 1e-12 * (1.0 + n * math.pi)
-            lo, hi = (n - 1) * math.pi + eps, n * math.pi - eps
-            brackets.append(Bracket(lo, hi, g(lo), g(hi)))
-        assert len(brackets) > 150
-        assert_lockstep_matches_one_at_a_time(brackets, g, [1e-14] * len(brackets))
-
-
-def test_refine_brackets_keeps_input_order_for_mixed_brackets():
+def test_refine_root_on_mixed_brackets():
     f = lambda s: np.sin(s) * (s - 1.5) ** 2
     (double,) = [br for br in scan_brackets(f, 1.0, 2.0, 0.2) if br.double_root]
     brackets = [
@@ -314,69 +262,18 @@ def test_refine_brackets_keeps_input_order_for_mixed_brackets():
         Bracket(0.0, 1.0, 0.0, f(1.0)),
         Bracket(3.0, 3.3, f(3.0), f(3.3)),
     ]
-    reports = assert_lockstep_matches_one_at_a_time(brackets, f, [1e-12] * 4)
-    assert [rep.multiplicity_hint for rep in reports] == [1, 2, 1, 1]
+    reports = [refine_root(br, f, 1e-12) for br in brackets]
     assert reports[2].root == 0.0 and reports[2].iterations == 0
     for rep, root in zip(reports, [2 * math.pi, 1.5, 0.0, math.pi]):
         assert abs(rep.root - root) < 1e-8
 
 
-def test_refine_brackets_accepts_scalar_only_callables():
-    brackets = [Bracket(k * math.pi - 0.2, k * math.pi + 0.3, math.sin(k * math.pi - 0.2),
-                        math.sin(k * math.pi + 0.3)) for k in (1, 2, 3)]
-    reports = assert_lockstep_matches_one_at_a_time(brackets, math.sin, [1e-12] * 3)
-    assert all(abs(rep.root - k * math.pi) <= 1e-12 for rep, k in zip(reports, (1, 2, 3)))
-
-
-# with fewer than _GRID_MIN_LIVE brackets every one runs on scalar calls; with that many
-# they share a grid, and the first grid call meets the NaN
-@pytest.mark.parametrize("others", [0, 1, _GRID_MIN_LIVE - 1])
-def test_refine_brackets_reports_non_finite_value_at_its_abscissa(others):
-    f = lambda s: np.where((s > 6.0) & (s < 6.5), np.nan, np.sin(s))
+def test_refine_root_reports_non_finite_value_at_its_abscissa():
+    f = lambda s: math.nan if 6.0 < s < 6.5 else math.sin(s)
     a, b, fa, fb = 6.0, 6.5, math.sin(6.0), math.sin(6.5)
-    brackets = [Bracket(3.0, 3.3, math.sin(3.0), math.sin(3.3))] * others + [Bracket(a, b, fa, fb)]
     with pytest.raises(EvaluationError) as err:
-        refine_brackets(brackets, f, [1e-12] * len(brackets))
-    secant = b - fb * (b - a) / (fb - fa)  # the first abscissa the second bracket asks for
-    assert err.value.abscissa == secant
-
-
-class CountedCalls:
-    """Wrap f; record the size of every grid call and count the scalar calls."""
-
-    def __init__(self, f):
-        self.f, self.grid, self.scalar = f, [], 0
-
-    def __call__(self, x):
-        if isinstance(x, np.ndarray):
-            self.grid.append(x.size)
-        else:
-            self.scalar += 1
-        return self.f(x)
-
-
-@pytest.mark.parametrize("size", [_GRID_MIN_LIVE - 1, _GRID_MIN_LIVE, _GRID_MIN_LIVE + 1, 205])
-def test_refine_brackets_matches_refine_root_around_the_grid_threshold(size):
-    ext = random_extension(np.random.default_rng(size))
-    f = _reduced_positive(ext)
-    brackets = [br for br in scan_brackets(f, 1e-8, 215 * math.pi, SCAN_STEP)
-                if not br.double_root][:size]
-    assert len(brackets) == size
-    counted = CountedCalls(f)
-    reports = refine_brackets(brackets, counted, merge_tols(brackets))
-    assert reports == [refine_root(br, f, tol) for br, tol in zip(brackets, merge_tols(brackets))]
-    assert sum(counted.grid) + counted.scalar == sum(rep.iterations for rep in reports)
-    assert all(n >= _GRID_MIN_LIVE for n in counted.grid)
-    assert bool(counted.grid) == (size >= _GRID_MIN_LIVE)
-
-    sines = [Bracket(k * math.pi - 0.2, k * math.pi + 0.3, math.sin(k * math.pi - 0.2),
-                     math.sin(k * math.pi + 0.3)) for k in range(1, size + 1)]
-    reports = assert_lockstep_matches_one_at_a_time(sines, math.sin, [1e-12] * size)
-    assert all(abs(rep.root - k * math.pi) <= 1e-12 * k for k, rep in enumerate(reports, 1))
-
-
-def test_refine_brackets_of_nothing_is_empty():
-    assert refine_brackets([], math.sin, []) == []
+        refine_root(Bracket(a, b, fa, fb), f, 1e-12)
+    assert err.value.abscissa == b - fb * (b - a) / (fb - fa)  # the first secant step
 
 
 def test_integrate_normalized_sine():
@@ -524,8 +421,9 @@ def test_fourier_coefficients_rejects_bad_input(ns, tol):
 
 
 # Characteristic functions take a float or an array through the same IEEE
-# operations; refine_brackets finishes its last live brackets on scalar calls
-# after grid steps, so the two must agree to the bit.
+# operations: a bracket's end values come from a grid scan and refine_root adds
+# scalar values, so the two must agree to the bit.  For F/s this guards the claim
+# that math and numpy round sin and cos alike.
 def assert_scalar_matches_grid(f, xs):
     grid = f(np.array(xs))
     for x, in_grid in zip(xs, grid):
