@@ -11,18 +11,24 @@ The s > 0 eigenvalues solve the real characteristic equation
 the zero mode exists iff Z = 2 sin(psi) - cos(psi) - 2 m1 - m0 = 0, and the
 negative sector follows from the substitution s -> i r.  The production
 solver scans F/s (which tends to Z at s -> 0) with a uniform step and
-refines every bracket; closed forms for the two simple families are used as
-cross-checks only.
+refines the brackets in ascending order until the requested levels are
+settled; closed forms for the two simple families are used as cross-checks
+only.
+
+The solver and the eigenfunction construction run on Python floats and
+complex numbers, through ``math`` and ``cmath``.  numpy loads only inside the
+public helpers that accept or return arrays: ``char_positive``,
+``char_negative``, ``lm_matrices`` and ``BoxEigenfunction.value``/``derivative``.
 """
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import math
 import operator
+import sys
 from typing import NamedTuple
-
-import numpy as np
 
 from .errors import (
     DiagnosticError,
@@ -31,7 +37,7 @@ from .errors import (
     InvalidRootError,
 )
 from .extensions import ExtensionU2, SimpleFamily, classify_simple_family, unitary_entries
-from .numerics import Bracket, refine_root, scan_brackets
+from .roots import Bracket, refine_root, scan_brackets
 
 SCAN_STEP = math.pi / 8.0          # roots of F interlace no tighter than ~pi/2
 ZERO_MODE_TOL = 1e-10              # |Z| threshold for an exact zero mode
@@ -73,15 +79,18 @@ def _lm_exponential(s: complex):
     return _lm_entries(s, 1.0, cmath.exp(1j * s), -s, 1.0, cmath.exp(-1j * s))
 
 
-def lm_matrices(s: complex) -> tuple[np.ndarray, np.ndarray]:
+def lm_matrices(s: complex):
     """Boundary-value matrices L(s), M(s) for phi = A e^{isx} + B e^{-isx}.
 
     (phi'(0) - i phi(0), phi'(1) + i phi(1)) = i L(s) (A, B)
     (phi'(0) + i phi(0), phi'(1) - i phi(1)) = i M(s) (A, B)
 
     det M(s) = 2[i(s^2+1) sin s - 2 s cos s]; both determinants vanish only
-    at s = 0.  Accepts complex s (the negative sector uses s = i r).
+    at s = 0.  Accepts complex s (the negative sector uses s = i r).  Returns two
+    2x2 complex arrays.
     """
+    import numpy as np
+
     return tuple(np.array(entries, dtype=complex).reshape(2, 2)
                  for entries in _lm_exponential(s))
 
@@ -92,6 +101,8 @@ _ZERO_LM = ((-1j, 1.0, 1j, 1.0 + 1j), (1j, 1.0, -1j, 1.0 - 1j))
 
 def char_positive(e: ExtensionU2, s):
     """F(s); vanishes exactly at the positive eigenvalues E = s^2."""
+    import numpy as np
+
     s = np.asarray(s, dtype=float) if np.ndim(s) else float(s)
     sp, cp = math.sin(e.psi), math.cos(e.psi)
     return 2.0 * s * (sp * np.cos(s) - e.m1) - np.sin(s) * (
@@ -106,6 +117,8 @@ def char_zero(e: ExtensionU2) -> float:
 
 def char_negative(e: ExtensionU2, r):
     """G(r); vanishes exactly at the negative eigenvalues E = -r^2."""
+    import numpy as np
+
     r = np.asarray(r, dtype=float) if np.ndim(r) else float(r)
     sp, cp = math.sin(e.psi), math.cos(e.psi)
     return 2.0 * r * (sp * np.cosh(r) - e.m1) - np.sinh(r) * (
@@ -116,45 +129,33 @@ def char_negative(e: ExtensionU2, r):
 def _reduced_positive(e: ExtensionU2):
     """F(s)/s, continuous at 0 with limit Z; kills the trivial root at s = 0.
 
-    sin(t)/t at t = pi (s/pi + 1e-300) is np.sinc(s/pi) to the bit, finite at 0.
-    A scalar s takes math's cos and sin, which round as numpy's do, without
-    the slower numpy scalar arithmetic.
+    sin(t)/t at t = pi (s/pi + 1e-300) rounds as np.sinc(s/pi) does and is
+    finite at 0.
     """
     sp, cp = math.sin(e.psi), math.cos(e.psi)
     m0, m1 = e.m0, e.m1
 
     def f(s):
-        xp = np if isinstance(s, np.ndarray) else math
         t = math.pi * (s / math.pi + 1e-300)
         ss = s * s
-        return 2.0 * (sp * xp.cos(s) - m1) - xp.sin(t) / t * (cp * (ss + 1.0) - m0 * (ss - 1.0))
+        return 2.0 * (sp * math.cos(s) - m1) - math.sin(t) / t * (cp * (ss + 1.0) - m0 * (ss - 1.0))
 
     return f
 
 
-# The scalar branches of _rcoth and _rcsch take numpy's exp and expm1 as Python
-# floats (math's round apart from numpy's in the last bit) and give the nan of
-# 0/0 at r = 0.
-def _rcoth(r):
-    if not isinstance(r, np.ndarray):
-        if r >= 350.0:
-            return r
-        em1 = float(np.expm1(2.0 * r))
-        return r + 2.0 * r / em1 if em1 else math.nan
-    small = r < 350.0
-    safe = np.where(small, r, 1.0)
-    return np.where(small, safe + 2.0 * safe / np.expm1(2.0 * safe), r)
+# r coth(r) and r csch(r), the nan of 0/0 at r = 0
+def _rcoth(r: float) -> float:
+    if r >= 350.0:
+        return r
+    em1 = math.expm1(2.0 * r)
+    return r + 2.0 * r / em1 if em1 else math.nan
 
 
-def _rcsch(r):
-    if not isinstance(r, np.ndarray):
-        if r >= 350.0:
-            return 0.0
-        em1 = float(np.expm1(-2.0 * r))
-        return -2.0 * r * float(np.exp(-r)) / em1 if em1 else math.nan
-    small = r < 350.0
-    safe = np.where(small, r, 1.0)
-    return np.where(small, -2.0 * safe * np.exp(-safe) / np.expm1(-2.0 * safe), 0.0)
+def _rcsch(r: float) -> float:
+    if r >= 350.0:
+        return 0.0
+    em1 = math.expm1(-2.0 * r)
+    return -2.0 * r * math.exp(-r) / em1 if em1 else math.nan
 
 
 def _reduced_negative(e: ExtensionU2):
@@ -167,8 +168,7 @@ def _reduced_negative(e: ExtensionU2):
     m0, m1 = e.m0, e.m1
 
     def g(r):
-        out = 2.0 * sp * _rcoth(r) - 2.0 * m1 * _rcsch(r) + (cp - m0) * r * r - (cp + m0)
-        return out if isinstance(out, np.ndarray) else float(out)
+        return 2.0 * sp * _rcoth(r) - 2.0 * m1 * _rcsch(r) + (cp - m0) * r * r - (cp + m0)
 
     return g
 
@@ -303,39 +303,68 @@ def degeneracy(e: ExtensionU2, sector: str, value: float) -> int:
     return 2 if _sigma_max(_defect(e, sector, value)) <= _RANK_RTOL else 1
 
 
-def _merge_roots(
-    e: ExtensionU2, sector: str, f, brackets: list[Bracket],
-    known: list[SpectralRoot], tol_gate: float,
-) -> list[SpectralRoot]:
-    """Refine brackets and merge the roots into the sorted, classified known roots.
+def _refined(f, br: Bracket, tol_gate: float) -> SpectralRoot:
+    """The root in one bracket, with multiplicity 0 until it is kept as a level.
 
-    Roots within the merge distance of a kept one are duplicates from overlapping
-    brackets.  A root below sqrt(ZERO_MODE_TOL) is dropped only when the zero
-    mode is reported (|Z| <= ZERO_MODE_TOL): it is that zero mode, since the
-    reduced characteristic is Z + O(value^2) at the origin.  New roots carry
-    multiplicity 0 until kept; each kept one gets one rank test (degeneracy).
+    Its residual is |f| at the root relative to the bracket's end values; above
+    tol_gate it raises DiagnosticError, except at a double root.
     """
-    fresh = []
-    for br in brackets:
-        report = refine_root(br, f, 1e-13 * max(1.0, abs(0.5 * (br.lo + br.hi))))
-        scale = max(abs(br.f_lo), abs(br.f_hi), 1e-30)
-        residual = abs(report.residual) / scale
-        if residual > tol_gate and not br.double_root:
-            raise DiagnosticError(
-                f"root residual {residual:.3e} above tolerance {tol_gate:.3e} at {report.root!r}"
-            )
-        fresh.append(SpectralRoot(report.root, 0, residual, report.iterations))
-    floor = math.sqrt(ZERO_MODE_TOL) if abs(char_zero(e)) <= ZERO_MODE_TOL else 0.0
-    merged: list[SpectralRoot] = []
-    for root in sorted(known + fresh, key=lambda root: root.value):
-        if root.value < floor or (
-            merged and abs(root.value - merged[-1].value) <= _MERGE_RTOL * (1.0 + abs(root.value))
-        ):
-            continue
-        if not root.multiplicity:
-            root = root._replace(multiplicity=degeneracy(e, sector, root.value))
-        merged.append(root)
-    return merged
+    report = refine_root(br, f, 1e-13 * max(1.0, abs(0.5 * (br.lo + br.hi))))
+    scale = max(abs(br.f_lo), abs(br.f_hi), 1e-30)
+    residual = abs(report.residual) / scale
+    if residual > tol_gate and not br.double_root:
+        raise DiagnosticError(
+            f"root residual {residual:.3e} above tolerance {tol_gate:.3e} at {report.root!r}"
+        )
+    return SpectralRoot(report.root, 0, residual, report.iterations)
+
+
+_VALUE = operator.attrgetter("value")
+
+
+class _Levels:
+    """Roots merged, one at a time, into the sorted and classified levels of a sector.
+
+    A root within the merge distance of the level below it is a duplicate from
+    overlapping brackets.  A root below sqrt(ZERO_MODE_TOL) is dropped only when
+    the zero mode is reported (|Z| <= ZERO_MODE_TOL): it is that zero mode, since
+    the reduced characteristic is Z + O(value^2) at the origin.  Each level gets
+    one rank test (degeneracy).  ``add`` places a root after every root of lower
+    or equal value and merges again from there, so the levels are always those of
+    merging all roots in order of value; a root above all others costs O(1).
+    ``known`` levels, from an earlier scan window, count as roots.
+    """
+
+    def __init__(self, e: ExtensionU2, sector: str, known: list[SpectralRoot]):
+        self.e, self.sector = e, sector
+        self.floor = math.sqrt(ZERO_MODE_TOL) if abs(char_zero(e)) <= ZERO_MODE_TOL else 0.0
+        self.roots = list(known)     # every root added, by value
+        self.levels = list(known)    # the kept roots
+        self.totals = [0]            # totals[i]: multiplicities of levels[:i]
+        for root in known:
+            self.totals.append(self.totals[-1] + root.multiplicity)
+
+    def add(self, root: SpectralRoot) -> None:
+        at = bisect.bisect_right(self.roots, root.value, key=_VALUE)
+        self.roots.insert(at, root)
+        kept = bisect.bisect_right(self.levels, root.value, key=_VALUE)
+        del self.levels[kept:], self.totals[kept + 1:]
+        for i in range(at, len(self.roots)):
+            root = self.roots[i]
+            if root.value < self.floor or self.levels and (
+                abs(root.value - self.levels[-1].value) <= _MERGE_RTOL * (1.0 + abs(root.value))
+            ):
+                continue
+            if not root.multiplicity:
+                root = self.roots[i] = root._replace(
+                    multiplicity=degeneracy(self.e, self.sector, root.value))
+            self.levels.append(root)
+            self.totals.append(self.totals[-1] + root.multiplicity)
+
+    def reaching(self, count: int) -> int:
+        """The number of levels whose multiplicities first reach count, 0 if they do not."""
+        n = bisect.bisect_left(self.totals, count)
+        return n if n < len(self.totals) else 0
 
 
 def _solve_negative(e: ExtensionU2, tol: float) -> list[SpectralRoot]:
@@ -352,7 +381,7 @@ def _solve_negative(e: ExtensionU2, tol: float) -> list[SpectralRoot]:
     tail: list[float] = []
     # disc = 4 (1 - m0^2) >= 0; the rounded coefficients move it by a few eps,
     # and within that the vertex is a double root
-    if abs(disc) <= 8.0 * np.finfo(float).eps * (abs(c0) + abs(c1) + abs(c2)):
+    if abs(disc) <= 8.0 * sys.float_info.epsilon * (abs(c0) + abs(c1) + abs(c2)):
         tail = [vertex, vertex]
     elif c2 != 0.0 and disc > 0.0:
         sq = math.sqrt(disc)
@@ -373,7 +402,10 @@ def _solve_negative(e: ExtensionU2, tol: float) -> list[SpectralRoot]:
         if g_lo * g_hi < 0:
             brackets.append(Bracket(lo, hi, g_lo, g_hi))
 
-    out = _merge_roots(e, NEGATIVE, g, brackets, [], tol_gate=max(tol, 1e-9))
+    levels = _Levels(e, NEGATIVE, [])
+    for root in sorted((_refined(g, br, max(tol, 1e-9)) for br in brackets), key=_VALUE):
+        levels.add(root)
+    out = levels.levels
     total = sum(root.multiplicity for root in out)
     if total > 2:
         raise DiagnosticError(
@@ -387,41 +419,46 @@ def _solve_negative(e: ExtensionU2, tol: float) -> list[SpectralRoot]:
 
 
 def _solve_positive(req: BoxSpectrumRequest) -> tuple[list[SpectralRoot], float]:
+    """The first levels of multiplicity sum >= req.count, and the scan ceiling reached.
+
+    Brackets are refined in ascending order of lo.  A root lies at or above its
+    bracket's lo, so once the levels reach the count and the next lo lies past
+    the last level needed, plus the merge distance, no later root can change
+    those levels: the rest go unrefined.
+    """
     e = req.ext
     f = _reduced_positive(e)
+    tol_gate = max(req.tol, 1e-9)
     start = max(
         req.s_max_hint if req.s_max_hint else 0.0,
         (req.count + 5) * math.pi,
     )
     cap = req.s_max_cap if req.s_max_cap else max(16.0 * start, 1000.0)
 
-    roots: list[SpectralRoot] = []
+    known: list[SpectralRoot] = []
     lo = 1e-8
     ceiling = min(start, cap)
     while True:
         # a cap below lo + SCAN_STEP scans one shorter step; a cap at or below lo, nothing
         step = min(SCAN_STEP, ceiling - lo)
         brackets = scan_brackets(f, lo, ceiling, step) if step > 0 else []
-        roots = _merge_roots(e, POSITIVE, f, brackets, roots, tol_gate=max(req.tol, 1e-9))
-        if sum(root.multiplicity for root in roots) >= req.count:
-            break
+        levels = _Levels(e, POSITIVE, known)
+        for i, br in enumerate(brackets):
+            levels.add(_refined(f, br, tol_gate))
+            n = levels.reaching(req.count)
+            if not n:
+                continue
+            last = levels.levels[n - 1].value
+            if i + 1 == len(brackets) or brackets[i + 1].lo > last + _MERGE_RTOL * (1.0 + last):
+                return levels.levels[:n], ceiling
+        known = levels.levels
         if ceiling >= cap:
             raise IncompleteSpectrumError(
                 f"scan ceiling {cap} exhausted before {req.count} positive eigenvalues",
-                [root.value for root in roots],
+                [root.value for root in known],
             )
         lo = ceiling - SCAN_STEP  # overlap so boundary roots cannot fall in a seam
         ceiling = min(ceiling + 8.0 * math.pi, cap)
-
-    # truncate to the minimal prefix reaching the requested count
-    kept: list[SpectralRoot] = []
-    acc = 0
-    for root in roots:
-        kept.append(root)
-        acc += root.multiplicity
-        if acc >= req.count:
-            break
-    return kept, ceiling
 
 
 def _cross_validate_family(e: ExtensionU2, roots: list[SpectralRoot]) -> None:
@@ -480,10 +517,11 @@ def _check_level_count(below: int, positive: list[SpectralRoot]) -> None:
 def solve_spectrum(req: BoxSpectrumRequest) -> SpectrumResult:
     """Negative, zero, and positive spectrum of the boxed Hamiltonian for req.ext.
 
-    Scans the reduced characteristic functions with step pi/8, refines every
-    bracket, detects double eigenvalues through the rank of L - U M at the
-    root, and cross-validates against the closed forms whenever the boundary
-    condition belongs to one of the two simple families.  The level count is
+    Scans the reduced characteristic functions with step pi/8, refines the
+    brackets up to the requested count (_solve_positive), detects double
+    eigenvalues through the rank of L - U M at the root, and cross-validates
+    against the closed forms whenever the boundary condition belongs to one of
+    the two simple families.  The level count is
     checked against the Dirichlet count (_check_level_count); a breach
     raises DiagnosticError.
     """
@@ -532,6 +570,8 @@ class BoxEigenfunction(NamedTuple):
         return 1j * self.s_or_r if self.sector == POSITIVE else self.s_or_r
 
     def value(self, x):
+        import numpy as np
+
         x = np.asarray(x, dtype=float)
         a, b = self.coeffs
         if self.sector == ZERO:
@@ -539,6 +579,8 @@ class BoxEigenfunction(NamedTuple):
         return a * np.exp(self._k * x) + b * np.exp(-self._k * x)
 
     def derivative(self, x):
+        import numpy as np
+
         x = np.asarray(x, dtype=float)
         a, b = self.coeffs
         if self.sector == ZERO:
@@ -661,10 +703,9 @@ def boundary_form(phi, psi_fn) -> complex:
     """
     p0, dp0, p_l, dp_l = phi.boundary_values()
     q0, dq0, q_l, dq_l = psi_fn.boundary_values()
-    num = (
-        np.conj(p_l) * dq_l - np.conj(dp_l) * q_l - np.conj(p0) * dq0 + np.conj(dp0) * q0
-    )
-    return complex(num / 2j)
+    num = (p_l.conjugate() * dq_l - dp_l.conjugate() * q_l
+           - p0.conjugate() * dq0 + dp0.conjugate() * q0)
+    return num / 2j
 
 
 def to_physical_energy(

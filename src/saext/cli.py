@@ -10,9 +10,8 @@ Exit codes: 0 success, 2 usage error (also a NaN, an infinity other than a
 lambda or lambda/a, a size above its cap, an empty list, or an --output path
 that cannot be written), 3 numerical failure.
 
-Each subcommand imports the modules it runs when it runs: ``reflect``,
-``bound-state``, ``deficiency``, ``deuteron``, ``well-limit``,
-``momentum-spectrum`` and ``paradox`` load no numpy.
+Each subcommand imports the modules it runs when it runs.  Every one but
+``expand``, whose Fourier quadrature is numpy's FFT, loads no numpy.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ _OPERATORS = {"momentum": OperatorKind.MOMENTUM, "hamiltonian": OperatorKind.HAM
 
 # Input-size caps: the largest accepted input runs in a few seconds.
 _MAX_COUNT = 5000         # spectrum --count
-_MAX_S_MAX = 1e5          # spectrum --s-max (a scan to 1e5: 2-5 s, 70 MB; 2.1 GHz Xeon)
+_MAX_S_MAX = 1e5          # spectrum --s-max (a scan to 1e5: 0.5-1.5 s, 45 MB; 2-vCPU Xeon)
 _MAX_TERMS = 10 ** 7      # paradox --terms (all closed forms: any N takes ~10 us)
 _MAX_RANGE_ROWS = 2001    # --range rows (-1000:1000)
 # expand: the whole table is validated on one FFT grid of P uniform panels, P the power of

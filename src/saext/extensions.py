@@ -23,9 +23,8 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DiagnosticError, InvalidParameterError
 
-# numpy and the quadrature load inside the functions that use them, so the
-# deficiency table and the half-line model (which uses HalflineExtension)
-# import without them
+# numpy loads only inside to_matrix and verify_deficiency (with the quadrature):
+# constructing, parsing and classifying an extension run on Python floats
 if TYPE_CHECKING:
     import numpy as np
 
@@ -35,6 +34,18 @@ if TYPE_CHECKING:
 _S3_CONSTRUCT_TOL = 1e-9
 _UNITARY_TOL = 1e-9
 CLASSIFY_TOL = 1e-10
+
+
+def _real(name: str, value) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise InvalidParameterError(f"{name} must be a real number, got {value!r}") from None
+
+
+def _norm(vec: list[float]) -> float:
+    """Euclidean norm, as the square root of a left-to-right sum of squares."""
+    return math.sqrt(sum(x * x for x in vec))
 
 
 # The value types are NamedTuples.  A validating one subclasses a NamedTuple of its
@@ -51,22 +62,25 @@ class ExtensionU2(NamedTuple("ExtensionU2", [("psi", float), ("m0", float),
     __slots__ = ()
 
     def __new__(cls, psi: float, m0: float, m: tuple[float, float, float]):
-        import numpy as np
-
-        vec = np.array([m0, *m], dtype=float)
-        norm = float(np.linalg.norm(vec))
+        try:
+            m1, m2, m3 = m
+        except (TypeError, ValueError):
+            raise InvalidParameterError(
+                f"m must hold three components (m1, m2, m3), got {m!r}") from None
+        psi = _real("psi", psi)
+        vec = [_real(name, x) for name, x in zip(("m0", "m1", "m2", "m3"), (m0, m1, m2, m3))]
+        norm = _norm(vec)
         if not math.isfinite(norm) or abs(norm - 1.0) > _S3_CONSTRUCT_TOL:
             raise InvalidParameterError(
                 f"(m0, m) must lie on the unit 3-sphere (|norm-1| = {abs(norm - 1.0):.3e})"
             )
         if not math.isfinite(psi):
             raise InvalidParameterError(f"psi must be finite, got {psi!r}")
-        vec /= norm
-        psi = float(psi) % (2.0 * math.pi)
+        psi %= 2.0 * math.pi
         if psi >= math.pi:
             psi -= math.pi
-            vec = -vec
-        m0, m1, m2, m3 = map(float, vec)
+            norm = -norm
+        m0, m1, m2, m3 = (x / norm for x in vec)
         return super().__new__(cls, psi, m0, (m1, m2, m3))
 
     @property
@@ -150,24 +164,37 @@ def to_matrix(e: ExtensionU2) -> UnitaryMatrix2:
     return np.array(unitary_entries(e), dtype=complex).reshape(2, 2)
 
 
-def from_matrix(u: UnitaryMatrix2) -> ExtensionU2:
-    """Invert to_matrix, up to the (psi, m) ~ (psi + pi, -m) identification."""
-    import numpy as np
+def from_matrix(u) -> ExtensionU2:
+    """Invert to_matrix, up to the (psi, m) ~ (psi + pi, -m) identification.
 
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (2, 2):
-        raise InvalidParameterError(f"expected a 2x2 matrix, got shape {u.shape}")
-    defect = float(np.max(np.abs(u.conj().T @ u - np.eye(2))))
+    u is a 2x2 array or a pair of rows.  Another shape, an entry that is not a
+    finite number, or a matrix that is not unitary to 1e-9 raises
+    InvalidParameterError.
+    """
+    shape = getattr(u, "shape", (2, 2))
+    if shape != (2, 2):
+        raise InvalidParameterError(f"expected a 2x2 matrix, got shape {shape}")
+    try:
+        (a, b), (c, d) = u
+        a, b, c, d = map(complex, (a, b, c, d))
+    except (TypeError, ValueError):
+        raise InvalidParameterError(f"expected a 2x2 matrix of numbers, got {u!r}") from None
+    if not all(map(cmath.isfinite, (a, b, c, d))):
+        raise InvalidParameterError(f"matrix entries must be finite, got {u!r}")
+    # U^H U - I: both diagonal entries and one of the two conjugate off-diagonal ones
+    defect = max(abs(a.conjugate() * a + c.conjugate() * c - 1.0),
+                 abs(a.conjugate() * b + c.conjugate() * d),
+                 abs(b.conjugate() * b + d.conjugate() * d - 1.0))
     if defect > _UNITARY_TOL:
         raise InvalidParameterError(f"matrix is not unitary (residual {defect:.3e})")
-    det = u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]
-    psi = (cmath.phase(det) % (2.0 * math.pi)) / 2.0
-    m_mat = cmath.exp(-1j * psi) * u
-    # m_mat = [[m0 - i m3, -m2 - i m1], [m2 - i m1, m0 + i m3]]
-    m0 = float((m_mat[0, 0].real + m_mat[1, 1].real) / 2.0)
-    m3 = float((m_mat[1, 1].imag - m_mat[0, 0].imag) / 2.0)
-    m1 = float(-(m_mat[1, 0].imag + m_mat[0, 1].imag) / 2.0)
-    m2 = float((m_mat[1, 0].real - m_mat[0, 1].real) / 2.0)
+    psi = (cmath.phase(a * d - b * c) % (2.0 * math.pi)) / 2.0
+    phase = cmath.exp(-1j * psi)
+    # e^{-i psi} U = [[m0 - i m3, -m2 - i m1], [m2 - i m1, m0 + i m3]]
+    a, b, c, d = phase * a, phase * b, phase * c, phase * d
+    m0 = (a.real + d.real) / 2.0
+    m3 = (d.imag - a.imag) / 2.0
+    m1 = -(c.imag + b.imag) / 2.0
+    m2 = (c.real - b.real) / 2.0
     return ExtensionU2(psi=psi, m0=m0, m=(m1, m2, m3))
 
 
@@ -290,10 +317,13 @@ def is_time_reversal(e: ExtensionU2, tol: float = CLASSIFY_TOL) -> bool:
     Cross-checked against the determinant criterion det(I - conj(U) U) = 0,
     which equals 4 m2^2 identically; a mismatch means corrupted state.
     """
-    import numpy as np
-
-    u = to_matrix(e)
-    det_val = np.linalg.det(np.eye(2) - u.conj() @ u)
+    alpha, gamma, beta, delta = unitary_entries(e)
+    # I - conj(U) U, conj entrywise, as [[p, q], [r, t]]
+    p = 1.0 - alpha.conjugate() * alpha - gamma.conjugate() * beta
+    q = -(alpha.conjugate() * gamma + gamma.conjugate() * delta)
+    r = -(beta.conjugate() * alpha + delta.conjugate() * beta)
+    t = 1.0 - beta.conjugate() * gamma - delta.conjugate() * delta
+    det_val = p * t - q * r
     if abs(det_val - 4.0 * e.m2 ** 2) > 1e-9:
         raise DiagnosticError(
             f"time-reversal criteria disagree: det {det_val!r} vs 4 m2^2 {4 * e.m2 ** 2!r}"
@@ -324,13 +354,11 @@ def named_extension(name: str, theta: float | None = None) -> ExtensionU2:
                       phi'(L) = e^{i theta} phi'(0)
     periodic / antiperiodic are quasi_periodic with theta = 0 / pi.
     """
-    import numpy as np
-
     key = name.strip().lower().replace("-", "_")
     if key == "dirichlet":
         return ExtensionU2(psi=0.0, m0=1.0, m=(0.0, 0.0, 0.0))
     if key == "neumann":
-        return from_matrix(-np.eye(2, dtype=complex))
+        return from_matrix(((-1.0, 0.0), (0.0, -1.0)))
     if key == "periodic":
         key, theta = "quasi_periodic", 0.0
     elif key == "antiperiodic":
@@ -341,8 +369,7 @@ def named_extension(name: str, theta: float | None = None) -> ExtensionU2:
         t = float(theta)
         if not 0.0 <= t < 2.0 * math.pi:
             raise InvalidParameterError(f"theta must lie in [0, 2 pi), got {theta}")
-        u = np.array([[0.0, cmath.exp(-1j * t)], [cmath.exp(1j * t), 0.0]], dtype=complex)
-        return from_matrix(u)
+        return from_matrix(((0.0, cmath.exp(-1j * t)), (cmath.exp(1j * t), 0.0)))
     raise InvalidParameterError(f"unknown extension name {name!r}")
 
 
@@ -361,8 +388,6 @@ def parse_extension(text: str) -> ExtensionU2:
     Raw quadruples within 1e-6 of the unit sphere are renormalized; anything
     farther is rejected.
     """
-    import numpy as np
-
     s = text.strip()
     low = s.lower()
     if low in ("dirichlet", "neumann", "periodic", "antiperiodic"):
@@ -382,13 +407,13 @@ def parse_extension(text: str) -> ExtensionU2:
         )
     try:
         psi = float(match["psi"])
-        vec = np.array([float(match[k]) for k in ("m0", "m1", "m2", "m3")])
+        vec = [float(match[k]) for k in ("m0", "m1", "m2", "m3")]
     except ValueError as exc:
         raise InvalidParameterError(f"bad number in extension syntax {text!r}: {exc}") from None
-    norm = float(np.linalg.norm(vec))
+    norm = _norm(vec)
     if abs(norm - 1.0) > _CLI_RENORM_TOL:
         raise InvalidParameterError(
             f"(m0,m1,m2,m3) must lie on the unit sphere within 1e-6 (|norm-1| = {abs(norm-1):.3e})"
         )
-    vec = vec / norm
-    return ExtensionU2(psi=psi, m0=float(vec[0]), m=(float(vec[1]), float(vec[2]), float(vec[3])))
+    m0, m1, m2, m3 = (x / norm for x in vec)
+    return ExtensionU2(psi=psi, m0=m0, m=(m1, m2, m3))

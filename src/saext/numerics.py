@@ -1,28 +1,24 @@
 """Shared numerical kernels: root bracketing, refinement and quadrature.
 
 Everything here is deliberately small and dependency-free (numpy only for
-grid evaluation).  The spectral modules rely on four guarantees:
+the quadrature grids).  The spectral modules rely on four guarantees:
 
-* ``scan_brackets`` finds every sign change of a scalar function on a uniform
-  grid and, in addition, locates tangencies (double roots) that leave no sign
-  change — these occur for genuinely doubly degenerate spectra.  Numpy masks
-  over the grid select the cells; Python only builds the brackets.
-* ``refine_root`` (defined in ``roots``, which needs no numpy) is a
-  bisection/secant hybrid: secant steps when they help, bisection always as
-  a fallback, so termination is guaranteed on any continuous function with a
-  sign-change bracket.  It refines one bracket at a time on scalar calls.
+* ``scan_brackets`` (defined in ``roots``, which needs no numpy) finds every
+  sign change of a scalar function on a uniform grid and, in addition,
+  locates tangencies (double roots) that leave no sign change — these occur
+  for genuinely doubly degenerate spectra.  It calls the function on Python
+  floats, one grid node at a time.
+* ``refine_root`` (also in ``roots``) is a bisection/secant hybrid: secant
+  steps when they help, bisection always as a fallback, so termination is
+  guaranteed on any continuous function with a sign-change bracket.  It
+  refines one bracket at a time on scalar calls.
 * ``integrate`` is adaptive Gauss-Kronrod G7-K15 in the QUADPACK QAG style
   (Piessens et al., 1983), exact through degree-13 polynomials on a panel.
-  Each pass evaluates the integrand once, on every live panel, through the
-  grid routine ``scan_brackets`` uses.
+  Each pass evaluates the integrand once, on every live panel, as one array.
 * ``fourier_coefficients`` applies the same G7-K15 rule on one grid of
   uniform panels to many Fourier coefficients at once: one FFT over the
   panels per node gives every row, each with its own |K15 - G7| estimate,
   and the grid doubles until every row meets its tol.
-
-Characteristic functions take a float or an array through the same IEEE
-operations, so scalar and grid values agree bitwise: a bracket's end values
-come from a grid, the values ``refine_root`` adds from scalar calls.
 """
 
 from __future__ import annotations
@@ -33,12 +29,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import AccuracyError, EvaluationError, InvalidParameterError
-from .roots import Bracket, _refine_extremum
-from .roots import RootReport, refine_root  # noqa: F401  (re-exported)
-
-# |f| threshold, relative to the local function scale, below which a polished
-# same-sign minimum is declared a double root.
-TANGENCY_RTOL = 1e-9
+from .roots import Bracket, RootReport, refine_root, scan_brackets  # noqa: F401  (re-exported)
 
 
 def _eval_grid(f: Callable[[float], float], xs: np.ndarray) -> np.ndarray:
@@ -59,81 +50,6 @@ def _eval_grid(f: Callable[[float], float], xs: np.ndarray) -> np.ndarray:
     if not finite.all():
         raise EvaluationError("non-finite function value", float(xs[~finite][0]))
     return ys
-
-
-def scan_brackets(
-    f: Callable[[float], float], lo: float, hi: float, step: float
-) -> list[Bracket]:
-    """Bracket every root of f on [lo, hi] using a uniform grid of width <= step.
-
-    Strict sign changes become ordinary brackets.  A same-sign local minimum
-    of |f| is polished; if the polished extremum reveals a sign flip the two
-    hidden crossings are bracketed separately, and if |f| at the extremum is
-    below ``TANGENCY_RTOL`` times the local scale the point is flagged as a
-    suspected double root.  Numpy masks over the grid pick the sign changes,
-    the exact grid-node zeros and the dip candidates; Python runs once per
-    bracket and once per candidate.  A non-finite lo or hi, or a step outside
-    (0, hi - lo], raises InvalidParameterError.
-    """
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise InvalidParameterError(f"scan ends must be finite, got [{lo}, {hi}]")
-    if not (0.0 < step <= (hi - lo) * (1.0 + 1e-9)):
-        raise InvalidParameterError(f"step must satisfy 0 < step <= hi-lo, got {step}")
-    n = max(1, math.ceil((hi - lo) / step))
-    xs = np.linspace(lo, hi, n + 1)
-    ys = _eval_grid(f, xs)
-    signs = np.sign(ys)
-    mag = np.abs(ys)
-    change = signs[:-1] * signs[1:] < 0
-    node_zero = ys[:-1] == 0.0
-    node_zero[0] = False
-    mid = signs[1:-1]
-    dip = ((signs[:-2] == mid) & (mid == signs[2:]) & (mid != 0)
-           & (mag[1:-1] <= mag[:-2]) & (mag[1:-1] <= mag[2:]))
-    cells = np.flatnonzero(change | node_zero)
-    mids = np.flatnonzero(dip) + 1
-
-    brackets: list[Bracket] = []
-    for x0, x1, y0, y1 in zip(xs[cells].tolist(), xs[cells + 1].tolist(),
-                              ys[cells].tolist(), ys[cells + 1].tolist()):
-        if y0 != 0.0:
-            brackets.append(Bracket(x0, x1, y0, y1))
-            continue
-        # exact grid-node zero: split off a tiny enclosing bracket
-        h = (x1 - x0) * 1e-6
-        fl, fr = float(f(x0 - h)), float(f(x0 + h))
-        crossing = fl * fr < 0
-        brackets.append(Bracket(x0 - h, x0 + h, fl, fr, double_root=not crossing,
-                                x_min=None if crossing else x0))
-
-    # a same-sign dip of |f|: adjacent ties polish to one extremum, handled once.  An
-    # extremum lies in the two cells around its dip, so one polished from a dip three
-    # or more nodes back is a cell (over step/2) away: only the last two can repeat it.
-    handled: list[float] = []
-    for a, x_mid, b, y_lo, y_mid, y_hi in zip(
-        xs[mids - 1].tolist(), xs[mids].tolist(), xs[mids + 1].tolist(),
-        ys[mids - 1].tolist(), ys[mids].tolist(), ys[mids + 1].tolist(),
-    ):
-        x_star = _refine_extremum(f, a, b, 1e-11 * max(1.0, abs(x_mid)))
-        if x_star is None or any(abs(x_star - seen) <= 1e-3 * step for seen in handled[-2:]):
-            continue
-        handled.append(x_star)
-        f_star = float(f(x_star))
-        scale = max(abs(y_lo), abs(y_hi), 1e-300)
-        if abs(f_star) <= TANGENCY_RTOL * scale:
-            # |f| touches zero without a resolvable crossing: double root
-            w = max(1e-9, 1e-7 * abs(x_star))
-            brackets.append(
-                Bracket(x_star - w, x_star + w, float(f(x_star - w)), float(f(x_star + w)),
-                        double_root=True, x_min=x_star)
-            )
-        elif np.sign(f_star) != 0 and np.sign(f_star) != np.sign(y_mid):
-            # two crossings hidden inside one grid cell
-            brackets.append(Bracket(a, x_star, y_lo, f_star))
-            brackets.append(Bracket(x_star, b, f_star, y_hi))
-
-    brackets.sort(key=lambda br: br.lo)
-    return brackets
 
 
 # QUADPACK qk15 on [-1, 1], one row per abscissa x >= 0 (the rule is symmetric):

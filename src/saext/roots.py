@@ -1,9 +1,9 @@
-"""Bracketed root refinement of a scalar function, one bracket at a time.
+"""Root bracketing on a uniform grid and bracketed refinement, in pure Python.
 
-The bracket and report types and ``refine_root`` live here without numpy:
-the deuteron depth and the finite-well levels solve one bracket each and
-import this module alone.  ``numerics`` re-exports all three, and the box
-solver refines each of its brackets through the same ``refine_root``.
+The bracket and report types, ``scan_brackets`` and ``refine_root`` live here
+without numpy: the deuteron depth and the finite-well levels solve one bracket
+each, and the box solver scans its characteristic functions and refines each
+bracket, all on Python floats.  ``numerics`` re-exports them.
 """
 
 from __future__ import annotations
@@ -15,6 +15,10 @@ from typing import NamedTuple
 from .errors import ConvergenceError, EvaluationError, InvalidParameterError
 
 _MAX_ROOT_ITERATIONS = 200
+
+# |f| threshold, relative to the local function scale, below which a polished
+# same-sign minimum is declared a double root.
+TANGENCY_RTOL = 1e-9
 
 
 class Bracket(NamedTuple):
@@ -149,3 +153,79 @@ def refine_root(bracket: Bracket, f: Callable[[float], float], tol: float) -> Ro
     if bracket.double_root:
         return _refine_tangency(bracket, f, tol)
     return _secant_bisection(bracket, f, tol)
+
+
+def scan_brackets(
+    f: Callable[[float], float], lo: float, hi: float, step: float
+) -> list[Bracket]:
+    """Bracket every root of f on [lo, hi] using a uniform grid of width <= step.
+
+    Strict sign changes become ordinary brackets.  A same-sign local minimum
+    of |f| is polished; if the polished extremum reveals a sign flip the two
+    hidden crossings are bracketed separately, and if |f| at the extremum is
+    below ``TANGENCY_RTOL`` times the local scale the point is flagged as a
+    suspected double root.  The grid is numpy.linspace's, node i at
+    i (hi - lo)/n + lo and node n at hi, and f is called on its floats one at
+    a time; the brackets come sorted by lo.  A non-finite value of f at a node,
+    or an ArithmeticError of f there (1/0, overflow), raises EvaluationError at
+    that node; a non-finite lo or hi, or a step outside (0, hi - lo], raises
+    InvalidParameterError.
+    """
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise InvalidParameterError(f"scan ends must be finite, got [{lo}, {hi}]")
+    if not (0.0 < step <= (hi - lo) * (1.0 + 1e-9)):
+        raise InvalidParameterError(f"step must satisfy 0 < step <= hi-lo, got {step}")
+    n = max(1, math.ceil((hi - lo) / step))
+    d = (hi - lo) / n
+    xs = [i * d + lo for i in range(n)]
+    xs.append(hi)
+    ys = []
+    for x in xs:
+        try:
+            y = float(f(x))
+        except ArithmeticError:  # 1/0 or an overflow in f
+            y = math.nan
+        if not math.isfinite(y):
+            raise EvaluationError("non-finite function value", x)
+        ys.append(y)
+
+    brackets: list[Bracket] = []
+    for i, (x0, x1, y0, y1) in enumerate(zip(xs, xs[1:], ys, ys[1:])):
+        if y0 < 0.0 < y1 or y1 < 0.0 < y0:
+            brackets.append(Bracket(x0, x1, y0, y1))
+        elif y0 == 0.0 and i:
+            # exact grid-node zero: split off a tiny enclosing bracket
+            h = (x1 - x0) * 1e-6
+            fl, fr = float(f(x0 - h)), float(f(x0 + h))
+            crossing = fl * fr < 0
+            brackets.append(Bracket(x0 - h, x0 + h, fl, fr, double_root=not crossing,
+                                    x_min=None if crossing else x0))
+
+    # a same-sign dip of |f|: adjacent ties polish to one extremum, handled once.  An
+    # extremum lies in the two cells around its dip, so one polished from a dip three
+    # or more nodes back is a cell (over step/2) away: only the last two can repeat it.
+    handled: list[float] = []
+    for i, (y_lo, y_mid, y_hi) in enumerate(zip(ys, ys[1:], ys[2:]), start=1):
+        if not (0.0 < y_mid <= y_lo and y_mid <= y_hi or 0.0 > y_mid >= y_lo and y_mid >= y_hi):
+            continue
+        a, x_mid, b = xs[i - 1], xs[i], xs[i + 1]
+        x_star = _refine_extremum(f, a, b, 1e-11 * max(1.0, abs(x_mid)))
+        if x_star is None or any(abs(x_star - seen) <= 1e-3 * step for seen in handled[-2:]):
+            continue
+        handled.append(x_star)
+        f_star = float(f(x_star))
+        scale = max(abs(y_lo), abs(y_hi), 1e-300)
+        if abs(f_star) <= TANGENCY_RTOL * scale:
+            # |f| touches zero without a resolvable crossing: double root
+            w = max(1e-9, 1e-7 * abs(x_star))
+            brackets.append(
+                Bracket(x_star - w, x_star + w, float(f(x_star - w)), float(f(x_star + w)),
+                        double_root=True, x_min=x_star)
+            )
+        elif f_star != 0.0 and (f_star > 0.0) != (y_mid > 0.0):
+            # two crossings hidden inside one grid cell
+            brackets.append(Bracket(a, x_star, y_lo, f_star))
+            brackets.append(Bracket(x_star, b, f_star, y_hi))
+
+    brackets.sort(key=lambda br: br.lo)
+    return brackets

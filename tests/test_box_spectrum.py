@@ -370,12 +370,38 @@ class TestSolveSpectrum:
         result = solve(named_extension("dirichlet"), count=200)
 
         assert len(result.positive) == 200
-        assert len(refined) >= 200
+        assert len(refined) == 200  # the brackets past the 200th level stay unrefined
         refine_calls = [is_grid for f_calls, _ in refined for is_grid in f_calls]
         iterations = [report.iterations for _, report in refined]
         assert not any(refine_calls)
         assert len(refine_calls) == sum(iterations)
         assert min(iterations) >= 10
+
+    def test_levels_merge_roots_in_any_order_as_sorted(self):
+        """_Levels, fed roots in any order, keeps the levels of a sort-then-merge."""
+        from saext.box_spectrum import POSITIVE, ZERO_MODE_TOL, SpectralRoot, _Levels
+
+        ext = named_extension("periodic")  # Z = 0: a root below sqrt(ZERO_MODE_TOL) is dropped
+        values = [1e-6, 0.5, 1.0, 1.0 + 5e-10, 1.0 + 1.5e-9, 2.0 * math.pi, 2.0 * math.pi,
+                  7.0, 7.0 + 1e-8, 9.0 - 1e-12, 9.0]
+        roots = [SpectralRoot(v, 0, 0.0) for v in values]
+        floor = math.sqrt(ZERO_MODE_TOL)
+        reference = []
+        for root in sorted(roots, key=lambda root: root.value):
+            if root.value < floor or reference and (
+                    root.value - reference[-1].value <= 1e-9 * (1.0 + root.value)):
+                continue
+            reference.append(root._replace(multiplicity=degeneracy(ext, POSITIVE, root.value)))
+        assert [root.multiplicity for root in reference] == [1, 1, 2, 1, 1, 1]
+
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            levels = _Levels(ext, POSITIVE, [])
+            for i in rng.permutation(len(roots)):
+                levels.add(roots[i])
+            assert levels.levels == reference
+            assert levels.reaching(4) == 3 and levels.reaching(5) == 4
+            assert levels.reaching(7) == 6 and levels.reaching(8) == 0
 
 
 class TestLevelCountGuard:

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -104,6 +105,25 @@ class TestMatrixMaps:
     def test_from_matrix_rejects_non_unitary(self):
         with pytest.raises(InvalidParameterError):
             from_matrix(np.array([[1.0, 0.1], [0.0, 1.0]], dtype=complex))
+
+    def test_m_with_two_components_rejected(self):
+        with pytest.raises(InvalidParameterError, match="three components"):
+            ExtensionU2(psi=0, m0=1, m=(0, 0))
+
+    def test_non_numeric_m0_rejected(self):
+        with pytest.raises(InvalidParameterError, match="m0 must be a real number"):
+            ExtensionU2(psi=0, m0="x", m=(0, 0, 0))
+
+    def test_from_matrix_rejects_nan_entries(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParameterError, match="finite"):
+                from_matrix(np.full((2, 2), np.nan, dtype=complex))
+
+    def test_from_matrix_accepts_rows(self):
+        assert from_matrix(((0, 1), (1, 0))) == from_matrix(TAU1)
+        with pytest.raises(InvalidParameterError, match="2x2"):
+            from_matrix(((1, 0), (0, 1), (0, 0)))
 
 
 class TestDeficiency:

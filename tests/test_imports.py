@@ -71,8 +71,15 @@ def modules_after_command(*argv: str) -> set[str]:
     (("well-limit", "--v0-list", "100,1000", "--level", "2"), {"saext.wells"}),
     (("momentum-spectrum", "--theta", "3.14159", "--range=-5:5"), {"saext.momentum"}),
     (("paradox", "--terms", "1000000"), {"saext.wells"}),
+    (("spectrum", "--u", "dirichlet", "--count", "3"), {"saext.box_spectrum"}),
+    (("spectrum", "--u", "psi=0.4,m=(0.5,0.5,0.5,0.5)", "--count", "5", "--include-negative"),
+     {"saext.box_spectrum"}),
+    (("spectrum", "--u", "quasiperiodic:1.57", "--count", "4", "--eigenfunctions",
+      "--format", "csv"), {"saext.box_spectrum"}),
+    (("classify", "--u", "psi=0.3,m=(0.6,0.8,0,0)"), set()),
 ], ids=["reflect", "bound-state", "deficiency", "deuteron", "well-limit", "momentum-spectrum",
-        "paradox"])
+        "paradox", "spectrum-dirichlet", "spectrum-negative", "spectrum-eigenfunctions",
+        "classify"])
 def test_scalar_commands_load_no_numpy(argv, home):
     loaded = modules_after_command(*argv)
     assert not loaded & {"numpy", "saext.numerics"}
@@ -95,8 +102,8 @@ README_COMMANDS = [
     ["reflect", "--lambda", "1", "--k", "2"],
     ["bound-state", "--lambda=-1"],
 ]
-NUMPY_FREE = {"deficiency", "momentum-spectrum", "paradox", "deuteron", "well-limit", "reflect",
-              "bound-state"}
+NUMPY_FREE = {"spectrum", "classify", "deficiency", "momentum-spectrum", "paradox", "deuteron",
+              "well-limit", "reflect", "bound-state"}
 
 
 @pytest.mark.parametrize("argv", README_COMMANDS, ids=" ".join)
@@ -111,6 +118,11 @@ def test_readme_commands_skip_dataclasses_and_inspect(argv):
 def test_spectrum_loads_only_the_box():
     loaded = modules_after_command("spectrum", "--u", "dirichlet", "--count", "3")
     assert loaded & COMMAND_MODULES == {"saext.box_spectrum"}
+
+
+def test_box_spectrum_imports_no_numpy():
+    loaded = fresh("import json, sys, saext.box_spectrum\nprint(json.dumps(sorted(sys.modules)))")
+    assert not {"numpy", "saext.numerics"} & set(loaded)
 
 
 def test_import_saext_loads_no_submodule():

@@ -16,8 +16,8 @@ from saext import (
     scan_brackets,
 )
 from saext.box_spectrum import SCAN_STEP, _reduced_negative, _reduced_positive
-from saext.numerics import TANGENCY_RTOL, fourier_coefficients
-from saext.roots import _refine_extremum
+from saext.numerics import fourier_coefficients
+from saext.roots import TANGENCY_RTOL, _refine_extremum
 
 from conftest import random_extension
 
@@ -79,11 +79,11 @@ def test_scan_rejects_non_finite_ends(lo, hi):
         scan_brackets(math.sin, lo, hi, 0.5)
 
 
-def reference_scan(f, lo, hi, step):
-    """scan_brackets as two Python loops over the grid cells, the form the masks replaced."""
+def reference_scan(f, lo, hi, step, grid=None):
+    """scan_brackets over an np.linspace grid, its values from grid(xs) (default f(xs))."""
     n = max(1, math.ceil((hi - lo) / step))
     xs = np.linspace(lo, hi, n + 1)
-    ys = np.asarray(f(xs), dtype=float)
+    ys = np.asarray((grid or f)(xs), dtype=float)
     brackets = []
     signs = np.sign(ys)
     for i in range(n):
@@ -122,11 +122,23 @@ def reference_scan(f, lo, hi, step):
     return brackets
 
 
-def assert_scan_matches_reference(f, lo, hi, step):
+def assert_scan_matches_reference(f, lo, hi, step, grid=None):
     """Same brackets in the same order, every end, value, flag and x_min to the bit."""
     brackets = scan_brackets(f, lo, hi, step)
-    assert [repr(br) for br in brackets] == [repr(br) for br in reference_scan(f, lo, hi, step)]
+    reference = reference_scan(f, lo, hi, step, grid)
+    assert [repr(br) for br in brackets] == [repr(br) for br in reference]
     return brackets
+
+
+def grid_reduced_positive(ext):
+    """F/s on an array through numpy's cos, sin and sinc: the scan's grid values, to the bit."""
+    sp, cp, m0, m1 = math.sin(ext.psi), math.cos(ext.psi), ext.m0, ext.m1
+    return lambda s: 2.0 * (sp * np.cos(s) - m1) - np.sinc(s / math.pi) * (
+        cp * (s * s + 1.0) - m0 * (s * s - 1.0))
+
+
+def pointwise(f):
+    return lambda xs: [f(x) for x in xs.tolist()]
 
 
 def test_scan_matches_cell_loops_on_random_u2_scans():
@@ -136,8 +148,9 @@ def test_scan_matches_cell_loops_on_random_u2_scans():
         named_extension("quasi_periodic", theta=theta) for theta in (1e-5, 1e-3, 2 * math.pi - 1e-5)]
     kinds = {"sign change": 0, "double root": 0}
     for ext in exts:
-        for f, hi in [(_reduced_positive(ext), 25 * math.pi), (_reduced_negative(ext), 30.0)]:
-            for br in assert_scan_matches_reference(f, 1e-8, hi, SCAN_STEP):
+        for f, hi, grid in [(_reduced_positive(ext), 25 * math.pi, grid_reduced_positive(ext)),
+                            (_reduced_negative(ext), 30.0, pointwise(_reduced_negative(ext)))]:
+            for br in assert_scan_matches_reference(f, 1e-8, hi, SCAN_STEP, grid):
                 kinds["double root" if br.double_root else "sign change"] += 1
     assert kinds["sign change"] >= 300 * 20 and kinds["double root"] >= 20
 
@@ -147,7 +160,8 @@ def test_scan_matches_cell_loops_on_random_u2_scans():
 def test_scan_matches_cell_loops_on_long_tangency_scans(name, theta):
     # a double level or a close pair every pi: hundreds of polished dips in one scan
     ext = named_extension(name) if theta is None else named_extension(name, theta=theta)
-    brackets = assert_scan_matches_reference(_reduced_positive(ext), 1e-8, 1000.0, SCAN_STEP)
+    brackets = assert_scan_matches_reference(_reduced_positive(ext), 1e-8, 1000.0, SCAN_STEP,
+                                             grid_reduced_positive(ext))
     assert len(brackets) >= 150
 
 
@@ -420,32 +434,9 @@ def test_fourier_coefficients_rejects_bad_input(ns, tol):
         fourier_coefficients(lambda x: x, ns, tol)
 
 
-# Characteristic functions take a float or an array through the same IEEE
-# operations: a bracket's end values come from a grid scan and refine_root adds
-# scalar values, so the two must agree to the bit.  For F/s this guards the claim
-# that math and numpy round sin and cos alike.
-def assert_scalar_matches_grid(f, xs):
-    grid = f(np.array(xs))
-    for x, in_grid in zip(xs, grid):
-        scalar = f(x)
-        assert type(scalar) is float
-        assert scalar.hex() == float(f(np.array([x]))[0]).hex() == float(in_grid).hex(), x
-
-
-def spread(lo, hi, count=200, seed=11):
-    """Seeded points on [lo, hi]; libm and numpy round exp and expm1 apart on 5-10% of them."""
-    return np.random.default_rng(seed).uniform(lo, hi, count).tolist()
-
-
 def agreement_extensions():
     return [named_extension(name) for name in ("dirichlet", "neumann", "periodic")] + [
         random_extension(np.random.default_rng(seed)) for seed in range(4)]
-
-
-def test_reduced_positive_scalar_matches_grid():
-    for ext in agreement_extensions():
-        assert_scalar_matches_grid(_reduced_positive(ext),
-                                   [1e-8, 0.5, 3 * math.pi, 400.0] + spread(0.0, 60.0))
 
 
 def test_reduced_positive_at_zero_is_the_np_sinc_limit():
@@ -454,22 +445,16 @@ def test_reduced_positive_at_zero_is_the_np_sinc_limit():
         limit = 2.0 * (sp - ext.m1) - (cp + ext.m0)  # F/s at s = 0 with sinc(0) = 1
         f = _reduced_positive(ext)
         assert f(0.0) == limit and type(f(0.0)) is float
-        assert f(np.array([0.0, 1.0]))[0] == limit
 
 
-def test_reduced_positive_keeps_np_sinc_rounding():
-    ext = random_extension(np.random.default_rng(7))
-    sp, cp, m0, m1 = math.sin(ext.psi), math.cos(ext.psi), ext.m0, ext.m1
-    s = np.random.default_rng(8).uniform(0.0, 200.0, 2000)
-    sinc = np.sinc(s / math.pi)
-    ref = 2.0 * (sp * np.cos(s) - m1) - sinc * (cp * (s * s + 1.0) - m0 * (s * s - 1.0))
-    assert np.array_equal(_reduced_positive(ext)(s), ref)
-
-
-def test_reduced_negative_scalar_matches_grid():
-    rs = [1e-8, 1.0, 25.0, 349.9, 350.0, 354.9, 355.0, 700.0]  # 350: the far-range switch
-    rs += spread(0.0, 1.0, 400) + spread(0.0, 30.0) + spread(340.0, 360.0, 20)
-    rs += [0.0]  # 0/0 in coth and csch: nan on both paths
+def test_reduced_negative_far_range_and_zero():
+    # r coth(r) and r csch(r) switch to r and 0 at r = 350, where both are exact in double
+    # precision, so G/sinh is the plain quadratic on either side of the switch
     for ext in agreement_extensions():
-        with np.errstate(invalid="ignore"):
-            assert_scalar_matches_grid(_reduced_negative(ext), rs)
+        sp, cp = math.sin(ext.psi), math.cos(ext.psi)
+        g = _reduced_negative(ext)
+        for r in (25.0, 349.9, 350.0, 354.9, 700.0):
+            quadratic = (cp - ext.m0) * r * r + 2.0 * sp * r - (cp + ext.m0)
+            assert type(g(r)) is float
+            assert abs(g(r) - quadratic) <= 1e-9 * (1.0 + abs(quadratic)), r
+        assert math.isnan(g(0.0))  # 0/0 in r coth(r) and r csch(r)
