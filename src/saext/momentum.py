@@ -14,7 +14,8 @@ converted at the boundary.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, NamedTuple
+import operator
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .errors import DiagnosticError, InvalidParameterError
 from .extensions import MomentumExtension
@@ -54,16 +55,33 @@ class UncertaintyReport(NamedTuple):
     product: float
 
 
+def _int_range(n_min, n_max) -> range:
+    """The inclusive range n_min ... n_max; InvalidParameterError unless its ends are integers."""
+    try:
+        lo, hi = operator.index(n_min), operator.index(n_max)
+    except TypeError:
+        raise InvalidParameterError(
+            f"range ends must be integers, got ({n_min!r}, {n_max!r})") from None
+    if lo > hi:
+        raise InvalidParameterError(f"empty integer range ({lo}, {hi})")
+    return range(lo, hi + 1)
+
+
+def _check_positive(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise InvalidParameterError(f"{name} must be positive and finite, got {value!r}")
+
+
 def p_spectrum(
     theta: float, n_range: tuple[int, int], hbar: float = 1.0, length: float = 1.0
 ) -> list[MomentumEigenstate]:
     """Eigenstates for n in the inclusive range n_range at phase theta."""
     theta = MomentumExtension(theta).theta
-    n_min, n_max = n_range
-    if n_min > n_max:
-        raise InvalidParameterError(f"empty integer range {n_range}")
+    ns = _int_range(*n_range)
+    _check_positive("hbar", hbar)
+    _check_positive("length", length)
     states = []
-    for n in range(n_min, n_max + 1):
+    for n in ns:
         nu = n + theta / (2.0 * math.pi)
         states.append(
             MomentumEigenstate(n=n, theta=theta, nu=nu, eigenvalue=2.0 * math.pi * hbar * nu / length)
@@ -85,8 +103,9 @@ def _quadrature_rows(theta: float, ns, tol: float = 1e-12) -> np.ndarray:
 
     from .numerics import fourier_coefficients
 
+    ns = np.asarray(ns)
     shift = theta / (2.0 * math.pi)
-    nus = np.asarray(ns, dtype=float) + shift
+    nus = ns + shift
     tols = np.maximum(tol, 8.0 * np.finfo(float).eps * np.abs(nus))
     return fourier_coefficients(_parabola, ns, tols, shift=shift)
 
@@ -118,6 +137,35 @@ _KERNEL_SERIES = tuple((-1) ** (k + 1) * 6 * k / math.factorial(2 * k + 1) for k
 _KERNEL_SERIES_BELOW = 0.9
 
 
+def _coeff_row(n: int, shift: float, sin_half: float, cos_half: float) -> complex:
+    """The closed form of ``expansion_coeff`` for row n.
+
+    shift is theta / 2 pi, and sin_half, cos_half are sin and cos of theta / 2.
+    """
+    nu = n + shift
+    if n % 2:
+        sin_a, cos_a = -sin_half, -cos_half
+    else:
+        sin_a, cos_a = sin_half, cos_half
+    a_sq = (math.pi * nu) ** 2
+    if a_sq < _KERNEL_SERIES_BELOW ** 2:
+        series = 0.0
+        for coeff in reversed(_KERNEL_SERIES):
+            series = series * a_sq + coeff
+        scale = SQRT30 / 6.0 * series
+    else:
+        scale = -SQRT30 / (2.0 * math.pi ** 2 * nu * nu) * (cos_a - sin_a / (math.pi * nu))
+    # + 0.0: at theta = 0, sin_a is a signed zero and the coefficient is real
+    return complex(scale * cos_a, -scale * sin_a + 0.0)
+
+
+def _coeff_rows(theta: float, ns: Iterable[int]) -> list[complex]:
+    """``_coeff_row`` for every n in ns, with the phase set up once; theta already reduced."""
+    shift = theta / (2.0 * math.pi)
+    sin_half, cos_half = math.sin(theta / 2.0), math.cos(theta / 2.0)
+    return [_coeff_row(n, shift, sin_half, cos_half) for n in ns]
+
+
 def expansion_coeff(theta: float, n: int, validate: bool = True) -> complex:
     """Expansion coefficient c_n(theta) of the parabola over the P_theta basis.
 
@@ -133,20 +181,7 @@ def expansion_coeff(theta: float, n: int, validate: bool = True) -> complex:
     ``expansion_coeff_quadrature`` to 1e-10.
     """
     theta = MomentumExtension(theta).theta
-    nu = n + theta / (2.0 * math.pi)
-    sign = -1.0 if n % 2 else 1.0
-    sin_a = sign * math.sin(theta / 2.0)
-    cos_a = sign * math.cos(theta / 2.0)
-    a_sq = (math.pi * nu) ** 2
-    if a_sq < _KERNEL_SERIES_BELOW ** 2:
-        series = 0.0
-        for coeff in reversed(_KERNEL_SERIES):
-            series = series * a_sq + coeff
-        scale = SQRT30 / 6.0 * series
-    else:
-        scale = -SQRT30 / (2.0 * math.pi ** 2 * nu * nu) * (cos_a - sin_a / (math.pi * nu))
-    # + 0.0: at theta = 0, sin_a is a signed zero and the coefficient is real
-    value = complex(scale * cos_a, -scale * sin_a + 0.0)
+    (value,) = _coeff_rows(theta, (n,))
     if validate:
         _check_coeff(theta, n, value, expansion_coeff_quadrature(theta, n))
     return value
@@ -155,14 +190,13 @@ def expansion_coeff(theta: float, n: int, validate: bool = True) -> complex:
 def expansion_table(theta: float, n_min: int, n_max: int, validate: bool = True) -> ExpansionTable:
     """Coefficients and probabilities for n in [n_min, n_max], with the Parseval defect.
 
-    With ``validate`` every closed-form coefficient is cross-checked to 1e-10
-    against one batched quadrature of the whole table.
+    The closed form of ``expansion_coeff`` is set up once per table.  With
+    ``validate`` every coefficient is cross-checked to 1e-10 against one
+    batched quadrature of the whole table.
     """
-    if n_min > n_max:
-        raise InvalidParameterError(f"empty integer range ({n_min}, {n_max})")
+    ns = _int_range(n_min, n_max)
     theta = MomentumExtension(theta).theta
-    ns = range(n_min, n_max + 1)
-    coeffs = [expansion_coeff(theta, n, validate=False) for n in ns]
+    coeffs = _coeff_rows(theta, ns)
     if validate:
         for n, c, ref in zip(ns, coeffs, _quadrature_rows(theta, ns).tolist()):
             _check_coeff(theta, n, c, ref)
@@ -179,13 +213,16 @@ def uncertainty_product(state: MomentumEigenstate, length: float = 1.0) -> Uncer
     """Delta P = 0 exactly for an eigenstate; Delta X from the uniform density.
 
     The product is 0 < hbar/2: on a finite interval the usual uncertainty
-    bound has no force.  The position moments are computed by quadrature of
-    |phi|^2 = 1/L, which gives Delta X = L / sqrt(12).
+    bound has no force.  Both position moments come from one quadrature pass
+    of (x + i x^2) |phi|^2, whose real part is <x> and imaginary part <x^2>;
+    its error test bounds the modulus, so each part is held to the tol.
+    For |phi|^2 = 1/L this gives Delta X = L / sqrt(12).
     """
+    _check_positive("length", length)
     from .numerics import integrate
 
-    density = lambda x: abs(state.wavefunction(x, length)) ** 2
-    mean = integrate(lambda x: x * density(x), 0.0, length, tol=1e-12)
-    mean_sq = integrate(lambda x: x * x * density(x), 0.0, length, tol=1e-12)
+    moments = integrate(lambda x: (x + 1j * x * x) * abs(state.wavefunction(x, length)) ** 2,
+                        0.0, length, tol=1e-12)
+    mean, mean_sq = moments.real, moments.imag
     d_x = math.sqrt(max(mean_sq - mean * mean, 0.0))
     return UncertaintyReport(dP=0.0, dX=d_x, product=0.0)

@@ -18,7 +18,10 @@ the quadrature grids).  The spectral modules rely on four guarantees:
 * ``fourier_coefficients`` applies the same G7-K15 rule on one grid of
   uniform panels to many Fourier coefficients at once: one FFT over the
   panels per node gives every row, each with its own |K15 - G7| estimate,
-  and the grid doubles until every row meets its tol.
+  and the grid doubles until every row meets its tol.  It works in blocks of
+  at most ``_FFT_BLOCK`` = 4096 grid values (64 KiB of complex), below
+  glibc's default 128 KiB mmap threshold, so its temporaries come from the
+  heap instead of fresh pages that fault in on every call.
 """
 
 from __future__ import annotations
@@ -136,8 +139,11 @@ def integrate(
 # g is not smooth or is noisier than tol, and each doubling doubles the memory.
 _MAX_DOUBLINGS = 2
 # Grid values per FFT call: a small grid takes all 15 nodes in one call, a large
-# one a node at a time, so memory stays O(P).
-_FFT_BLOCK = 1 << 15
+# one a node at a time, so memory stays O(P).  2^12 complex values are 64 KiB, so
+# no temporary of a grid up to P = 4096 reaches glibc's default mmap threshold of
+# 128 KiB: they stay on the heap and are reused, where an mmap'd block would be
+# returned to the system after each call and page-faulted in again on the next.
+_FFT_BLOCK = 1 << 12
 
 
 def fourier_coefficients(
@@ -153,8 +159,10 @@ def fourier_coefficients(
     and row n is sum_j w_j e^{-2 pi i n t_j / P} F_j[n mod P] / P, exact for
     every integer n.  The K15 - G7 weights give each row's error estimate.
     P is the power of two >= 2 ceil(max |n + shift|), at most half an
-    oscillation per panel.  A grid of more than ``_FFT_BLOCK`` values is
-    evaluated a node at a time, so memory is O(P).  P doubles until every
+    oscillation per panel.  The nodes are taken ``_FFT_BLOCK`` // P at a time
+    (at least one), so a block holds at most 4096 values, 64 KiB of complex,
+    when P <= 4096 (below the 128 KiB at which glibc would mmap it and fault
+    it in afresh on each call), and memory is O(P) beyond.  P doubles until every
     row's estimate is within its tol (a scalar or one per row); past
     ``_MAX_DOUBLINGS`` doublings AccuracyError reports the estimate and error
     of the first row that still misses.

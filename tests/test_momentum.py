@@ -13,6 +13,7 @@ from saext import (
     expansion_table,
     integrate,
     momentum,
+    numerics,
     p_spectrum,
     uncertainty_product,
 )
@@ -67,6 +68,17 @@ class TestSpectrum:
     def test_empty_range_rejected(self):
         with pytest.raises(InvalidParameterError):
             p_spectrum(0.0, (3, 1))
+
+    @pytest.mark.parametrize("n_range", [(0.5, 2), (0, 2.0), ("0", 2)])
+    def test_non_integer_range_rejected(self, n_range):
+        with pytest.raises(InvalidParameterError, match="integers"):
+            p_spectrum(0.0, n_range)
+
+    @pytest.mark.parametrize("name", ["hbar", "length"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_non_positive_scale_rejected(self, name, value):
+        with pytest.raises(InvalidParameterError, match=name):
+            p_spectrum(0.0, (-2, 2), **{name: value})
 
 
 class TestCoefficients:
@@ -146,15 +158,27 @@ class TestBatchedQuadrature:
         assert abs(expansion_coeff_quadrature(theta, n) - adaptive_quadrature(theta, n)) <= 1e-13
 
     def test_table_names_the_row_that_disagrees(self, monkeypatch):
-        exact = momentum.expansion_coeff
+        exact = momentum._coeff_row
 
-        def wrong_at_seven(theta, n, validate=True):
-            return exact(theta, n, validate) + (1e-9 if n == 7 else 0.0)
+        def wrong_at_seven(n, shift, sin_half, cos_half):
+            return exact(n, shift, sin_half, cos_half) + (1e-9 if n == 7 else 0.0)
 
-        monkeypatch.setattr(momentum, "expansion_coeff", wrong_at_seven)
+        monkeypatch.setattr(momentum, "_coeff_row", wrong_at_seven)
         with pytest.raises(DiagnosticError, match=r"n=7\)"):
             expansion_table(1.0, -10, 10)
         assert len(expansion_table(1.0, -10, 10, validate=False).entries) == 21
+
+    @pytest.mark.parametrize("panels", [512, 1024, 2048, 8192])
+    def test_fft_blocks_agree_with_one_block(self, monkeypatch, panels):
+        # rows reaching |nu| ~ panels / 2 - 1 give a grid of `panels` panels, which
+        # _FFT_BLOCK splits into node blocks (4 + 4 + 4 + 3 at P = 1024); one block
+        # of all 15 nodes is the reference
+        half = panels // 2 - 1
+        ns = list(range(-half, half + 1, max(1, half // 200)))
+        blocked = momentum._quadrature_rows(1.0, ns)
+        monkeypatch.setattr(numerics, "_FFT_BLOCK", 15 * panels)
+        single = momentum._quadrature_rows(1.0, ns)
+        assert np.abs(blocked - single).max() <= 1e-15
 
     def test_large_row_memory(self):
         # one grid of P = 2^18 panels, a node at a time (the row-by-row route took 130 MB)
@@ -165,6 +189,17 @@ class TestBatchedQuadrature:
         finally:
             tracemalloc.stop()
         assert peak <= 40e6
+
+    def test_large_table_memory(self):
+        # the heaviest table of the quadrature benchmark: 681 rows on a 1024-panel grid
+        expansion_table(1.3, -340, 340)
+        tracemalloc.start()
+        try:
+            expansion_table(1.3, -340, 340)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 640 * 1024
 
 
 class TestExpansionTable:
@@ -195,3 +230,26 @@ class TestUncertainty:
             assert rep.dP == 0.0
             assert abs(rep.dX - 1.0 / math.sqrt(12.0)) < 1e-10
             assert rep.product == 0.0 < 0.5
+
+    @pytest.mark.parametrize("length", [0.01, 1.0, 2.5, 100.0])
+    def test_one_pass_per_state(self, monkeypatch, length):
+        calls = []
+        exact = numerics.integrate
+
+        def counted(*args, **kwargs):
+            calls.append(args[1:3])
+            return exact(*args, **kwargs)
+
+        monkeypatch.setattr(numerics, "integrate", counted)
+        for theta in (0.0, 1.0, math.pi, 5.0, 6.28):
+            for state in p_spectrum(theta, (-300, 300)):
+                del calls[:]
+                rep = uncertainty_product(state, length)
+                assert calls == [(0.0, length)]
+                assert abs(rep.dX - length / math.sqrt(12.0)) <= 1e-15 * length
+
+    @pytest.mark.parametrize("length", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_length_named(self, length):
+        (state,) = p_spectrum(0.0, (1, 1))
+        with pytest.raises(InvalidParameterError, match="length"):
+            uncertainty_product(state, length)

@@ -1,6 +1,6 @@
 """Every printed digit of the README `deuteron`, `well-limit`, `reflect`,
-`bound-state` and `paradox` lines and of the `spectrum` value column, at 50
-digits.
+`bound-state`, `paradox`, `expand` and `momentum-spectrum` lines and of the
+`spectrum` value column, at 50 digits.
 
 The golden file pins the bytes the CLI prints; this module checks that those
 bytes are true.  Each value is derived again with mpmath from its defining
@@ -9,11 +9,13 @@ form of its matching condition, the finite well from its parity condition
 and a quadrature of its norm, box levels from their closed forms or the
 characteristic functions F and G, reflection and the bound state from their
 closed forms, the paradox series from Hurwitz zeta and its direct values
-from the exact 5, 30, 0 and 30.  A printed token must equal the value
-rounded correctly to the printed precision; where the value lies within 1e-3
-units in the last printed place of a rounding boundary, either neighbour
-passes.  The spectrum residuals and eigenfunction coefficients are round-off
-and stay out.
+from the exact 5, 30, 0 and 30, the expansion coefficients from their
+defining integral (integrated by parts, and spot-checked by mpmath's own
+quadrature), and the momentum levels from e^{ik} = e^{i theta}.  A printed
+token must equal the value rounded correctly to the printed precision; where
+the value lies within 1e-3 units in the last printed place of a rounding
+boundary, either neighbour passes.  The spectrum residuals and eigenfunction
+coefficients are round-off and stay out.
 """
 
 import csv
@@ -39,6 +41,8 @@ QUASI = "spectrum --u quasiperiodic:1.57 --count 4 --eigenfunctions --format csv
 REFLECT = "reflect --lambda 1 --k 2"
 BOUND_STATE = "bound-state --lambda=-1"
 PARADOX = "paradox --terms 1000000"
+EXPAND = "expand --theta 0 --range=-50:50 --format json"
+MOMENTUM = "momentum-spectrum --theta 3.14159 --range=-5:5"
 
 
 def table(command):
@@ -203,3 +207,72 @@ def test_paradox_row():
         }
         for name, value in values.items():
             assert_correctly_rounded(row[name], mpmath.mpf(value))
+
+
+def parabola_coefficient(theta, n):
+    """c_n = integral over [0, 1] of sqrt(30) x (1 - x) e^{-2 pi i nu x} dx, nu = n + theta/2 pi.
+
+    For nu != 0, integrating by parts until p = sqrt(30) x (1 - x) is used up, the
+    antiderivative of p(x) e^{-i w x} (w = 2 pi nu) is -e^{-i w x} sum_k p^(k)(x) / (i w)^(k+1);
+    at x = 1 the phase is e^{-i w} = e^{-i theta}.  For nu = 0 the integral is sqrt(30) / 6.
+    """
+    root30 = mpmath.sqrt(30)
+    nu = n + theta / (2 * mpmath.pi)
+    if nu == 0:
+        return root30 / 6
+    iw = mpmath.mpc(0, 2 * mpmath.pi * nu)
+
+    def antiderivative(x, phase):
+        derivatives = (root30 * x * (1 - x), root30 * (1 - 2 * x), -2 * root30)
+        return -phase * sum(d / iw ** (k + 1) for k, d in enumerate(derivatives))
+
+    return antiderivative(1, mpmath.expj(-theta)) - antiderivative(0, 1)
+
+
+@pytest.mark.parametrize("theta, n", [(0, 0), (0, 1), (0, -2), (0, 7), (1, 3), (5, -4)])
+def test_parabola_coefficient_against_quadrature(theta, n):
+    # the by-parts value against mpmath's tanh-sinh quadrature of the same integral
+    with mpmath.workdps(50):
+        theta = mpmath.mpf(theta)
+        nu = n + theta / (2 * mpmath.pi)
+        quad = mpmath.quad(
+            lambda x: mpmath.sqrt(30) * x * (1 - x) * mpmath.expj(-2 * mpmath.pi * nu * x),
+            mpmath.linspace(0, 1, 2 * abs(n) + 2))
+        assert abs(quad - parabola_coefficient(theta, n)) < mpmath.mpf(10) ** -45
+
+
+def expand_rows():
+    # the JSON tokens as printed: parse numbers as strings
+    return json.loads(GOLDEN[EXPAND], parse_float=str, parse_int=str)
+
+
+def test_expand_inputs():
+    payload = expand_rows()
+    assert payload["inputs"] == {"theta": "0.0", "range": "-50:50"}
+    assert [int(row["n"]) for row in payload["results"]] == list(range(-50, 51))
+
+
+@pytest.mark.parametrize("row", expand_rows()["results"], ids=lambda row: row["n"])
+def test_expand_row(row):
+    with mpmath.workdps(50):
+        theta, n = mpmath.mpf(0), int(row["n"])
+        c = parabola_coefficient(theta, n)
+        values = {
+            "nu": n + theta / (2 * mpmath.pi),
+            "re_c": c.real,
+            "im_c": c.imag,
+            "prob": abs(c) ** 2,
+        }
+        for name, value in values.items():
+            assert_correctly_rounded(row[name], value)
+
+
+@pytest.mark.parametrize("row", table(MOMENTUM), ids=lambda row: row["n"])
+def test_momentum_spectrum_row(row):
+    # -i d/dx with phi(1) = e^{i theta} phi(0): phi = e^{ikx}, e^{ik} = e^{i theta}, so
+    # k = theta + 2 pi n, and nu = k / 2 pi (hbar = L = 1)
+    with mpmath.workdps(50):
+        theta, n = mpmath.mpf(3.14159), int(row["n"])
+        k = theta + 2 * mpmath.pi * n
+        assert_correctly_rounded(row["nu"], k / (2 * mpmath.pi))
+        assert_correctly_rounded(row["eigenvalue"], k)
