@@ -9,11 +9,11 @@ The s > 0 eigenvalues solve the real characteristic equation
     F(s) = 2 s [sin(psi) cos(s) - m1] - sin(s) [cos(psi)(s^2+1) - m0(s^2-1)] = 0,
 
 the zero mode exists iff Z = 2 sin(psi) - cos(psi) - 2 m1 - m0 = 0, and the
-negative sector follows from the substitution s -> i r.  The production
-solver scans F/s (which tends to Z at s -> 0) with a uniform step and
-refines the brackets in ascending order until the requested levels are
-settled; closed forms for the two simple families are used as cross-checks
-only.
+negative sector follows from s -> i r.  The solver scans F/s (which tends to
+Z at s -> 0) once with a uniform step and refines the brackets in ascending
+order until the requested levels are settled; each of the at most two negative
+levels is one bracketed root of a branch of Theta - M(-r^2) (_negative_branches).
+Closed forms for the two simple families are cross-checks only.
 
 The solver and the eigenfunction construction run on Python floats and
 complex numbers, through ``math`` and ``cmath``.  numpy loads only inside the
@@ -27,7 +27,6 @@ import bisect
 import cmath
 import math
 import operator
-import sys
 from typing import NamedTuple
 
 from .errors import (
@@ -44,8 +43,6 @@ ZERO_MODE_TOL = 1e-10              # |Z| threshold for an exact zero mode
 _BC_RTOL = 1e-9                    # boundary defect |(L - U M) c| relative to scale |c|
 _RANK_RTOL = 1e-8                  # sigma_max(L - U M) / scale at or below which a level is double
 _MERGE_RTOL = 1e-9                 # roots closer than this times (1 + value) are one level
-_NEG_SCAN_MAX = 30.0               # beyond ~25 the scaled equation is a pure quadratic
-_QUAD_REGIME = 25.0
 
 POSITIVE = "positive"
 ZERO = "zero"
@@ -180,9 +177,8 @@ def _reduced_negative(e: ExtensionU2):
 class _BoxSpectrumFields(NamedTuple):
     ext: ExtensionU2
     count: int = 10
-    s_max_hint: float | None = None
+    s_max: float | None = None     # the positive scan's ceiling; None for (count + 5) pi
     tol: float = 1e-9
-    s_max_cap: float | None = None
 
 
 class BoxSpectrumRequest(_BoxSpectrumFields):
@@ -200,22 +196,20 @@ class BoxSpectrumRequest(_BoxSpectrumFields):
             raise InvalidParameterError("count must be >= 1")
         if not 0 < self.tol < math.inf:
             raise InvalidParameterError("tol must be positive and finite")
-        for name in ("s_max_hint", "s_max_cap"):
-            if getattr(self, name) is not None and not math.isfinite(getattr(self, name)):
-                raise InvalidParameterError(f"{name} must be finite")
+        if self.s_max is not None and not 0 < self.s_max < math.inf:
+            raise InvalidParameterError(f"s_max must be positive and finite, got {self.s_max!r}")
         return self._replace(count=count)
 
 
 class SpectralRoot(NamedTuple):
     value: float          # s (positive sector) or r (negative sector), both > 0
     multiplicity: int
-    residual: float       # |reduced characteristic| at the root, locally rescaled
+    residual: float       # |F/s| or |lambda_j| at the root, relative to its bracket ends
     iterations: int = 0
 
 
 class SolveDiagnostics(NamedTuple):
     zero_value: float     # Z, the zero-mode indicator
-    scan_ceiling: float   # final s ceiling used by the positive scan
 
 
 class SpectrumResult(NamedTuple):
@@ -322,27 +316,28 @@ def _refined(f, br: Bracket, tol_gate: float) -> SpectralRoot:
 _VALUE = operator.attrgetter("value")
 
 
+def _zero_floor(e: ExtensionU2) -> float:
+    """The value below which a root is the zero mode (Z + O(value^2)), if that is reported."""
+    return math.sqrt(ZERO_MODE_TOL) if abs(char_zero(e)) <= ZERO_MODE_TOL else 0.0
+
+
 class _Levels:
-    """Roots merged, one at a time, into the sorted and classified levels of a sector.
+    """Roots merged, one at a time, into the sorted and classified positive levels.
 
     A root within the merge distance of the level below it is a duplicate from
-    overlapping brackets.  A root below sqrt(ZERO_MODE_TOL) is dropped only when
-    the zero mode is reported (|Z| <= ZERO_MODE_TOL): it is that zero mode, since
-    the reduced characteristic is Z + O(value^2) at the origin.  Each level gets
-    one rank test (degeneracy).  ``add`` places a root after every root of lower
-    or equal value and merges again from there, so the levels are always those of
-    merging all roots in order of value; a root above all others costs O(1).
-    ``known`` levels, from an earlier scan window, count as roots.
+    overlapping brackets.  A root below the zero-mode floor (_zero_floor) is
+    that zero mode.  Each level gets one rank test (degeneracy).  ``add`` places
+    a root after every root of lower or equal value and merges again from
+    there, so the levels are always those of merging all roots in order of
+    value; a root above all others costs O(1).
     """
 
-    def __init__(self, e: ExtensionU2, sector: str, known: list[SpectralRoot]):
-        self.e, self.sector = e, sector
-        self.floor = math.sqrt(ZERO_MODE_TOL) if abs(char_zero(e)) <= ZERO_MODE_TOL else 0.0
-        self.roots = list(known)     # every root added, by value
-        self.levels = list(known)    # the kept roots
-        self.totals = [0]            # totals[i]: multiplicities of levels[:i]
-        for root in known:
-            self.totals.append(self.totals[-1] + root.multiplicity)
+    def __init__(self, e: ExtensionU2):
+        self.e = e
+        self.floor = _zero_floor(e)
+        self.roots: list[SpectralRoot] = []    # every root added, by value
+        self.levels: list[SpectralRoot] = []   # the kept roots
+        self.totals = [0]                      # totals[i]: multiplicities of levels[:i]
 
     def add(self, root: SpectralRoot) -> None:
         at = bisect.bisect_right(self.roots, root.value, key=_VALUE)
@@ -357,7 +352,7 @@ class _Levels:
                 continue
             if not root.multiplicity:
                 root = self.roots[i] = root._replace(
-                    multiplicity=degeneracy(self.e, self.sector, root.value))
+                    multiplicity=degeneracy(self.e, POSITIVE, root.value))
             self.levels.append(root)
             self.totals.append(self.totals[-1] + root.multiplicity)
 
@@ -367,98 +362,98 @@ class _Levels:
         return n if n < len(self.totals) else 0
 
 
+def _negative_branches(e: ExtensionU2):
+    """(lambda_j(r), theta_(j)) for the sorted eigenvalues of Theta - M(-r^2), smallest first.
+
+    With Gamma_0 f = (f(0), f(1)) and Gamma_1 f = (f'(0), -f'(1)) the condition
+    reads Gamma_1 = Theta Gamma_0, theta_+- = -cot((psi -+ alpha)/2), alpha =
+    atan2(|m|, m0); a Dirichlet direction drops out as the limit theta -> +inf.
+    With p = r coth r, q = r csch r, n = -m1/|m| and n_perp = hypot(m2, m3)/|m|,
+    Theta - M(-r^2) = [[theta_+ + p - q n, q n_perp], [q n_perp, theta_- + p + q n]]
+    in Theta's eigenbasis.  Each lambda_j rises strictly with r, lies within
+    [r tanh(r/2), r coth(r/2)] of theta_(j) (Weyl), and E = -r^2 is a level where
+    one vanishes (Derkach & Malamud 1991; Behrndt, Hassi & de Snoo 2020, ch. 3).
+    (cos psi - m0) lambda_1 lambda_2 = G(r)/sinh(r).
+    """
+    m1, m2, m3 = e.m
+    size = math.hypot(m1, m2, m3)
+    n, n_perp = (-m1 / size, math.hypot(m2, m3) / size) if size else (1.0, 0.0)
+    sp, cp = math.sin(e.psi), math.cos(e.psi)
+    thetas = []
+    # -cot((psi - a)/2) = (sin psi + sin a)/(cos psi - cos a) = (cos psi + cos a)/(sin a - sin psi)
+    # at a = +-alpha (cos a = m0): the forms divide out sin((psi + a)/2) and cos((psi + a)/2),
+    # so each is taken where its factor is the larger, by the sign of cos(psi + a)
+    for sa in (size, -size):
+        if cp * e.m0 - sp * sa <= 0.0:
+            num, den = sp + sa, cp - e.m0
+        else:
+            num, den = cp + e.m0, sa - sp
+        theta = num / den if den else math.inf
+        # a Dirichlet direction is the limit theta -> +inf, where its branch stays positive
+        thetas.append(theta if abs(theta) < 1e300 else 1e300)
+    theta_p, theta_m = thetas
+
+    def entries(r):
+        p, q = _rcoth(r), _rcsch(r)
+        a, b, c = theta_p + p - q * n, theta_m + p + q * n, q * n_perp
+        mean, radius = 0.5 * (a + b), math.hypot(0.5 * (a - b), c)
+        big = mean + radius if mean >= 0.0 else mean - radius
+        # the eigenvalue of smaller modulus as det / big, without cancellation or overflow
+        return big, (a / big * b - c / big * c) if big else 0.0
+
+    return [(lambda r: min(entries(r)), min(thetas)), (lambda r: max(entries(r)), max(thetas))]
+
+
 def _solve_negative(e: ExtensionU2, tol: float) -> list[SpectralRoot]:
-    g = _reduced_negative(e)
-    brackets = scan_brackets(g, 1e-8, _NEG_SCAN_MAX, SCAN_STEP)
+    """The levels E = -r^2: one root per branch of Theta - M(-r^2) that starts negative.
 
-    # beyond the scan window the scaled equation is the exact quadratic
-    # c2 r^2 + c1 r + c0 = (cos psi - m0) r^2 + 2 sin(psi) r - (cos psi + m0)
-    c2 = math.cos(e.psi) - e.m0
-    c1 = 2.0 * math.sin(e.psi)
-    c0 = -(math.cos(e.psi) + e.m0)
-    disc = c1 * c1 - 4.0 * c2 * c0
-    vertex = -c1 / (2.0 * c2) if c2 != 0.0 else math.nan
-    tail: list[float] = []
-    # disc = 4 (1 - m0^2) >= 0; the rounded coefficients move it by a few eps,
-    # and within that the vertex is a double root
-    if abs(disc) <= 8.0 * sys.float_info.epsilon * (abs(c0) + abs(c1) + abs(c2)):
-        tail = [vertex, vertex]
-    elif c2 != 0.0 and disc > 0.0:
-        sq = math.sqrt(disc)
-        tail = [(-c1 + sq) / (2.0 * c2), (-c1 - sq) / (2.0 * c2)]
-    elif c2 == 0.0:
-        tail = [-c0 / c1]
-    tail = [cand for cand in tail if cand > _QUAD_REGIME]
-    for cand in set(tail):
-        if cand == vertex:
-            w = max(1e-9, 1e-7 * cand)
-            brackets.append(Bracket(cand - w, cand + w, g(cand - w), g(cand + w),
-                                    double_root=True, x_min=cand))
+    Since r - 0.557 <= r tanh(r/2) and r coth(r/2) <= r + 2, branch j has its
+    root in [-theta_(j) - 2, -theta_(j) + 0.557], widened by a margin over the
+    round-off of lambda_j.  Two roots within the merge distance are one level of
+    multiplicity 2, the jump of the negative count there.
+    """
+    floor = _zero_floor(e)
+    roots = []
+    for branch, theta in _negative_branches(e):
+        if not branch(1e-8) < 0.0:
             continue
-        # one bracket on each side of the vertex, so a close pair splits
-        lo = max(0.8 * cand, vertex) if cand > vertex else 0.8 * cand
-        hi = min(1.25 * cand + 1.0, vertex) if cand < vertex else 1.25 * cand + 1.0
-        g_lo, g_hi = g(lo), g(hi)
-        if g_lo * g_hi < 0:
-            brackets.append(Bracket(lo, hi, g_lo, g_hi))
-
-    levels = _Levels(e, NEGATIVE, [])
-    for root in sorted((_refined(g, br, max(tol, 1e-9)) for br in brackets), key=_VALUE):
-        levels.add(root)
-    out = levels.levels
-    total = sum(root.multiplicity for root in out)
-    if total > 2:
-        raise DiagnosticError(
-            f"found {total} negative eigenvalues (counting multiplicity); at most 2 can exist"
-        )
-    found = sum(root.multiplicity for root in out if root.value > _QUAD_REGIME * (1.0 - 1e-9))
-    if found < len(tail):
-        raise DiagnosticError(f"found {found} negative eigenvalues beyond r = {_QUAD_REGIME}, "
-                              f"where the quadratic tail has {len(tail)}")
-    return out
+        margin = 1e-12 * (1.0 + abs(theta))
+        lo, hi = max(-theta - 2.0 - margin, 1e-8), -theta + 0.56 + margin
+        root = _refined(branch, Bracket(lo, hi, branch(lo), branch(hi)), max(tol, 1e-9))
+        if root.value >= floor:
+            roots.append(root._replace(multiplicity=1))
+    roots.sort(key=_VALUE)
+    if len(roots) == 2 and roots[1].value - roots[0].value <= _MERGE_RTOL * (1.0 + roots[1].value):
+        return [roots[0]._replace(multiplicity=2)]
+    return roots
 
 
 def _solve_positive(req: BoxSpectrumRequest) -> tuple[list[SpectralRoot], float]:
-    """The first levels of multiplicity sum >= req.count, and the scan ceiling reached.
+    """The first levels of multiplicity sum >= req.count (or all the window holds), and its ceiling.
 
-    Brackets are refined in ascending order of lo.  A root lies at or above its
-    bracket's lo, so once the levels reach the count and the next lo lies past
-    the last level needed, plus the merge distance, no later root can change
-    those levels: the rest go unrefined.
+    The window [1e-8, req.s_max or (count + 5) pi] is scanned once: 0 <= N_U - N_D
+    <= 2 puts the count-th level at or below (count + 2) pi.  Brackets are refined
+    in ascending order of lo.  A root lies at or above its bracket's lo, so once
+    the levels reach the count and the next lo lies past the last level needed,
+    plus the merge distance, the rest go unrefined.
     """
     e = req.ext
     f = _reduced_positive(e)
     tol_gate = max(req.tol, 1e-9)
-    start = max(
-        req.s_max_hint if req.s_max_hint else 0.0,
-        (req.count + 5) * math.pi,
-    )
-    cap = req.s_max_cap if req.s_max_cap else max(16.0 * start, 1000.0)
-
-    known: list[SpectralRoot] = []
-    lo = 1e-8
-    ceiling = min(start, cap)
-    while True:
-        # a cap below lo + SCAN_STEP scans one shorter step; a cap at or below lo, nothing
-        step = min(SCAN_STEP, ceiling - lo)
-        brackets = scan_brackets(f, lo, ceiling, step) if step > 0 else []
-        levels = _Levels(e, POSITIVE, known)
-        for i, br in enumerate(brackets):
-            levels.add(_refined(f, br, tol_gate))
-            n = levels.reaching(req.count)
-            if not n:
-                continue
-            last = levels.levels[n - 1].value
-            if i + 1 == len(brackets) or brackets[i + 1].lo > last + _MERGE_RTOL * (1.0 + last):
-                return levels.levels[:n], ceiling
-        known = levels.levels
-        if ceiling >= cap:
-            raise IncompleteSpectrumError(
-                f"scan ceiling {cap} exhausted before {req.count} positive eigenvalues",
-                [root.value for root in known],
-            )
-        lo = ceiling - SCAN_STEP  # overlap so boundary roots cannot fall in a seam
-        ceiling = min(ceiling + 8.0 * math.pi, cap)
+    ceiling = req.s_max if req.s_max else (req.count + 5) * math.pi
+    # a ceiling below 1e-8 + SCAN_STEP scans one shorter step; one at or below 1e-8, nothing
+    step = min(SCAN_STEP, ceiling - 1e-8)
+    brackets = scan_brackets(f, 1e-8, ceiling, step) if step > 0 else []
+    levels = _Levels(e)
+    for i, br in enumerate(brackets):
+        levels.add(_refined(f, br, tol_gate))
+        n = levels.reaching(req.count)
+        if not n:
+            continue
+        last = levels.levels[n - 1].value
+        if i + 1 == len(brackets) or brackets[i + 1].lo > last + _MERGE_RTOL * (1.0 + last):
+            return levels.levels[:n], ceiling
+    return levels.levels, ceiling
 
 
 def _cross_validate_family(e: ExtensionU2, roots: list[SpectralRoot]) -> None:
@@ -478,8 +473,8 @@ def _cross_validate_family(e: ExtensionU2, roots: list[SpectralRoot]) -> None:
                 )
 
 
-def _check_level_count(below: int, positive: list[SpectralRoot]) -> None:
-    """Raise unless 0 <= N_U(E) - N_D(E) <= 2 up to the last positive level.
+def _check_level_count(below: int, positive: list[SpectralRoot], top: float) -> None:
+    """Raise unless 0 <= N_U(E) - N_D(E) <= 2 for E = s^2 up to s = top.
 
     N_U counts the levels at or below E with multiplicity; ``below`` is the
     count at E = 0 (negative levels and the zero mode), and the Dirichlet
@@ -505,7 +500,7 @@ def _check_level_count(below: int, positive: list[SpectralRoot]) -> None:
         if n_u > n_d + 2:
             raise breach(root.value, n_u, n_d)
     n_u, i = below, 0
-    for n in range(1, math.floor(positive[-1].value / math.pi) + 1):
+    for n in range(1, math.floor(top / math.pi) + 1):
         s = n * math.pi
         while i < len(positive) and positive[i].value <= s + slack(s):
             n_u += positive[i].multiplicity
@@ -517,13 +512,12 @@ def _check_level_count(below: int, positive: list[SpectralRoot]) -> None:
 def solve_spectrum(req: BoxSpectrumRequest) -> SpectrumResult:
     """Negative, zero, and positive spectrum of the boxed Hamiltonian for req.ext.
 
-    Scans the reduced characteristic functions with step pi/8, refines the
-    brackets up to the requested count (_solve_positive), detects double
-    eigenvalues through the rank of L - U M at the root, and cross-validates
-    against the closed forms whenever the boundary condition belongs to one of
-    the two simple families.  The level count is
-    checked against the Dirichlet count (_check_level_count); a breach
-    raises DiagnosticError.
+    Negative levels are roots of the branches of Theta - M(-r^2) (_solve_negative);
+    positive ones come from one scan of F/s (_solve_positive), double where L - U M
+    has rank 0, cross-validated against the two simple families' closed forms.  The
+    level count is checked against the Dirichlet count up to the last level, or the
+    scan ceiling if the window holds fewer (_check_level_count): a breach raises
+    DiagnosticError, and a short window without one IncompleteSpectrumError.
     """
     e = req.ext
     z = char_zero(e)
@@ -535,12 +529,16 @@ def solve_spectrum(req: BoxSpectrumRequest) -> SpectrumResult:
     below = sum(root.multiplicity for root in negative)
     if has_zero:
         below += degeneracy(e, ZERO, 0.0)
-    _check_level_count(below, positive)
+    complete = sum(root.multiplicity for root in positive) >= req.count
+    _check_level_count(below, positive, positive[-1].value if complete else ceiling)
+    if not complete:
+        raise IncompleteSpectrumError(f"scan ceiling {ceiling} exhausted before {req.count} "
+                                      "positive eigenvalues", [root.value for root in positive])
     return SpectrumResult(
         negative=tuple(negative),
         has_zero_mode=has_zero,
         positive=tuple(positive),
-        diagnostics=SolveDiagnostics(zero_value=z, scan_ceiling=ceiling),
+        diagnostics=SolveDiagnostics(zero_value=z),
     )
 
 

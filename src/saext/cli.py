@@ -48,10 +48,11 @@ _MAX_RANGE_ROWS = 2001    # --range rows (-1000:1000)
 _MAX_EXPAND_PANELS = 1 << 21
 _MAX_LIST = 10_000        # --sweep and --v0-list values (10^4 deuteron depths: ~0.7 s)
 
-# The deuteron residual is round-off: it prints as a bound (_residual_bound).  Within
-# 2 ulps of the root it stays below 2.1e-15 for lambda/a in [1e-6, 1e6]; the floor
-# (18 eps) doubles that, so a root that moves by a few ulps prints the same bytes.
+# Residuals are round-off and print as a bound (_residual_bound), so a root moved by a few
+# ulps prints the same bytes.  Deuteron floor: twice its residual within 2 ulps of the root for
+# lambda/a in [1e-6, 1e6].  Spectrum: the levels' refine tolerance, also the coefficient cut.
 _DEUTERON_RESIDUAL_FLOOR = 4e-15
+_SPECTRUM_FLOOR = 1e-13
 
 
 class OutputSpec(NamedTuple):
@@ -79,9 +80,9 @@ def _fmt(value, precision: int) -> str:
     return str(value)
 
 
-def _residual_bound(residual: float) -> float:
-    """max(residual, _DEUTERON_RESIDUAL_FLOOR) rounded up to one significant digit."""
-    bound = max(residual, _DEUTERON_RESIDUAL_FLOOR)
+def _residual_bound(residual: float, floor: float) -> float:
+    """max(residual, floor) rounded up to one significant digit."""
+    bound = max(residual, floor)
     digit, exp = f"{bound:.0e}".split("e")  # the nearest one-digit value, then up if below
     nearest = float(f"{digit}e{exp}")
     return nearest if nearest >= bound else float(f"{int(digit) + 1}e{exp}")
@@ -221,9 +222,8 @@ def _cmd_spectrum(args):
     req = box.BoxSpectrumRequest(
         ext=ext,
         count=args.count,
-        s_max_hint=args.s_max,
+        s_max=args.s_max,
         tol=args.tol,
-        s_max_cap=args.s_max,
     )
     result = box.solve_spectrum(req)
 
@@ -233,14 +233,14 @@ def _cmd_spectrum(args):
 
     def make_row(sector, index, s_or_r, energy, mult, residual):
         row = {"sector": sector, "index": index, "value": energy,
-               "multiplicity": mult, "residual": residual}
+               "multiplicity": mult, "residual": _residual_bound(residual, _SPECTRUM_FLOOR)}
         if args.eigenfunctions:
             fn = box.eigenfunction(ext, (sector, s_or_r))
-            a, b = fn.coeffs
-            row.update(re_a=a.real, im_a=a.imag, re_b=b.real, im_b=b.imag)
-            if fn.degenerate_partner is not None:
-                a2, b2 = fn.degenerate_partner
-                row.update(re_a2=a2.real, im_a2=a2.imag, re_b2=b2.real, im_b2=b2.imag)
+            for tag, mode in (("", fn.coeffs), ("2", fn.degenerate_partner or ())):
+                parts = {f"{ri}_{ab}{tag}": x for ab, z in zip("ab", mode)
+                         for ri, x in (("re", z.real), ("im", z.imag))}
+                cut = _SPECTRUM_FLOOR * max(map(abs, parts.values()), default=0.0)
+                row.update((name, x if abs(x) >= cut else 0.0) for name, x in parts.items())
         return row
 
     rows = []
@@ -331,7 +331,7 @@ def _cmd_deuteron(args):
     sols = halfline.deuteron_sweep(base, ells)
     rows = [
         {"lam_over_a": ell, "X": sol.X, "Y": sol.Y, "V0_MeV": sol.V0,
-         "residual": _residual_bound(sol.residual)}
+         "residual": _residual_bound(sol.residual, _DEUTERON_RESIDUAL_FLOOR)}
         for ell, sol in zip(ells, sols)
     ]
     inputs = {"lambda_over_a": args.lam_over_a, "sweep": args.sweep, "binding": args.binding,

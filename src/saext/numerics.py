@@ -5,9 +5,9 @@ the quadrature grids).  The spectral modules rely on four guarantees:
 
 * ``scan_brackets`` (defined in ``roots``, which needs no numpy) finds every
   sign change of a scalar function on a uniform grid and, in addition,
-  locates tangencies (double roots) that leave no sign change — these occur
-  for genuinely doubly degenerate spectra.  It calls the function on Python
-  floats, one grid node at a time.
+  locates tangencies (double roots) that leave no sign change, as doubly
+  degenerate box levels do.  It calls the function on Python floats, one
+  node at a time; its one caller is the box solver's positive sector.
 * ``refine_root`` (also in ``roots``) is a bisection/secant hybrid: secant
   steps when they help, bisection always as a fallback, so termination is
   guaranteed on any continuous function with a sign-change bracket.  It

@@ -1,9 +1,9 @@
 """Root bracketing on a uniform grid and bracketed refinement, in pure Python.
 
 The bracket and report types, ``scan_brackets`` and ``refine_root`` live here
-without numpy: the deuteron depth and the finite-well levels solve one bracket
-each, and the box solver scans its characteristic functions and refines each
-bracket, all on Python floats.  ``numerics`` re-exports them.
+without numpy: the deuteron depth, the finite-well levels and the box solver's
+negative levels solve one bracket each, and the box solver scans F/s for its
+positive levels and refines each bracket, all on Python floats.  ``numerics`` re-exports them.
 """
 
 from __future__ import annotations

@@ -197,12 +197,16 @@ class TestSolveSpectrum:
             assert abs(s - ref) <= 1e-9 * (1.0 + s)
 
     @pytest.mark.parametrize("field", [
-        {"tol": math.nan}, {"tol": math.inf}, {"s_max_hint": math.inf},
-        {"s_max_hint": math.nan}, {"s_max_cap": math.nan}, {"s_max_cap": math.inf},
+        {"tol": math.nan}, {"tol": math.inf}, {"s_max": math.inf}, {"s_max": math.nan},
     ])
     def test_request_rejects_non_finite(self, field):
         with pytest.raises(InvalidParameterError):
             BoxSpectrumRequest(ext=named_extension("dirichlet"), **field)
+
+    @pytest.mark.parametrize("s_max", [0.0, -5.0])
+    def test_request_rejects_non_positive_s_max(self, s_max):
+        with pytest.raises(InvalidParameterError, match="s_max"):
+            BoxSpectrumRequest(ext=named_extension("dirichlet"), s_max=s_max)
 
     @pytest.mark.parametrize("count", [2.5, math.nan, math.inf, "3"])
     def test_request_rejects_non_integer_count(self, count):
@@ -219,6 +223,17 @@ class TestSolveSpectrum:
         assert len(res.negative) == 1
         assert abs(res.negative[0].value - 1.0) < 1e-10
 
+    @pytest.mark.parametrize("m", [
+        (-0.11197001050609023, -0.583497542479925, -0.8043589588406127),
+        (-0.05664552918792898, 0.768383162316465, -0.6374783132715723),
+        (0.5, math.sqrt(0.75), 0.0), (-0.9, 0.0, math.sqrt(0.19)),
+    ])
+    def test_family2_has_no_negative_level(self, m):
+        # psi = pi/2 and m0 = 0 put psi = alpha, a Dirichlet direction, up to rounding;
+        # the first two store |m| one ulp below 1, where cos psi - m0 and sin psi - |m| are
+        # both round-off
+        assert solve(ExtensionU2(psi=math.pi / 2, m0=0.0, m=m), count=3).negative == ()
+
     def test_family1_near_boundary_m0_gives_large_root(self):
         m0 = 1.0 - 1e-5
         ext = ExtensionU2(psi=0.0, m0=m0, m=(0.0, math.sqrt(1 - m0 * m0), 0.0))
@@ -227,11 +242,11 @@ class TestSolveSpectrum:
         assert len(res.negative) == 1
         assert abs(res.negative[0].value - expected) <= 1e-7 * expected
 
-    @pytest.mark.parametrize("r", [29.9, 31.0, 40.0, 100.0, 500.0])
+    @pytest.mark.parametrize("r", [0.5, 5.0, 29.9, 31.0, 40.0, 100.0, 500.0, 650.0])
     def test_double_negative_level_in_the_tail(self, r):
         res = solve(double_negative_extension(r), count=1)
         assert [root.multiplicity for root in res.negative] == [2]
-        assert abs(res.negative[0].value - r) <= 1e-8 * r
+        assert abs(res.negative[0].value - r) <= 1e-13 * r
 
     @pytest.mark.parametrize("r", [40.0, 100.0])
     def test_close_negative_pair_in_the_tail(self, r):
@@ -248,12 +263,31 @@ class TestSolveSpectrum:
             assert abs(root.value - ref) <= 1e-9 * ref
 
 
-    def test_unresolved_tail_pair_is_reported(self):
-        # |m| = 2e-8 splits the double level at r = 400 by ~3e-3, below what the
-        # rounded quadratic resolves, while the rank test sees the split
+    def test_tail_pair_split_by_tiny_m(self):
+        # |m| = 2e-8 splits the double level at r = 400 into 400 +- 1.6e-3: Theta's
+        # eigenvalues are about -400.0016 and -399.9984, and beyond r ~ 40 the branches
+        # of Theta - M(-r^2) are r + theta to e^{-r}
         ext = ExtensionU2(psi=2.0 * math.atan(1.0 / 400.0), m0=1.0, m=(2e-8, 0.0, 0.0))
-        with pytest.raises(DiagnosticError):
-            solve(ext, count=1)
+        res = solve(ext, count=1)
+        assert [root.multiplicity for root in res.negative] == [1, 1]
+        for root, ref in zip(res.negative, (400.0 - 1.6e-3, 400.0 + 1.6e-3)):
+            assert abs(root.value - ref) <= 1e-7
+
+    def test_close_negative_pair_below_the_old_tail(self):
+        # G/sinh is +3.9e-13 at the pair's midpoint and -9.1e-14 at +-1e-5: two levels
+        ext = ExtensionU2(psi=0.09835167523818683, m0=0.9999999999999991,
+                          m=(-2.27573096614128e-08, -2.9058812515910843e-08,
+                             2.2940860787232145e-08))
+        res = solve(ext, count=1)
+        assert [root.multiplicity for root in res.negative] == [1, 1]
+        for root, ref in zip(res.negative, (20.318786357869758, 20.31880440716522)):
+            assert abs(root.value - ref) <= 1e-13 * ref
+
+    def test_level_beyond_the_square_root_of_the_largest_float(self):
+        # |m| = 3e-200 squares to 0, and theta_+- = 1e200, -5e199 multiply past the largest float
+        ext = ExtensionU2(psi=1e-200, m0=1.0, m=(3e-200, 0.0, 0.0))
+        (root,) = solve(ext, count=1).negative
+        assert root.multiplicity == 1 and abs(root.value - 5e199) <= 1e-13 * 5e199
 
     def test_negative_count_bound(self, rng):
         for _ in range(200):
@@ -281,12 +315,12 @@ class TestSolveSpectrum:
 
     def test_incomplete_spectrum_error(self):
         with pytest.raises(IncompleteSpectrumError) as err:
-            solve(named_extension("dirichlet"), count=50, s_max_hint=10.0, s_max_cap=10.0)
+            solve(named_extension("dirichlet"), count=50, s_max=10.0)
         assert len(err.value.roots_found) == 3
 
     @pytest.mark.parametrize("name, kwargs", [
         ("quasiperiodic:0.2", {}), ("psi=0.4,m=(0.5,0.5,0.5,0.5)", {"count": 50}),
-        ("periodic", {"s_max_hint": 1.0, "s_max_cap": 40.0}), ("dirichlet", {"s_max_cap": 3.5}),
+        ("periodic", {"s_max": 40.0}), ("dirichlet", {"s_max": 3.5}),
     ])
     def test_plain_solves_scan_whole_steps(self, monkeypatch, name, kwargs):
         # the step is shortened only below one SCAN_STEP of span, so other roots keep their bits
@@ -297,6 +331,23 @@ class TestSolveSpectrum:
                             lambda f, lo, hi, step: steps.append(step) or scan(f, lo, hi, step))
         solve(parse_extension(name), **{"count": 1, **kwargs})
         assert steps and set(steps) == {box_spectrum.SCAN_STEP}
+
+    def test_each_solve_scans_once(self, monkeypatch, rng):
+        """One scan per solve: the negative sector is closed form, the positive one one window."""
+        from saext import box_spectrum
+
+        scans, scan = [], box_spectrum.scan_brackets
+        monkeypatch.setattr(box_spectrum, "scan_brackets",
+                            lambda *args: scans.append(args) or scan(*args))
+        exts = [named_extension(name) for name in ("dirichlet", "neumann", "periodic")]
+        exts += [named_extension("quasi_periodic", theta=1e-5), double_negative_extension(5.0),
+                 double_negative_extension(40.0, dm1=1e-4)]
+        exts += [random_extension(rng) for _ in range(20)]
+        for ext in exts:
+            for count in (1, 30):
+                scans.clear()
+                solve(ext, count=count)
+                assert len(scans) == 1, (ext, count)
 
     def test_generic_branch_equations(self, rng):
         # roots obey tan(s/2) = [Q(s) +/- sqrt(D(s))] / (2 s (m1 + sin psi)) with
@@ -396,7 +447,7 @@ class TestSolveSpectrum:
 
         rng = np.random.default_rng(3)
         for _ in range(50):
-            levels = _Levels(ext, POSITIVE, [])
+            levels = _Levels(ext)
             for i in rng.permutation(len(roots)):
                 levels.add(roots[i])
             assert levels.levels == reference
@@ -771,6 +822,83 @@ class TestCollocationOracle:
 
     def test_close_negative_pair_in_the_tail(self):
         self.assert_matches(double_negative_extension(40.0, dm1=1e-4))
+
+
+class TestNegativeSectorOracle:
+    """Negative levels against 50-digit roots of G(r)/sinh(r).
+
+    G/sinh shares no algebra with the branches of Theta - M(-r^2) that the solver
+    refines; only their product identity links the two.
+    """
+
+    @staticmethod
+    def reduced_g(ext, mpmath):
+        """G(r)/sinh(r) for ext with (m0, m) normalized at the working precision."""
+        psi, m0, m1, m2, m3 = (mpmath.mpf(x) for x in (ext.psi, ext.m0, *ext.m))
+        norm = mpmath.sqrt(m0 * m0 + m1 * m1 + m2 * m2 + m3 * m3)
+        m0, m1 = m0 / norm, m1 / norm
+        sp, cp = mpmath.sin(psi), mpmath.cos(psi)
+        return lambda r: (2 * sp * r * mpmath.coth(r) - 2 * m1 * r / mpmath.sinh(r)
+                          + (cp - m0) * r * r - (cp + m0))
+
+    def oracle_errors(self, ext):
+        """Each negative level's distance to the nearest root of G/sinh, over max(1, r)."""
+        mpmath = pytest.importorskip("mpmath")
+        res = solve(ext, count=1)
+        with mpmath.workdps(50):
+            g = self.reduced_g(ext, mpmath)
+            return [float(abs(mpmath.findroot(g, mpmath.mpf(root.value)) - root.value))
+                    / max(1.0, root.value) for root in res.negative]
+
+    def test_random_extensions(self, rng):
+        errors = [err for _ in range(200) for err in self.oracle_errors(random_extension(rng))]
+        assert len(errors) > 100
+        assert max(errors) <= 1e-13
+
+    @pytest.mark.parametrize("ext", [
+        ExtensionU2(psi=0.09835167523818683, m0=0.9999999999999991,
+                    m=(-2.27573096614128e-08, -2.9058812515910843e-08, 2.2940860787232145e-08)),
+        ExtensionU2(psi=2.0 * math.atan(1.0 / 400.0), m0=1.0, m=(2e-8, 0.0, 0.0)),
+    ], ids=["close-pair", "tail-pair"])
+    def test_close_pairs(self, ext):
+        errors = self.oracle_errors(ext)
+        assert len(errors) == 2 and max(errors) <= 1e-13
+
+    @pytest.mark.parametrize("delta", ["1e-3", "1e-9", "1e-15"])
+    def test_near_a_dirichlet_direction(self, delta):
+        """psi - alpha = delta, with theta_- = -cot((psi + alpha)/2) = -3.
+
+        theta_+ = -cot(delta/2) puts a level near r = 2/delta, which one rounding
+        of psi or m0 moves by eps/delta relative: the near level must hold to the
+        oracle, and the far one only at delta = 1e-3.
+        """
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            half_sum, d = mpmath.acot(3), mpmath.mpf(delta)
+            alpha = half_sum - d / 2
+            size = mpmath.sin(alpha)
+            ext = ExtensionU2(psi=float(half_sum + d / 2), m0=float(mpmath.cos(alpha)),
+                              m=(float(0.6 * size), float(0.8 * size), 0.0))
+        near, far = self.oracle_errors(ext)
+        assert near <= 1e-13
+        assert far <= (1e-13 if delta == "1e-3" else 1.0)
+        assert solve(ext, count=1).negative[1].value > 1e3
+
+    def test_product_identity(self, rng):
+        """(cos psi - m0) lambda_1 lambda_2 = G(r)/sinh(r) at 50 values of r."""
+        from saext.box_spectrum import _negative_branches
+
+        mpmath = pytest.importorskip("mpmath")
+        for _ in range(10):
+            ext = random_extension(rng)
+            (low, _), (high, _) = _negative_branches(ext)
+            with mpmath.workdps(50):
+                g = self.reduced_g(ext, mpmath)
+                for r in np.geomspace(1e-3, 1e3, 50):
+                    r = float(r)
+                    product = (math.cos(ext.psi) - ext.m0) * low(r) * high(r)
+                    assert low(r) <= high(r)
+                    assert abs(product - float(g(mpmath.mpf(r)))) <= 1e-13 * (1.0 + r * r)
 
 
 class TestBoundaryForm:

@@ -86,6 +86,29 @@ class TestSpectrumCommand:
         assert code == 3 and out == ""
         assert "numerical failure: level count" in err
 
+    @pytest.mark.parametrize("ulps", [-3, -1, 1, 3])
+    @pytest.mark.parametrize("argv", [
+        "spectrum --u dirichlet --count 3",
+        "spectrum --u psi=0.4,m=(0.5,0.5,0.5,0.5) --count 5 --include-negative",
+        "spectrum --u quasiperiodic:1.57 --count 4 --eigenfunctions --format csv",
+    ])
+    def test_root_moved_by_ulps_prints_the_same_bytes(self, capsys, monkeypatch, argv, ulps):
+        from saext import box_spectrum
+        from saext.roots import RootReport
+
+        refine = box_spectrum.refine_root
+
+        def moved(bracket, f, tol):
+            x = refine(bracket, f, tol).root
+            for _ in range(abs(ulps)):
+                x = math.nextafter(x, math.copysign(math.inf, ulps))
+            return RootReport(x, f(x), 0)
+
+        monkeypatch.setattr(box_spectrum, "refine_root", moved)
+        code, out, err = invoke(capsys, *shlex.split(argv))
+        assert code == 0, err
+        assert out == README_GOLDEN[argv]
+
 
 class TestDeficiencyCommand:
     def test_momentum_halfline(self, capsys):
@@ -150,7 +173,7 @@ class TestScalarCommands:
         row = json.loads(out)["results"][0]
         assert (row["X"], row["Y"], row["V0_MeV"]) == (sol.X, sol.Y, sol.V0)
         # the residual prints as a one-digit bound, at least the floor
-        bound = cli._residual_bound(sol.residual)
+        bound = cli._residual_bound(sol.residual, cli._DEUTERON_RESIDUAL_FLOOR)
         assert row["residual"] == bound >= max(sol.residual, cli._DEUTERON_RESIDUAL_FLOOR)
 
     @pytest.mark.parametrize("ulps", [-2, -1, 1, 2])
@@ -174,7 +197,12 @@ class TestScalarCommands:
         (0.0, 4e-15), (4e-15, 4e-15), (4.000000000000001e-15, 5e-15), (6.1e-15, 7e-15),
         (9.99e-15, 1e-14), (1e-14, 1e-14), (math.nextafter(1e-14, 1.0), 2e-14), (0.3, 0.3)])
     def test_residual_bound_rounds_up_to_one_digit(self, residual, bound):
-        assert cli._residual_bound(residual) == bound
+        assert cli._residual_bound(residual, cli._DEUTERON_RESIDUAL_FLOOR) == bound
+
+    @pytest.mark.parametrize("residual, bound", [
+        (0.0, 1e-13), (9.2e-17, 1e-13), (1e-13, 1e-13), (1.02e-13, 2e-13), (3.3e-9, 4e-9)])
+    def test_spectrum_residual_bound(self, residual, bound):
+        assert cli._residual_bound(residual, cli._SPECTRUM_FLOOR) == bound
 
     def test_deuteron_requires_exactly_one_mode(self, capsys):
         code, _, err = invoke(capsys, "deuteron")
