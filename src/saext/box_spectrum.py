@@ -127,15 +127,18 @@ def _reduced_positive(e: ExtensionU2):
     """F(s)/s, continuous at 0 with limit Z; kills the trivial root at s = 0.
 
     sin(t)/t at t = pi (s/pi + 1e-300) rounds as np.sinc(s/pi) does and is
-    finite at 0.
+    finite at 0.  2 (sin(psi) cos(s) - m1) is taken as 2 (sin(psi) - m1)
+    - 4 sin(psi) sin^2(s/2): cos(s) rounds with an absolute error of about
+    1e-16, which at small s swamps its distance s^2/2 from 1.
     """
     sp, cp = math.sin(e.psi), math.cos(e.psi)
-    m0, m1 = e.m0, e.m1
+    at_zero, curvature = 2.0 * (sp - e.m1), 4.0 * sp
+    quadratic, constant = cp - e.m0, cp + e.m0   # cos(psi) (s^2 + 1) - m0 (s^2 - 1)
 
     def f(s):
         t = math.pi * (s / math.pi + 1e-300)
-        ss = s * s
-        return 2.0 * (sp * math.cos(s) - m1) - math.sin(t) / t * (cp * (ss + 1.0) - m0 * (ss - 1.0))
+        h = math.sin(0.5 * s)
+        return at_zero - curvature * h * h - math.sin(t) / t * (quadratic * s * s + constant)
 
     return f
 

@@ -1,7 +1,7 @@
 """Shared numerical kernels: root bracketing, refinement and quadrature.
 
-Everything here is deliberately small and dependency-free (numpy only for
-the quadrature grids).  The spectral modules rely on four guarantees:
+Everything here is deliberately small and dependency-free (numpy loads only
+inside ``fourier_coefficients``).  The spectral modules rely on four guarantees:
 
 * ``scan_brackets`` (defined in ``roots``, which needs no numpy) finds every
   sign change of a scalar function on a uniform grid and, in addition,
@@ -14,7 +14,8 @@ the quadrature grids).  The spectral modules rely on four guarantees:
   refines one bracket at a time on scalar calls.
 * ``integrate`` is adaptive Gauss-Kronrod G7-K15 in the QUADPACK QAG style
   (Piessens et al., 1983), exact through degree-13 polynomials on a panel.
-  Each pass evaluates the integrand once, on every live panel, as one array.
+  It calls the integrand once per node, on a Python float, and sums each
+  panel's 15 values in pure Python, so a short integral costs no numpy.
 * ``fourier_coefficients`` applies the same G7-K15 rule on one grid of
   uniform panels to many Fourier coefficients at once: one FFT over the
   panels per node gives every row, each with its own |K15 - G7| estimate,
@@ -26,55 +27,36 @@ the quadrature grids).  The spectral modules rely on four guarantees:
 
 from __future__ import annotations
 
+import cmath
 import math
-from typing import Callable, Sequence
-
-import numpy as np
+from operator import mul
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import AccuracyError, EvaluationError, InvalidParameterError
 from .roots import Bracket, RootReport, refine_root, scan_brackets  # noqa: F401  (re-exported)
 
-
-def _eval_grid(f: Callable[[float], float], xs: np.ndarray) -> np.ndarray:
-    """Evaluate f on a 1-d grid, vectorized when f supports it, else point by point.
-
-    Complex values stay complex.
-    """
-    try:
-        with np.errstate(all="ignore"):
-            ys = np.asarray(f(xs))
-        if ys.shape != xs.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        ys = np.array([f(x) for x in xs])
-    if not np.iscomplexobj(ys):
-        ys = ys.astype(float, copy=False)
-    finite = np.isfinite(ys)
-    if not finite.all():
-        raise EvaluationError("non-finite function value", float(xs[~finite][0]))
-    return ys
+# numpy loads inside fourier_coefficients, so integrate runs without it
+if TYPE_CHECKING:
+    import numpy as np
 
 
-# QUADPACK qk15 on [-1, 1], one row per abscissa x >= 0 (the rule is symmetric):
-# x, its Kronrod weight, and its Gauss-7 weight (0 at the Kronrod-only nodes).
-_QK15 = np.array([
-    [0.9914553711208126, 0.022935322010529224, 0.0],
-    [0.9491079123427585, 0.06309209262997856, 0.1294849661688697],
-    [0.8648644233597691, 0.10479001032225019, 0.0],
-    [0.7415311855993945, 0.14065325971552592, 0.27970539148927664],
-    [0.5860872354676911, 0.1690047266392679, 0.0],
-    [0.4058451513773972, 0.19035057806478542, 0.3818300505051189],
-    [0.20778495500789848, 0.20443294007529889, 0.0],
-    [0.0, 0.20948214108472782, 0.4179591836734694],
-])
-# The rule mapped to [0, 1], nodes ascending.  Per unit panel width, column 0 of
-# _GK_WEIGHTS gives the K15 estimate and column 1 the K15 - G7 error estimate.
-_QK15_ALL = np.concatenate((_QK15 * [-1.0, 1.0, 1.0], _QK15[-2::-1]))  # 15 rows, x ascending
-_GK_NODES = 0.5 * (1.0 + _QK15_ALL[:, 0])
-_GK_WEIGHTS = 0.5 * np.stack([_QK15_ALL[:, 1], _QK15_ALL[:, 1] - _QK15_ALL[:, 2]], axis=1)
+# QUADPACK qk15 on [-1, 1] (the rule is symmetric): the abscissae x >= 0, descending,
+# their Kronrod weights, and their Gauss-7 weights (0 at the Kronrod-only nodes).
+_XGK = (0.9914553711208126, 0.9491079123427585, 0.8648644233597691, 0.7415311855993945,
+        0.5860872354676911, 0.4058451513773972, 0.20778495500789848, 0.0)
+_WGK = (0.022935322010529224, 0.06309209262997856, 0.10479001032225019, 0.14065325971552592,
+        0.1690047266392679, 0.19035057806478542, 0.20443294007529889, 0.20948214108472782)
+_WG = (0.0, 0.1294849661688697, 0.0, 0.27970539148927664, 0.0, 0.3818300505051189, 0.0,
+       0.4179591836734694)
+# The rule mapped to [0, 1], nodes ascending: (node, K15 weight, K15 - G7 weight),
+# the weights per unit panel width.
+_QK15 = tuple(zip(_XGK, _WGK, _WG))
+_GK15 = tuple((0.5 * (1.0 + sign * x), 0.5 * wk, 0.5 * (wk - wg))
+              for sign, rows in ((-1.0, _QK15[:-1]), (1.0, _QK15[::-1])) for x, wk, wg in rows)
+_GK_NODES, _GK_K15, _GK_ERR = zip(*_GK15)
 
 # Panels one call may evaluate over all passes beyond its seed panels (those the
-# breakpoints make): bounds the memory of refinement and ends the bisection of a
+# breakpoints make): bounds the work of refinement and ends the bisection of a
 # panel whose error estimate never falls (an integrand noisier than tol).
 _MAX_PANELS = 1 << 14
 
@@ -88,14 +70,16 @@ def integrate(
 ) -> float | complex:
     """Adaptive Gauss-Kronrod (G7-K15) estimate of the integral of f over [a, b].
 
-    Each pass evaluates f once on the 15-node grids of all live panels, accepts
-    the K15 value of each panel whose |K15 - G7| is within its width's share of
-    tol, and bisects the rest, so the absolute error is (estimated to be) at
-    most tol.  Breakpoints split [a, b] where f is not smooth, or seed it with
-    panels short enough for an oscillation.  Complex integrands are allowed;
-    the error metric is the modulus.  AccuracyError, with the estimate and the
-    achieved error, reports an exhausted panel budget.  A non-finite a, b or
-    tol raises InvalidParameterError.
+    f is called once per node, on a Python float.  Each pass evaluates the 15
+    nodes of every live panel, accepts the K15 value of each panel whose
+    |K15 - G7| is within its width's share of tol, and bisects the rest, so
+    the absolute error is (estimated to be) at most tol.  Breakpoints split
+    [a, b] where f is not smooth, or seed it with panels short enough for an
+    oscillation.  Complex integrands are allowed; the error metric is the
+    modulus, and the result is a Python float or complex.  AccuracyError, with
+    the estimate and the achieved error, reports an exhausted panel budget;
+    EvaluationError names the first non-finite node of the first panel whose
+    sum is not finite.  A non-finite a, b or tol raises InvalidParameterError.
     Like any rule refined from fixed seed panels, it misses a feature narrower
     than a seed panel that its nodes all miss: integrate(exp(-2x), 0, 1e4,
     tol=1e-9) returns 8.9e-36, not 0.5; breakpoints at 1 and 10 recover 0.5.
@@ -104,34 +88,35 @@ def integrate(
         raise InvalidParameterError(f"need finite a < b, got [{a}, {b}]")
     if not (math.isfinite(tol) and tol > 0):
         raise InvalidParameterError(f"tol must be positive and finite, got {tol}")
-    edges = np.array([a, *sorted({p for p in breakpoints if a < p < b}), b], dtype=float)
-    # panels as columns: lo + width * _GK_NODES is the (panels, 15) grid
-    lo = edges[:-1, None]
-    width = edges[1:, None] - lo
+    edges = [a, *sorted({p for p in breakpoints if a < p < b}), b]
+    panels = [(lo, hi - lo) for lo, hi in zip(edges, edges[1:])]
     tol_per_width = tol / (b - a)
     total, error, evaluated = 0.0, 0.0, 0
-    budget = len(lo) + _MAX_PANELS
+    budget = len(panels) + _MAX_PANELS
     while True:
-        xs = lo + width * _GK_NODES
-        ys = _eval_grid(f, xs.ravel()).reshape(xs.shape)
-        per_width = ys @ _GK_WEIGHTS
-        err = np.abs(per_width[:, 1])
-        if err.max() <= tol_per_width:
-            return (total + per_width[:, 0] @ width).item()
-        done = err <= tol_per_width
-        total += per_width[done, 0] @ width[done]
-        error += err[done] @ width[done]
-        evaluated += len(lo)
-        live = ~done
-        lo, width, per_width, err = lo[live], width[live], per_width[live], err[live]
-        if evaluated + 2 * len(lo) > budget:
-            raise AccuracyError(
-                "quadrature panel cap reached",
-                (total + per_width[:, 0] @ width).item(),
-                (error + err @ width).item(),
-            )
-        width = 0.5 * width
-        lo, width = np.concatenate((lo, lo + width)), np.concatenate((width, width))
+        live = []  # (lo, width, K15, |K15 - G7|) of each panel that misses, per unit width
+        for lo, width in panels:
+            ys = [f(lo + width * t) for t in _GK_NODES]
+            k15 = sum(map(mul, _GK_K15, ys))
+            if not cmath.isfinite(k15):
+                for t, y in zip(_GK_NODES, ys):
+                    if not cmath.isfinite(y):
+                        raise EvaluationError("non-finite function value", lo + width * t)
+            err = abs(sum(map(mul, _GK_ERR, ys)))
+            if err <= tol_per_width:
+                total += k15 * width
+                error += err * width
+            else:
+                live.append((lo, width, k15, err))
+        if not live:
+            return complex(total) if isinstance(total, complex) else float(total)
+        evaluated += len(panels)
+        if evaluated + 2 * len(live) > budget:
+            raise AccuracyError("quadrature panel cap reached",
+                                total + sum(k15 * width for _, width, k15, _ in live),
+                                error + sum(err * width for _, width, _, err in live))
+        panels = [half for lo, width, _, _ in live
+                  for half in ((lo, 0.5 * width), (lo + 0.5 * width, 0.5 * width))]
 
 
 # Grid doublings one fourier_coefficients call may make.  On a smooth integrand
@@ -146,6 +131,18 @@ _MAX_DOUBLINGS = 2
 _FFT_BLOCK = 1 << 12
 
 
+def _eval_grid(g: Callable[[np.ndarray], np.ndarray], xs: np.ndarray) -> np.ndarray:
+    """g on an array of nodes, broadcast to its shape; EvaluationError at a non-finite value."""
+    import numpy as np
+
+    with np.errstate(all="ignore"):
+        ys = np.broadcast_to(g(xs), xs.shape)
+    finite = np.isfinite(ys)
+    if not finite.all():
+        raise EvaluationError("non-finite function value", float(xs[~finite][0]))
+    return ys
+
+
 def fourier_coefficients(
     g: Callable[[np.ndarray], np.ndarray],
     ns: Sequence[int],
@@ -155,18 +152,20 @@ def fourier_coefficients(
     """The integrals of g(x) e^{-2 pi i (n + shift) x} over [0, 1], for every integer n in ns.
 
     One G7-K15 grid of P uniform panels serves every row: with x = (p + t_j)/P,
-    each node t_j needs one FFT of g(x) e^{-2 pi i shift x} over p = 0 ... P-1,
-    and row n is sum_j w_j e^{-2 pi i n t_j / P} F_j[n mod P] / P, exact for
-    every integer n.  The K15 - G7 weights give each row's error estimate.
-    P is the power of two >= 2 ceil(max |n + shift|), at most half an
-    oscillation per panel.  The nodes are taken ``_FFT_BLOCK`` // P at a time
-    (at least one), so a block holds at most 4096 values, 64 KiB of complex,
-    when P <= 4096 (below the 128 KiB at which glibc would mmap it and fault
-    it in afresh on each call), and memory is O(P) beyond.  P doubles until every
-    row's estimate is within its tol (a scalar or one per row); past
-    ``_MAX_DOUBLINGS`` doublings AccuracyError reports the estimate and error
-    of the first row that still misses.
+    each node t_j needs one FFT of g(x) e^{-2 pi i shift p / P} over
+    p = 0 ... P-1, and row n is sum_j w_j e^{-2 pi i (n + shift) t_j / P}
+    F_j[n mod P] / P, exact for every integer n.  The K15 - G7 weights give
+    each row's error estimate.  P is the power of two >= 2 ceil(max |n + shift|),
+    at most half an oscillation per panel.  The nodes are taken ``_FFT_BLOCK``
+    // P at a time (at least one), so a block holds at most 4096 values, 64 KiB
+    of complex, when P <= 4096 (below the 128 KiB at which glibc would mmap it
+    and fault it in afresh on each call), and memory is O(P) beyond.  P doubles
+    until every row's estimate is within its tol (a scalar or one per row);
+    past ``_MAX_DOUBLINGS`` doublings AccuracyError reports the estimate and
+    error of the first row that still misses.
     """
+    import numpy as np
+
     ns = np.asarray(ns)
     tol = np.asarray(tol, dtype=float)
     if ns.ndim != 1 or not ns.size or ns.dtype.kind not in "iu":
@@ -174,6 +173,8 @@ def fourier_coefficients(
     if tol.shape not in ((), ns.shape) or not (np.isfinite(tol).all() and (tol > 0).all()):
         raise InvalidParameterError("tol must be positive and finite, one value or one per row")
     tol = np.broadcast_to(tol, ns.shape)
+    nodes = np.array(_GK_NODES)
+    weights = np.array((_GK_K15, _GK_ERR))
     values = np.empty(ns.shape, dtype=complex)
     errors = np.empty(ns.shape)
     panels = 1 << max(0, 2 * math.ceil(np.abs(ns + shift).max()) - 1).bit_length()
@@ -182,13 +183,15 @@ def fourier_coefficients(
         rows = ns[live]
         sums = np.zeros((2, rows.size), dtype=complex)
         block = max(1, _FFT_BLOCK // panels)  # nodes per FFT call
-        for j in range(0, len(_GK_NODES), block):
-            t = _GK_NODES[j:j + block, None]
+        # e^{-2 pi i shift x} at x = (p + t)/P: the factor in p here, the one in t in the twiddle
+        phase = np.exp(-2j * math.pi * shift / panels * np.arange(panels))
+        for j in range(0, len(nodes), block):
+            t = nodes[j:j + block, None]
             x = (np.arange(panels) + t) / panels
-            ys = _eval_grid(g, x.ravel()).reshape(x.shape) * np.exp(-2j * math.pi * shift * x)
+            ys = _eval_grid(g, x) * phase
             spectrum = np.fft.fft(ys, axis=1)[:, rows % panels]
-            twiddle = np.exp(-2j * math.pi * t / panels * rows)
-            sums += _GK_WEIGHTS[j:j + block].T @ (twiddle * spectrum)
+            twiddle = np.exp(-2j * math.pi * t / panels * (rows + shift))
+            sums += weights[:, j:j + block] @ (twiddle * spectrum)
         values[live] = sums[0] / panels
         errors[live] = np.abs(sums[1]) / panels
         live = live[errors[live] > tol[live]]

@@ -29,6 +29,7 @@ from .roots import Bracket, refine_root
 # numpy and the quadrature load inside the functions that use them, so the
 # paradox report, the finite-well levels and the limit study import without them
 
+SQRT2 = math.sqrt(2.0)
 SQRT15 = math.sqrt(15.0)
 SQRT30 = math.sqrt(30.0)
 
@@ -48,35 +49,20 @@ def _count(value, name: str) -> int:
 # infinite well on [-1/2, 1/2]
 
 
-def parabola_state(x):
-    """Psi(x) = -sqrt(30) (x^2 - 1/4), the normalized even parabola (L = 1)."""
-    import numpy as np
-
-    x = np.asarray(x, dtype=float)
-    return -SQRT30 * (x * x - 0.25)
-
-
-def even_mode(n: int, x):
-    """Even infinite-well eigenfunction sqrt(2) cos((2n-1) pi x), n >= 1."""
-    import numpy as np
-
-    x = np.asarray(x, dtype=float)
-    return math.sqrt(2.0) * np.cos((2 * n - 1) * math.pi * x)
-
-
 def well_coefficients(n: int) -> float:
     """b_n = (Psi_n, Psi) = (-1)^(n-1) / (2n-1)^3 * 8 sqrt(15) / pi^3."""
-    if n < 1:
-        raise InvalidParameterError("n must be >= 1")
+    n = _count(n, "n")
     odd = 2 * n - 1
     return ((-1) ** (n - 1)) * 8.0 * SQRT15 / (math.pi ** 3 * odd ** 3)
 
 
 def well_coefficient_quadrature(n: int, tol: float = 1e-12) -> float:
-    """The same overlap by direct quadrature; the independent route."""
+    """The same overlap by direct quadrature on ``math.cos``; the independent route."""
     from .numerics import integrate
 
-    return float(integrate(lambda x: even_mode(n, x) * parabola_state(x), -0.5, 0.5, tol))
+    k = (2 * _count(n, "n") - 1) * math.pi
+    # the even mode sqrt(2) cos(k x) times Psi(x) = -sqrt(30) (x^2 - 1/4)
+    return integrate(lambda x: SQRT2 * math.cos(k * x) * -SQRT30 * (x * x - 0.25), -0.5, 0.5, tol)
 
 
 class ParadoxReport(NamedTuple):

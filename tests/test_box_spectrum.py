@@ -29,6 +29,8 @@ from saext import (
     to_matrix,
     to_physical_energy,
 )
+from saext.cli import run
+
 from conftest import TAU1, gl_inner, random_extension
 
 
@@ -899,6 +901,32 @@ class TestNegativeSectorOracle:
                     product = (math.cos(ext.psi) - ext.m0) * low(r) * high(r)
                     assert low(r) <= high(r)
                     assert abs(product - float(g(mpmath.mpf(r)))) <= 1e-13 * (1.0 + r * r)
+
+
+class TestSmallPositiveLevel:
+    """E = theta^2 of quasi-periodic theta against 50-digit roots of F for the stored floats.
+
+    2 (sin(psi) cos(s) - m1) cancels at small s, where cos(s) rounds with an absolute
+    error of about 1e-16 against its distance s^2/2 from 1: taken that way, F/s put
+    the level of theta = 1e-5 at 9.999989729e-11, against the root's 9.99999470425e-11.
+    """
+
+    @pytest.mark.parametrize("theta", [1e-5, 1e-4, 1e-3, 2.0 * math.pi - 1e-5])
+    def test_against_a_50_digit_root(self, theta):
+        mpmath = pytest.importorskip("mpmath")
+        ext = named_extension("quasi_periodic", theta=theta)
+        s = solve(ext, count=3).positive[0].value
+        with mpmath.workdps(50):
+            psi, m0, m1 = (mpmath.mpf(x) for x in (ext.psi, ext.m0, ext.m1))
+            sp, cp = mpmath.sin(psi), mpmath.cos(psi)
+            char = lambda x: (2 * x * (sp * mpmath.cos(x) - m1)
+                              - mpmath.sin(x) * (cp * (x * x + 1) - m0 * (x * x - 1)))
+            root = mpmath.findroot(lambda x: char(x) / x, (0.9 * s, 1.1 * s), solver="anderson")
+            assert abs(s * s - root * root) <= 1e-11 * root * root
+
+    def test_cli_prints_the_root_digits(self, capsys):
+        assert run(["spectrum", "--u", "quasiperiodic:1e-5", "--count", "1"]) == 0
+        assert "9.999994704e-11" in capsys.readouterr().out
 
 
 class TestBoundaryForm:

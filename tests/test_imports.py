@@ -125,6 +125,16 @@ def test_box_spectrum_imports_no_numpy():
     assert not {"numpy", "saext.numerics"} & set(loaded)
 
 
+def test_scalar_quadratures_load_no_numpy():
+    # integrate calls its integrand on Python floats, so these run on math and cmath alone
+    loaded = fresh("import json, sys\n"
+                   "from saext import p_spectrum, uncertainty_product, wells\n"
+                   "uncertainty_product(p_spectrum(1.0, (-3, 3))[0])\n"
+                   "wells.well_coefficient_quadrature(3)\n"
+                   "print(json.dumps(sorted(sys.modules)))")
+    assert "saext.numerics" in loaded and "numpy" not in loaded
+
+
 def test_import_saext_loads_no_submodule():
     loaded = fresh("import json, sys, saext\nprint(json.dumps(sorted(sys.modules)))")
     assert not [name for name in loaded if name.startswith("saext.") or name == "numpy"]

@@ -1,9 +1,11 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.integrate import IntegrationWarning, quad
 
 from saext import (
     DiagnosticError,
@@ -11,7 +13,6 @@ from saext import (
     expansion_coeff,
     expansion_coeff_quadrature,
     expansion_table,
-    integrate,
     momentum,
     numerics,
     p_spectrum,
@@ -132,14 +133,18 @@ class TestCoefficients:
 
 
 def adaptive_quadrature(theta, n):
-    """(phi_n, Psi) by adaptive ``integrate`` on 2 ceil(|nu|) seed panels, row by row."""
-    nu = n + theta / (2.0 * math.pi)
-    panels = 2 * math.ceil(abs(nu))
-    tol = max(1e-12, 8.0 * np.finfo(float).eps * abs(nu))
-    return complex(integrate(
-        lambda x: np.exp(-2j * math.pi * nu * x) * SQRT30 * x * (1.0 - x), 0.0, 1.0, tol,
-        breakpoints=[k / panels for k in range(1, panels)],
-    ))
+    """(phi_n, Psi) row by row by QUADPACK's QAWO (scipy), independent of both saext kernels.
+
+    The cos and sin parts are each held to 2e-14 absolute: 1e-14 raises an
+    IntegrationWarning (round-off) near nu = 0, and here a warning fails the test.
+    """
+    omega = 2.0 * math.pi * (n + theta / (2.0 * math.pi))
+    parabola = lambda x: SQRT30 * x * (1.0 - x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", IntegrationWarning)
+        re, _ = quad(parabola, 0.0, 1.0, weight="cos", wvar=omega, epsabs=2e-14, epsrel=0.0)
+        im, _ = quad(parabola, 0.0, 1.0, weight="sin", wvar=omega, epsabs=2e-14, epsrel=0.0)
+    return complex(re, -im)
 
 
 class TestBatchedQuadrature:

@@ -131,10 +131,12 @@ def assert_scan_matches_reference(f, lo, hi, step, grid=None):
 
 
 def grid_reduced_positive(ext):
-    """F/s on an array through numpy's cos, sin and sinc: the scan's grid values, to the bit."""
-    sp, cp, m0, m1 = math.sin(ext.psi), math.cos(ext.psi), ext.m0, ext.m1
-    return lambda s: 2.0 * (sp * np.cos(s) - m1) - np.sinc(s / math.pi) * (
-        cp * (s * s + 1.0) - m0 * (s * s - 1.0))
+    """F/s on an array through numpy's sin and sinc: the scan's grid values, to the bit."""
+    sp, cp = math.sin(ext.psi), math.cos(ext.psi)
+    at_zero, curvature = 2.0 * (sp - ext.m1), 4.0 * sp
+    quadratic, constant = cp - ext.m0, cp + ext.m0
+    return lambda s: (at_zero - curvature * np.sin(0.5 * s) * np.sin(0.5 * s)
+                      - np.sinc(s / math.pi) * (quadratic * s * s + constant))
 
 
 def pointwise(f):
@@ -305,12 +307,30 @@ def test_integrate_first_moment():
     assert abs(val - 0.5) < 1e-12
 
 
-@given(coeffs=st.lists(st.floats(min_value=-3, max_value=3), min_size=6, max_size=6))
-def test_integrate_exact_on_degree_five_polynomials(coeffs):
-    poly = np.polynomial.Polynomial(coeffs)
-    exact = poly.integ()(1.0) - poly.integ()(0.0)
-    val = integrate(lambda x: poly(x), 0.0, 1.0, 1e-9)
+@given(coeffs=st.lists(st.floats(min_value=-3, max_value=3), min_size=14, max_size=14))
+def test_integrate_takes_one_panel_of_python_floats_on_degree_thirteen(coeffs):
+    # G7 is exact through degree 13 and K15 beyond: |K15 - G7| is round-off, one panel, 15 calls
+    calls = []
+
+    def poly(x):
+        calls.append(x)
+        return math.fsum(c * x ** k for k, c in enumerate(coeffs))
+
+    exact = math.fsum(c * (1.0 - (-1.0) ** (k + 1)) / (k + 1) for k, c in enumerate(coeffs))
+    val = integrate(poly, -1.0, 1.0, 1e-9)
     assert abs(val - exact) <= 1e-9 + 1e-12 * abs(exact)
+    assert len(calls) == 15 and all(type(x) is float for x in calls)
+    assert type(val) is float
+
+
+@pytest.mark.parametrize("f, kind", [
+    (lambda x: 1, float),                # an int-valued integrand still gives a float
+    (np.exp, float),                     # numpy scalars come back as Python numbers
+    (lambda x: np.exp(1j * x), complex),
+    (lambda x: complex(x, -x), complex),
+])
+def test_integrate_returns_python_float_or_complex(f, kind):
+    assert type(integrate(f, 0.0, 1.0, 1e-12)) is kind
 
 
 def test_integrate_with_breakpoints():
@@ -344,7 +364,6 @@ def test_integrate_reports_non_finite_integrand(f):
 
 @pytest.mark.parametrize("value", [30.0, -0.0])
 def test_integrate_constant_integrand(value):
-    # an integrand that ignores x returns one float, not an array: it is evaluated point by point
     val = integrate(lambda x: value, -0.5, 0.5, 1e-12)
     assert abs(val - value) <= 1e-12
     assert math.copysign(1.0, val) == 1.0   # a zero integral is +0, never -0

@@ -31,6 +31,14 @@ class TestCoefficients:
     @pytest.mark.parametrize("n", [1, 2, 3, 7])
     def test_quadrature_oracle(self, n):
         assert abs(well_coefficients(n) - well_coefficient_quadrature(n)) < 1e-11
+        assert type(well_coefficient_quadrature(n)) is float
+
+    @pytest.mark.parametrize("n", [0, -2, 2.5, math.nan, math.inf])
+    @pytest.mark.parametrize("coefficient", [well_coefficients, well_coefficient_quadrature])
+    def test_level_index_must_be_a_positive_integer(self, coefficient, n):
+        # 2.5 used to give a complex b_n, and the quadrature returned numbers for 0, -2 and 2.5
+        with pytest.raises(InvalidParameterError, match="n must be"):
+            coefficient(n)
 
     def test_parseval(self):
         n = np.arange(1, 10_001)
