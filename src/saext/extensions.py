@@ -17,14 +17,13 @@ from __future__ import annotations
 import cmath
 import math
 import re
-import sys
 from enum import Enum
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DiagnosticError, InvalidParameterError
 
-# numpy loads only inside to_matrix and verify_deficiency (with the quadrature):
-# constructing, parsing and classifying an extension run on Python floats
+# numpy loads only inside to_matrix: constructing, parsing, classifying and
+# verifying an extension run on Python floats
 if TYPE_CHECKING:
     import numpy as np
 
@@ -244,33 +243,34 @@ def deficiency_indices(op: OperatorKind, iv: IntervalKind) -> DeficiencyReport:
     return DeficiencyReport(n_plus, n_minus, family)
 
 
-def _square_integrable(density, iv: IntervalKind, cutoff: float) -> bool:
-    """Doubling-cutoff growth test of integral(density) on the given interval."""
-    from .numerics import integrate
+def _log_integral(rate: float, lo: float, hi: float) -> float:
+    """log of the integral of e^{rate x} over [lo, hi], without forming e^{rate x}.
 
+    c x_peak + log(-expm1(-|c| (hi - lo))) - log |c|, with x_peak the end of the
+    window where e^{c x} is largest; log(hi - lo) where |c| (hi - lo) is 0.
+    """
+    u = abs(rate) * (hi - lo)
+    log_rest = math.log(hi - lo) if u == 0.0 else math.log(-math.expm1(-u)) - math.log(abs(rate))
+    return rate * (hi if rate > 0 else lo) + log_rest
+
+
+# |ratio - 2| < 1e-6 in log space: the doubling test cannot tell growth from decay
+_INCONCLUSIVE = (math.log(2.0 - 1e-6), math.log(2.0 + 1e-6))
+
+
+def _square_integrable(rate: float, iv: IntervalKind, cutoff: float) -> bool:
+    """Doubling-cutoff growth test of the integral of e^{rate x} on the given interval."""
     if iv is IntervalKind.FINITE_BOX:
-        val = integrate(density, 0.0, 1.0, tol=1e-10)
-        return math.isfinite(val)
-    if iv is IntervalKind.SEMI_AXIS:
-        windows = ((0.0, cutoff), (0.0, 2.0 * cutoff))
-    else:
-        windows = ((-cutoff, cutoff), (-2.0 * cutoff, 2.0 * cutoff))
-    integrals = []
-    for lo, hi in windows:
-        # each window's own scale: its peak, on its ends and 0, times its width
-        peak = float(max(density(lo), density(hi), density(0.0)))
-        if not math.isfinite(peak):
-            raise InvalidParameterError(f"cutoff {cutoff!r} is undecidable: |psi|^2 overflows")
-        # peak times the width overflows when |psi|^2 nears the largest float; tol must be finite
-        tol = 1e-9 * min(max(1.0, peak * (hi - lo)), sys.float_info.max)
-        integrals.append(integrate(density, lo, hi, tol=tol))
-    i1, i2 = integrals
-    if not (0.0 < i1 < math.inf and 0.0 < i2 < math.inf):    # the density is positive
-        raise InvalidParameterError(f"cutoff {cutoff!r} is undecidable: integrals {i1!r}, {i2!r}")
-    ratio = i2 / i1
-    if abs(ratio - 2.0) < 1e-6:
-        raise DiagnosticError(f"integrability growth test inconclusive (ratio {ratio!r})")
-    return ratio < 2.0
+        return True    # e^{rate x} is bounded on the compact box
+    lo = 0.0 if iv is IntervalKind.SEMI_AXIS else -cutoff    # the window [lo, cutoff]
+    log_ratio = _log_integral(rate, 2.0 * lo, 2.0 * cutoff) - _log_integral(rate, lo, cutoff)
+    if math.isnan(log_ratio):    # both integrals, or a window, beyond the float range
+        raise InvalidParameterError(
+            f"cutoff {cutoff!r} puts |psi|^2 = e^({rate!r} x) beyond the float range")
+    if _INCONCLUSIVE[0] < log_ratio < _INCONCLUSIVE[1]:
+        raise DiagnosticError(
+            f"integrability growth test inconclusive (ratio {math.exp(log_ratio)!r})")
+    return log_ratio < math.log(2.0)
 
 
 def verify_deficiency(
@@ -281,34 +281,29 @@ def verify_deficiency(
     For the momentum operator the solutions of the +/- i hbar/d eigenvalue
     problem are e^{-x/d} and e^{+x/d}; for the Hamiltonian the -D^2 = +/- i
     k0^2 problem gives e^{k x} and e^{-k x} with k = (1 -/+ i) k0 / sqrt(2).
-    Membership in L^2 is decided numerically by comparing the integral of
-    |psi|^2 on a cutoff window against the doubled window; a cutoff too large
-    to decide (|psi|^2 overflows, or an integral underflows to 0) raises
-    InvalidParameterError.
+    Each |psi|^2 is a pure exponential e^{c x}, so membership in L^2 is
+    decided in closed form: the log of the integral of |psi|^2 on a cutoff
+    window is compared against the log of twice it on the doubled window.
+    A ratio within 1e-6 of 2 raises DiagnosticError.  d_or_k0 and cutoff must
+    be positive and finite, or InvalidParameterError names the argument.
     """
-    if d_or_k0 <= 0 or cutoff <= 0:
-        raise InvalidParameterError("d_or_k0 and cutoff must be positive")
-    import numpy as np
-
-    if op is OperatorKind.MOMENTUM:
-        d = d_or_k0
-        solutions = {
-            +1: [lambda x: np.exp(-2.0 * x / d)],
-            -1: [lambda x: np.exp(+2.0 * x / d)],
-        }
-    else:
-        k0 = d_or_k0
-        rate = math.sqrt(2.0) * k0  # |e^{k x}|^2 = e^{sqrt(2) k0 x} for both signs
-        solutions = {
-            +1: [lambda x: np.exp(rate * x), lambda x: np.exp(-rate * x)],
-            -1: [lambda x: np.exp(rate * x), lambda x: np.exp(-rate * x)],
-        }
-
-    counts = {}
-    with np.errstate(over="ignore"):    # an |psi|^2 that overflows raises InvalidParameterError
-        for sign, sols in solutions.items():
-            counts[sign] = sum(1 for density in sols if _square_integrable(density, iv, cutoff))
-    return counts[+1], counts[-1]
+    d_or_k0 = _real("d_or_k0", d_or_k0)
+    cutoff = _real("cutoff", cutoff)
+    for name, value in (("d_or_k0", d_or_k0), ("cutoff", cutoff)):
+        if not (math.isfinite(value) and value > 0):
+            raise InvalidParameterError(f"{name} must be positive and finite, got {value!r}")
+    counts = []
+    for sign in (+1, -1):
+        if op is OperatorKind.MOMENTUM:
+            # -i psi' = sign i psi / d: psi = e^{kappa x} with kappa = -sign / d
+            kappas = (-sign / d_or_k0,)
+        else:
+            # -psi'' = sign i k0^2 psi: psi = e^{+-kappa x} with kappa^2 = -sign i k0^2
+            kappa = cmath.sqrt(-sign * 1j) * d_or_k0
+            kappas = (kappa, -kappa)
+        # |e^{kappa x}|^2 = e^{2 Re(kappa) x}
+        counts.append(sum(_square_integrable(2.0 * k.real, iv, cutoff) for k in kappas))
+    return counts[0], counts[1]
 
 
 def is_time_reversal(e: ExtensionU2, tol: float = CLASSIFY_TOL) -> bool:

@@ -122,6 +122,7 @@ def expansion_coeff_quadrature(theta: float, n: int, tol: float = 1e-12) -> comp
     that is larger (|nu| > 560).
     """
     theta = MomentumExtension(theta).theta
+    _check_positive("tol", tol)
     return complex(_quadrature_rows(theta, [n], tol)[0])
 
 
@@ -220,14 +221,14 @@ def uncertainty_product(state: MomentumEigenstate, length: float = 1.0) -> Uncer
     bound has no force.  Both position moments come from one quadrature pass
     of (x + i x^2) |phi|^2, whose real part is <x> and imaginary part <x^2>;
     its error test bounds the modulus, so each part is held to the tol.
-    phi is taken pointwise with ``cmath``, so no numpy loads.  For
-    |phi|^2 = 1/L this gives Delta X = L / sqrt(12).
+    |phi|^2 is taken pointwise as |e^{i kappa x}|^2 / L with ``cmath``, so no
+    numpy loads.  For |phi|^2 = 1/L this gives Delta X = L / sqrt(12).
     """
     _check_positive("length", length)
     from .numerics import integrate
 
-    wavenumber, norm = 2j * math.pi * state.nu / length, 1.0 / math.sqrt(length)
-    moments = integrate(lambda x: (x + 1j * x * x) * abs(cmath.exp(wavenumber * x) * norm) ** 2,
+    exp, wavenumber = cmath.exp, 2j * math.pi * state.nu / length
+    moments = integrate(lambda x: (x + 1j * x * x) * abs(exp(wavenumber * x)) ** 2 / length,
                         0.0, length, tol=1e-12)
     mean, mean_sq = moments.real, moments.imag
     d_x = math.sqrt(max(mean_sq - mean * mean, 0.0))

@@ -55,44 +55,36 @@ _GK15 = tuple((0.5 * (1.0 + sign * x), 0.5 * wk, 0.5 * (wk - wg))
               for sign, rows in ((-1.0, _QK15[:-1]), (1.0, _QK15[::-1])) for x, wk, wg in rows)
 _GK_NODES, _GK_K15, _GK_ERR = zip(*_GK15)
 
-# Panels one call may evaluate over all passes beyond its seed panels (those the
-# breakpoints make): bounds the work of refinement and ends the bisection of a
-# panel whose error estimate never falls (an integrand noisier than tol).
+# Panels one call may evaluate over all passes beyond its seed panel [a, b]: bounds
+# the work of refinement and ends the bisection of a panel whose error estimate
+# never falls (an integrand noisier than tol).
 _MAX_PANELS = 1 << 14
 
 
-def integrate(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    tol: float,
-    breakpoints: Sequence[float] = (),
-) -> float | complex:
+def integrate(f: Callable[[float], float], a: float, b: float, tol: float) -> float | complex:
     """Adaptive Gauss-Kronrod (G7-K15) estimate of the integral of f over [a, b].
 
     f is called once per node, on a Python float.  Each pass evaluates the 15
-    nodes of every live panel, accepts the K15 value of each panel whose
-    |K15 - G7| is within its width's share of tol, and bisects the rest, so
-    the absolute error is (estimated to be) at most tol.  Breakpoints split
-    [a, b] where f is not smooth, or seed it with panels short enough for an
-    oscillation.  Complex integrands are allowed; the error metric is the
+    nodes of every live panel, starting from the one panel [a, b], accepts the
+    K15 value of each panel whose |K15 - G7| is within its width's share of
+    tol, and bisects the rest, so the absolute error is (estimated to be) at
+    most tol.  Complex integrands are allowed; the error metric is the
     modulus, and the result is a Python float or complex.  AccuracyError, with
     the estimate and the achieved error, reports an exhausted panel budget;
     EvaluationError names the first non-finite node of the first panel whose
     sum is not finite.  A non-finite a, b or tol raises InvalidParameterError.
-    Like any rule refined from fixed seed panels, it misses a feature narrower
-    than a seed panel that its nodes all miss: integrate(exp(-2x), 0, 1e4,
-    tol=1e-9) returns 8.9e-36, not 0.5; breakpoints at 1 and 10 recover 0.5.
+    Like any rule refined from a fixed seed panel, it misses a feature narrower
+    than the panel that its nodes all miss: integrate(exp(-2x), 0, 1e4,
+    tol=1e-9) returns 8.9e-36, not 0.5.  The remedy is to split [a, b] over
+    several calls: [0, 1], [1, 10] and [10, 1e4] sum to 0.5.
     """
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise InvalidParameterError(f"need finite a < b, got [{a}, {b}]")
     if not (math.isfinite(tol) and tol > 0):
         raise InvalidParameterError(f"tol must be positive and finite, got {tol}")
-    edges = [a, *sorted({p for p in breakpoints if a < p < b}), b]
-    panels = [(lo, hi - lo) for lo, hi in zip(edges, edges[1:])]
+    panels = [(a, b - a)]
     tol_per_width = tol / (b - a)
     total, error, evaluated = 0.0, 0.0, 0
-    budget = len(panels) + _MAX_PANELS
     while True:
         live = []  # (lo, width, K15, |K15 - G7|) of each panel that misses, per unit width
         for lo, width in panels:
@@ -111,7 +103,7 @@ def integrate(
         if not live:
             return complex(total) if isinstance(total, complex) else float(total)
         evaluated += len(panels)
-        if evaluated + 2 * len(live) > budget:
+        if evaluated + 2 * len(live) > 1 + _MAX_PANELS:
             raise AccuracyError("quadrature panel cap reached",
                                 total + sum(k15 * width for _, width, k15, _ in live),
                                 error + sum(err * width for _, width, _, err in live))

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from saext import (
+    DiagnosticError,
     ExtensionU2,
     IntervalKind,
     InvalidParameterError,
@@ -22,6 +23,7 @@ from saext import (
     to_matrix,
     verify_deficiency,
 )
+from saext.extensions import _log_integral
 from conftest import TAU1, TAU2, TAU3, random_extension
 
 
@@ -160,48 +162,63 @@ class TestDeficiency:
 
     @pytest.mark.parametrize("iv", [IntervalKind.SEMI_AXIS, IntervalKind.FULL_LINE])
     def test_numerical_verification_near_float_overflow(self, iv):
-        # at cutoff 250, |psi|^2 = e^(sqrt(2) x) reaches 1.3e307 on the doubled window,
-        # so its crude scale (times the window width) overflows to inf
+        # at cutoff 250, |psi|^2 = e^(sqrt(2) x) reaches 1.3e307 on the doubled window
         want, _ = self.TABLE[(OperatorKind.HAMILTONIAN, iv)]
         assert verify_deficiency(OperatorKind.HAMILTONIAN, iv, d_or_k0=1.0, cutoff=250.0) == want
 
-    @pytest.mark.parametrize("cutoff", [10.0, 20.0, 50.0, 100.0])
-    def test_each_window_integral_meets_its_own_scale(self, monkeypatch, cutoff):
-        # |psi|^2 = e^(a x), a = +-sqrt(2) k0, on the whole line: a tol shared with the
-        # doubled window would leave the first integral unchecked (2.5% off at cutoff 100)
-        from saext import numerics
-
-        calls, plain = [], numerics.integrate
-
-        def recorded(f, lo, hi, tol, breakpoints=()):
-            value = plain(f, lo, hi, tol, breakpoints)
-            calls.append((f, lo, hi, value))
-            return value
-
-        monkeypatch.setattr(numerics, "integrate", recorded)
-        verify_deficiency(OperatorKind.HAMILTONIAN, IntervalKind.FULL_LINE, 1.0, cutoff)
-        assert len(calls) == 8  # two densities per sign, two windows each
-        for f, lo, hi, value in calls:
-            a = math.sqrt(2.0) * (1.0 if f(1.0) > 1.0 else -1.0)
-            exact = (math.exp(a * hi) - math.exp(a * lo)) / a
-            assert abs(value - exact) <= 1e-7 * exact, (lo, hi, a)
-
-    @pytest.mark.parametrize("cutoff", [10.0, 200.0, 260.0, 1e6])
+    @pytest.mark.parametrize("cutoff", [10.0, 200.0, 260.0, 1e6, 1e300])
     @pytest.mark.parametrize("op,iv", sorted(TABLE, key=str))
-    def test_large_cutoff_decides_or_is_a_usage_error(self, op, iv, cutoff):
-        # |psi|^2 overflows on the doubled window from cutoff 178 (momentum, d = 1) and
-        # 251 (-D^2, k0 = 1); at 1e6 the decaying half-line integrals underflow to 0
-        (n_plus, n_minus), _ = self.TABLE[(op, iv)]
-        try:
-            got = verify_deficiency(op, iv, d_or_k0=1.0, cutoff=cutoff)
-        except InvalidParameterError:
-            assert iv is not IntervalKind.FINITE_BOX
-        else:
-            assert got == (n_plus, n_minus)
+    def test_large_cutoff_decides(self, op, iv, cutoff):
+        # |psi|^2 would overflow on the doubled window from cutoff 178 (momentum, d = 1) and
+        # 251 (-D^2, k0 = 1), and the decaying integrals underflow at 1e6; their logs do not
+        rep = deficiency_indices(op, iv)
+        assert verify_deficiency(op, iv, d_or_k0=1.0, cutoff=cutoff) == (rep.n_plus, rep.n_minus)
+
+    def test_ratio_near_two_is_inconclusive(self):
+        # |psi|^2 = e^(-2x/d) on [0, 1] and [0, 2]: the ratio is 1 + e^(-2/d) = 1.999999999998
+        with pytest.raises(DiagnosticError, match="inconclusive"):
+            verify_deficiency(OperatorKind.MOMENTUM, IntervalKind.SEMI_AXIS, 1e12, 1.0)
+
+    @pytest.mark.parametrize("rate", [-1e3, -1.0, -1e-12, 0.0, 1e-12, 1.0, 1e3])
+    @pytest.mark.parametrize("cutoff", [1.0, 10.0, 1e6, 1e300])
+    def test_log_integral_matches_mpmath(self, rate, cutoff):
+        mpmath = pytest.importorskip("mpmath")
+        for lo, hi in ((0.0, cutoff), (0.0, 2.0 * cutoff), (-cutoff, cutoff),
+                       (-2.0 * cutoff, 2.0 * cutoff)):
+            c, a, b = (mpmath.mpf(x) for x in (rate, lo, hi))
+            with mpmath.workdps(50):
+                if abs(rate) * (hi - lo) <= 50.0 and hi - lo <= 40.0:
+                    exact = mpmath.log(mpmath.quad(lambda x: mpmath.exp(c * x), [a, b]))
+                elif rate == 0.0:
+                    exact = mpmath.log(b - a)
+                else:    # the exact antiderivative, where quad cannot resolve e^(cx)
+                    exact = mpmath.log((mpmath.exp(c * b) - mpmath.exp(c * a)) / c)
+                got = _log_integral(rate, lo, hi)
+                # an error in log I is a relative error in I
+                assert abs(got - exact) <= 8 * math.ulp(1.0) * max(1.0, abs(got)), (lo, hi)
+
+    @pytest.mark.parametrize("iv, d_or_k0, cutoff, name", [
+        (IntervalKind.FULL_LINE, math.nan, 10.0, "d_or_k0"),
+        (IntervalKind.FINITE_BOX, math.nan, 10.0, "d_or_k0"),
+        (IntervalKind.SEMI_AXIS, math.inf, 10.0, "d_or_k0"),
+        (IntervalKind.FINITE_BOX, 1.0, math.nan, "cutoff"),
+        (IntervalKind.FINITE_BOX, 1.0, math.inf, "cutoff"),
+        (IntervalKind.FULL_LINE, 1j, 10.0, "d_or_k0"),
+    ])
+    @pytest.mark.parametrize("op", list(OperatorKind))
+    def test_verify_rejects_non_finite_or_non_real_input(self, op, iv, d_or_k0, cutoff, name):
+        with pytest.raises(InvalidParameterError, match=name):
+            verify_deficiency(op, iv, d_or_k0, cutoff)
 
     def test_verify_rejects_bad_inputs(self):
-        with pytest.raises(InvalidParameterError):
-            verify_deficiency(OperatorKind.MOMENTUM, IntervalKind.FULL_LINE, -1.0, 10.0)
+        for d_or_k0, cutoff in ((-1.0, 10.0), (0.0, 10.0), (1.0, -10.0)):
+            with pytest.raises(InvalidParameterError, match="positive"):
+                verify_deficiency(OperatorKind.MOMENTUM, IntervalKind.FULL_LINE, d_or_k0, cutoff)
+
+    def test_rate_beyond_float_range_is_a_usage_error(self):
+        # d = 1e-320 gives the rate 2/d = inf, where both log-integrals are undefined
+        with pytest.raises(InvalidParameterError, match="float range"):
+            verify_deficiency(OperatorKind.MOMENTUM, IntervalKind.SEMI_AXIS, 1e-320, 1.0)
 
 
 class TestClassifiers:

@@ -126,12 +126,20 @@ def test_box_spectrum_imports_no_numpy():
 
 
 def test_scalar_quadratures_load_no_numpy():
-    # integrate calls its integrand on Python floats, so these run on math and cmath alone
-    loaded = fresh("import json, sys\n"
-                   "from saext import p_spectrum, uncertainty_product, wells\n"
-                   "uncertainty_product(p_spectrum(1.0, (-3, 3))[0])\n"
-                   "wells.well_coefficient_quadrature(3)\n"
-                   "print(json.dumps(sorted(sys.modules)))")
+    # integrate calls its integrand on Python floats, so these run on math and cmath alone;
+    # verify_deficiency is closed form, so it loads no quadrature at all
+    closed_form, loaded = fresh(
+        "import json, sys\n"
+        "from saext import IntervalKind, OperatorKind, verify_deficiency\n"
+        "for op in OperatorKind:\n"
+        "    for iv in IntervalKind:\n"
+        "        verify_deficiency(op, iv, 1.0, 10.0)\n"
+        "closed_form = sorted(sys.modules)\n"
+        "from saext import p_spectrum, uncertainty_product, wells\n"
+        "uncertainty_product(p_spectrum(1.0, (-3, 3))[0])\n"
+        "wells.well_coefficient_quadrature(3)\n"
+        "print(json.dumps([closed_form, sorted(sys.modules)]))")
+    assert not {"numpy", "saext.numerics"} & set(closed_form)
     assert "saext.numerics" in loaded and "numpy" not in loaded
 
 

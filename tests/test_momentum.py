@@ -185,6 +185,12 @@ class TestBatchedQuadrature:
         single = momentum._quadrature_rows(1.0, ns)
         assert np.abs(blocked - single).max() <= 1e-15
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_quadrature_tol_must_be_positive_and_finite(self, tol):
+        # the phase floor 8 eps |nu| used to replace a tol of 0 or -1 and return a value
+        with pytest.raises(InvalidParameterError, match="tol"):
+            expansion_coeff_quadrature(1.0, 3, tol)
+
     def test_large_row_memory(self):
         # one grid of P = 2^18 panels, a node at a time (the row-by-row route took 130 MB)
         tracemalloc.start()

@@ -333,18 +333,19 @@ def test_integrate_returns_python_float_or_complex(f, kind):
     assert type(integrate(f, 0.0, 1.0, 1e-12)) is kind
 
 
-def test_integrate_with_breakpoints():
+def test_integrate_refines_a_kink():
     f = lambda x: abs(x - 0.3)
-    val = integrate(f, 0.0, 1.0, 1e-12, breakpoints=(0.3,))
+    val = integrate(f, 0.0, 1.0, 1e-12)
     assert abs(val - (0.3 ** 2 / 2 + 0.7 ** 2 / 2)) < 1e-12
 
 
-def test_integrate_blind_spot_and_breakpoints():
+def test_integrate_blind_spot_and_split_calls():
     # every node of the seed panel [0, 1e4] lies beyond x = 40, where exp(-2x) < 1e-34:
-    # K15 and G7 agree there, so the decay near 0 is never seen; breakpoints expose it
-    f = lambda x: np.exp(-2.0 * x)
+    # K15 and G7 agree there, so the decay near 0 is never seen; split calls expose it
+    f = lambda x: math.exp(-2.0 * x)
     assert integrate(f, 0.0, 1e4, tol=1e-9) < 1e-30
-    assert abs(integrate(f, 0.0, 1e4, tol=1e-9, breakpoints=(1.0, 10.0)) - 0.5) <= 1e-8
+    parts = [integrate(f, lo, hi, tol=1e-9) for lo, hi in ((0.0, 1.0), (1.0, 10.0), (10.0, 1e4))]
+    assert abs(sum(parts) - 0.5) <= 1e-8
 
 
 def test_integrate_complex_integrand():
@@ -377,12 +378,6 @@ def test_integrate_high_frequency_complex():
     val = integrate(lambda x: np.exp(-2j * math.pi * nu * x) * math.sqrt(30.0) * x * (1 - x),
                     0.0, 1.0, 1e-12)
     assert abs(val - exact) < 1e-12
-
-
-def test_integrate_budget_counts_refinement_beyond_seed_panels():
-    # 20000 seed panels exceed the refinement budget; only [0, 5e-5] needs bisection
-    val = integrate(np.sqrt, 0.0, 1.0, 1e-12, breakpoints=[k / 20000 for k in range(1, 20000)])
-    assert abs(val - 2.0 / 3.0) <= 1e-12
 
 
 def test_integrate_reports_accuracy_failure():
