@@ -38,9 +38,7 @@ _EXPORTS = {
         "ExpansionTable", "MomentumEigenstate", "UncertaintyReport", "expansion_coeff",
         "expansion_coeff_quadrature", "expansion_table", "p_spectrum", "uncertainty_product",
     ),
-    "numerics": (
-        "Bracket", "RootReport", "integrate", "refine_root", "scan_brackets",
-    ),
+    "numerics": ("Bracket", "RootReport", "integrate", "refine_root"),
     "wells": (
         "FiniteWellLevel", "ParadoxReport", "WellLimitStudy", "finite_well_levels",
         "infinite_limit_study", "paradox_report", "well_coefficients",

@@ -9,11 +9,13 @@ The s > 0 eigenvalues solve the real characteristic equation
     F(s) = 2 s [sin(psi) cos(s) - m1] - sin(s) [cos(psi)(s^2+1) - m0(s^2-1)] = 0,
 
 the zero mode exists iff Z = 2 sin(psi) - cos(psi) - 2 m1 - m0 = 0, and the
-negative sector follows from s -> i r.  The solver scans F/s (which tends to
-Z at s -> 0) once with a uniform step and refines the brackets in ascending
-order until the requested levels are settled; each of the at most two negative
-levels is one bracketed root of a branch of Theta - M(-r^2) (_negative_branches).
-Closed forms for the two simple families are cross-checks only.
+negative sector follows from s -> i r.  The boundary triple (_chart) gives the
+exact count N(s) of the levels at or below s^2 (_level_count); the solver
+bisects it until each interval holds one level, which is refined on F/s (which
+tends to Z at s -> 0), or a jump of 2, a double level.  Each of the at most two
+negative levels is one bracketed root of a branch of Theta - M(-r^2)
+(_negative_branches).  Closed forms for the two simple families are
+cross-checks only.
 
 The solver and the eigenfunction construction run on Python floats and
 complex numbers, through ``math`` and ``cmath``.  numpy loads only inside the
@@ -23,7 +25,6 @@ public helpers that accept or return arrays: ``char_positive``,
 
 from __future__ import annotations
 
-import bisect
 import cmath
 import math
 import operator
@@ -36,9 +37,8 @@ from .errors import (
     InvalidRootError,
 )
 from .extensions import ExtensionU2, SimpleFamily, classify_simple_family, unitary_entries
-from .roots import Bracket, refine_root, scan_brackets
+from .roots import Bracket, refine_root
 
-SCAN_STEP = math.pi / 8.0          # roots of F interlace no tighter than ~pi/2
 ZERO_MODE_TOL = 1e-10              # |Z| threshold for an exact zero mode
 _BC_RTOL = 1e-9                    # boundary defect |(L - U M) c| relative to scale |c|
 _RANK_RTOL = 1e-8                  # sigma_max(L - U M) / scale at or below which a level is double
@@ -158,21 +158,6 @@ def _rcsch(r: float) -> float:
     return -2.0 * r * math.exp(-r) / em1 if em1 else math.nan
 
 
-def _reduced_negative(e: ExtensionU2):
-    """G(r)/sinh(r), overflow-free for every r > 0, limit Z at r -> 0.
-
-    Equals (cos psi - m0) r^2 + 2 sin(psi) r coth(r) - 2 m1 r/sinh(r)
-    - (cos psi + m0); beyond r ~ 25 it is the plain quadratic to 1e-9.
-    """
-    sp, cp = math.sin(e.psi), math.cos(e.psi)
-    m0, m1 = e.m0, e.m1
-
-    def g(r):
-        return 2.0 * sp * _rcoth(r) - 2.0 * m1 * _rcsch(r) + (cp - m0) * r * r - (cp + m0)
-
-    return g
-
-
 # ---------------------------------------------------------------------------
 # request / result containers
 
@@ -180,7 +165,7 @@ def _reduced_negative(e: ExtensionU2):
 class _BoxSpectrumFields(NamedTuple):
     ext: ExtensionU2
     count: int = 10
-    s_max: float | None = None     # the positive scan's ceiling; None for (count + 5) pi
+    s_max: float | None = None     # a cap on the positive levels' s; None for no cap
     tol: float = 1e-9
 
 
@@ -207,7 +192,7 @@ class BoxSpectrumRequest(_BoxSpectrumFields):
 class SpectralRoot(NamedTuple):
     value: float          # s (positive sector) or r (negative sector), both > 0
     multiplicity: int
-    residual: float       # |F/s| or |lambda_j| at the root, relative to its bracket ends
+    residual: float       # |F/s| over its terms' scale, or |lambda_j| over its bracket ends
     iterations: int = 0
 
 
@@ -300,23 +285,11 @@ def degeneracy(e: ExtensionU2, sector: str, value: float) -> int:
     return 2 if _sigma_max(_defect(e, sector, value)) <= _RANK_RTOL else 1
 
 
-def _refined(f, br: Bracket, tol_gate: float) -> SpectralRoot:
-    """The root in one bracket, with multiplicity 0 until it is kept as a level.
-
-    Its residual is |f| at the root relative to the bracket's end values; above
-    tol_gate it raises DiagnosticError, except at a double root.
-    """
-    report = refine_root(br, f, 1e-13 * max(1.0, abs(0.5 * (br.lo + br.hi))))
-    scale = max(abs(br.f_lo), abs(br.f_hi), 1e-30)
-    residual = abs(report.residual) / scale
-    if residual > tol_gate and not br.double_root:
+def _gate(residual: float, tol_gate: float, root: float) -> None:
+    if residual > tol_gate:
         raise DiagnosticError(
-            f"root residual {residual:.3e} above tolerance {tol_gate:.3e} at {report.root!r}"
+            f"root residual {residual:.3e} above tolerance {tol_gate:.3e} at {root!r}"
         )
-    return SpectralRoot(report.root, 0, residual, report.iterations)
-
-
-_VALUE = operator.attrgetter("value")
 
 
 def _zero_floor(e: ExtensionU2) -> float:
@@ -324,63 +297,20 @@ def _zero_floor(e: ExtensionU2) -> float:
     return math.sqrt(ZERO_MODE_TOL) if abs(char_zero(e)) <= ZERO_MODE_TOL else 0.0
 
 
-class _Levels:
-    """Roots merged, one at a time, into the sorted and classified positive levels.
-
-    A root within the merge distance of the level below it is a duplicate from
-    overlapping brackets.  A root below the zero-mode floor (_zero_floor) is
-    that zero mode.  Each level gets one rank test (degeneracy).  ``add`` places
-    a root after every root of lower or equal value and merges again from
-    there, so the levels are always those of merging all roots in order of
-    value; a root above all others costs O(1).
-    """
-
-    def __init__(self, e: ExtensionU2):
-        self.e = e
-        self.floor = _zero_floor(e)
-        self.roots: list[SpectralRoot] = []    # every root added, by value
-        self.levels: list[SpectralRoot] = []   # the kept roots
-        self.totals = [0]                      # totals[i]: multiplicities of levels[:i]
-
-    def add(self, root: SpectralRoot) -> None:
-        at = bisect.bisect_right(self.roots, root.value, key=_VALUE)
-        self.roots.insert(at, root)
-        kept = bisect.bisect_right(self.levels, root.value, key=_VALUE)
-        del self.levels[kept:], self.totals[kept + 1:]
-        for i in range(at, len(self.roots)):
-            root = self.roots[i]
-            if root.value < self.floor or self.levels and (
-                abs(root.value - self.levels[-1].value) <= _MERGE_RTOL * (1.0 + abs(root.value))
-            ):
-                continue
-            if not root.multiplicity:
-                root = self.roots[i] = root._replace(
-                    multiplicity=degeneracy(self.e, POSITIVE, root.value))
-            self.levels.append(root)
-            self.totals.append(self.totals[-1] + root.multiplicity)
-
-    def reaching(self, count: int) -> int:
-        """The number of levels whose multiplicities first reach count, 0 if they do not."""
-        n = bisect.bisect_left(self.totals, count)
-        return n if n < len(self.totals) else 0
-
-
-def _negative_branches(e: ExtensionU2):
-    """(lambda_j(r), theta_(j)) for the sorted eigenvalues of Theta - M(-r^2), smallest first.
+def _chart(e: ExtensionU2):
+    """(theta_+, theta_-, n, 1 + n, 1 - n, n_perp): Theta and M's coupling in Theta's eigenbasis.
 
     With Gamma_0 f = (f(0), f(1)) and Gamma_1 f = (f'(0), -f'(1)) the condition
     reads Gamma_1 = Theta Gamma_0, theta_+- = -cot((psi -+ alpha)/2), alpha =
-    atan2(|m|, m0); a Dirichlet direction drops out as the limit theta -> +inf.
-    With p = r coth r, q = r csch r, n = -m1/|m| and n_perp = hypot(m2, m3)/|m|,
-    Theta - M(-r^2) = [[theta_+ + p - q n, q n_perp], [q n_perp, theta_- + p + q n]]
-    in Theta's eigenbasis.  Each lambda_j rises strictly with r, lies within
-    [r tanh(r/2), r coth(r/2)] of theta_(j) (Weyl), and E = -r^2 is a level where
-    one vanishes (Derkach & Malamud 1991; Behrndt, Hassi & de Snoo 2020, ch. 3).
-    (cos psi - m0) lambda_1 lambda_2 = G(r)/sinh(r).
+    atan2(|m|, m0); a Dirichlet direction, the limit theta -> +inf, is held as
+    1e300.  n = -m1/|m| and n_perp = hypot(m2, m3)/|m|.  1 +- n = (|m| -+ m1)/|m|
+    takes the smaller of the two as n_perp^2 over the larger, without cancellation.
     """
     m1, m2, m3 = e.m
     size = math.hypot(m1, m2, m3)
     n, n_perp = (-m1 / size, math.hypot(m2, m3) / size) if size else (1.0, 0.0)
+    large = 1.0 + abs(n)
+    plus, minus = (large, n_perp * n_perp / large) if n >= 0.0 else (n_perp * n_perp / large, large)
     sp, cp = math.sin(e.psi), math.cos(e.psi)
     thetas = []
     # -cot((psi - a)/2) = (sin psi + sin a)/(cos psi - cos a) = (cos psi + cos a)/(sin a - sin psi)
@@ -392,9 +322,88 @@ def _negative_branches(e: ExtensionU2):
         else:
             num, den = cp + e.m0, sa - sp
         theta = num / den if den else math.inf
-        # a Dirichlet direction is the limit theta -> +inf, where its branch stays positive
         thetas.append(theta if abs(theta) < 1e300 else 1e300)
-    theta_p, theta_m = thetas
+    return thetas[0], thetas[1], n, plus, minus, n_perp
+
+
+# Relative rounding bound of each term of the level count's matrix entries: a few
+# roundings each in theta, tan(s/2), 1 +- n and the sums, with a margin.
+_COUNT_RTOL = 64.0 * 2.0 ** -53
+
+
+def _level_count(e: ExtensionU2):
+    """N(s): the levels of U at or below E = s^2, with multiplicity, in every sector.
+
+    N_U(s^2) = floor(s / pi) + kappa_-(Theta - M(s^2)), the Krein-formula index
+    count (Derkach & Malamud, J. Funct. Anal. 95, 1991): every U(2) extension
+    and the Dirichlet one (N_D(s^2) = floor(s / pi)) extend one minimal operator.
+    In Theta's eigenbasis, with the half-angle entries T = -s tan(s/2) and
+    C = s cot(s/2), which do not cancel near n pi,
+
+        Theta - M(s^2) = [[theta_+ + (T (1 + n) + C (1 - n))/2, (C - T) n_perp/2],
+                          [(C - T) n_perp/2, theta_- + (T (1 - n) + C (1 + n))/2]],
+
+    and kappa_- comes from Haynsworth inertia: the pivot a of larger modulus and
+    the Schur complement b - c^2/a.  floor(s / pi) takes its side of n pi from
+    the sign of tan(s/2), as T and C do.  N is None (undecided) where the pivot
+    or the Schur complement lies within the rounding bound of the terms that
+    form it; a clamped Dirichlet direction decides its entry's sign on its own
+    and stays out of that bound.
+    """
+    theta_p, theta_m, _, plus, minus, n_perp = _chart(e)
+    size_p, size_m = (abs(t) if abs(t) < 1e300 else 0.0 for t in (theta_p, theta_m))
+
+    def count(s):
+        t = math.tan(0.5 * s)
+        big_t, big_c = -s * t, s / t
+        a = theta_p + 0.5 * (big_t * plus + big_c * minus)
+        b = theta_m + 0.5 * (big_t * minus + big_c * plus)
+        c = 0.5 * (big_c - big_t) * n_perp
+        err_a = _COUNT_RTOL * (size_p + 0.5 * (abs(big_t) * plus + abs(big_c) * minus))
+        err_b = _COUNT_RTOL * (size_m + 0.5 * (abs(big_t) * minus + abs(big_c) * plus))
+        if abs(b) > abs(a):
+            a, b, err_a, err_b = b, a, err_b, err_a
+        if abs(a) <= err_a:
+            return None
+        cc = c / a * c
+        schur = b - cc
+        if abs(schur) <= err_b + abs(cc) * (_COUNT_RTOL + err_a / abs(a)):
+            return None
+        n = round(s / math.pi)
+        below = n if (t > 0.0) == (n % 2 == 0) else n - 1
+        return below + (a < 0.0) + (schur < 0.0)
+
+    return count
+
+
+# Where the count is undecided, the probe moves to the next of these fractions of its interval.
+_FRACTIONS = (0.5, 0.3, 0.7, 0.2, 0.8, 0.1, 0.9, 0.4, 0.6)
+
+
+def _probe(count, lo: float, hi: float, fractions=_FRACTIONS, ratio=False) -> tuple[float, int]:
+    """(x, N(x)) at the first x = lo + f (hi - lo), f in fractions, where the count is decided.
+
+    With ratio, x = lo (hi / lo)^f instead.
+    """
+    for frac in fractions:
+        x = lo * (hi / lo) ** frac if ratio else lo + frac * (hi - lo)
+        n = count(x)
+        if n is not None:
+            return x, n
+    raise DiagnosticError(f"level count undecided throughout [{lo!r}, {hi!r}]")
+
+
+def _negative_branches(e: ExtensionU2):
+    """(lambda_j(r), theta_(j)) for the sorted eigenvalues of Theta - M(-r^2), smallest first.
+
+    With p = r coth r and q = r csch r, in Theta's eigenbasis (_chart)
+    Theta - M(-r^2) = [[theta_+ + p - q n, q n_perp], [q n_perp, theta_- + p + q n]].
+    Each lambda_j rises strictly with r, lies within [r tanh(r/2), r coth(r/2)] of
+    theta_(j) (Weyl), and E = -r^2 is a level where one vanishes (Derkach &
+    Malamud 1991; Behrndt, Hassi & de Snoo 2020, ch. 3).
+    (cos psi - m0) lambda_1 lambda_2 = G(r)/sinh(r).
+    """
+    theta_p, theta_m, n, _, _, n_perp = _chart(e)
 
     def entries(r):
         p, q = _rcoth(r), _rcsch(r)
@@ -404,59 +413,109 @@ def _negative_branches(e: ExtensionU2):
         # the eigenvalue of smaller modulus as det / big, without cancellation or overflow
         return big, (a / big * b - c / big * c) if big else 0.0
 
-    return [(lambda r: min(entries(r)), min(thetas)), (lambda r: max(entries(r)), max(thetas))]
+    low, high = sorted((theta_p, theta_m))
+    return [(lambda r: min(entries(r)), low), (lambda r: max(entries(r)), high)]
 
 
-def _solve_negative(e: ExtensionU2, tol: float) -> list[SpectralRoot]:
-    """The levels E = -r^2: one root per branch of Theta - M(-r^2) that starts negative.
+def _negative_brackets(e: ExtensionU2):
+    """(bracket, lambda_j) for each branch of Theta - M(-r^2) that starts negative.
 
     Since r - 0.557 <= r tanh(r/2) and r coth(r/2) <= r + 2, branch j has its
     root in [-theta_(j) - 2, -theta_(j) + 0.557], widened by a margin over the
-    round-off of lambda_j.  Two roots within the merge distance are one level of
-    multiplicity 2, the jump of the negative count there.
+    round-off of lambda_j.
     """
-    floor = _zero_floor(e)
-    roots = []
+    out = []
     for branch, theta in _negative_branches(e):
         if not branch(1e-8) < 0.0:
             continue
         margin = 1e-12 * (1.0 + abs(theta))
         lo, hi = max(-theta - 2.0 - margin, 1e-8), -theta + 0.56 + margin
-        root = _refined(branch, Bracket(lo, hi, branch(lo), branch(hi)), max(tol, 1e-9))
-        if root.value >= floor:
-            roots.append(root._replace(multiplicity=1))
-    roots.sort(key=_VALUE)
+        out.append((Bracket(lo, hi, branch(lo), branch(hi)), branch))
+    return out
+
+
+def _solve_negative(e: ExtensionU2, tol: float) -> list[SpectralRoot]:
+    """The levels E = -r^2: one root per branch of Theta - M(-r^2) that starts negative.
+
+    Its residual is |lambda_j| at the root relative to the bracket's end values.
+    Two roots within the merge distance are one level of multiplicity 2, the
+    jump of the negative count there.
+    """
+    floor, roots = _zero_floor(e), []
+    for br, branch in _negative_brackets(e):
+        report = refine_root(br, branch, 1e-13 * max(1.0, 0.5 * (br.lo + br.hi)))
+        residual = abs(report.residual) / max(abs(br.f_lo), abs(br.f_hi), 1e-30)
+        _gate(residual, max(tol, 1e-9), report.root)
+        if report.root >= floor:
+            roots.append(SpectralRoot(report.root, 1, residual, report.iterations))
+    roots.sort()
     if len(roots) == 2 and roots[1].value - roots[0].value <= _MERGE_RTOL * (1.0 + roots[1].value):
         return [roots[0]._replace(multiplicity=2)]
     return roots
 
 
-def _solve_positive(req: BoxSpectrumRequest) -> tuple[list[SpectralRoot], float]:
-    """The first levels of multiplicity sum >= req.count (or all the window holds), and its ceiling.
+def _solve_positive(req: BoxSpectrumRequest):
+    """The first positive levels of multiplicity sum >= req.count, or all up to req.s_max.
 
-    The window [1e-8, req.s_max or (count + 5) pi] is scanned once: 0 <= N_U - N_D
-    <= 2 puts the count-th level at or below (count + 2) pi.  Brackets are refined
-    in ascending order of lo.  A root lies at or above its bracket's lo, so once
-    the levels reach the count and the next lo lies past the last level needed,
-    plus the merge distance, the rest go unrefined.
+    Returns them with ((x0, N(x0)), (x1, N(x1))): the count at the zero-mode
+    floor and just above the last level (or at the ceiling).  The count is
+    bisected from the floor; N >= floor(s / pi) puts the count-th level below
+    the first point past (N(x0) + count) pi.  An interval holding exactly one
+    level is refined on F/s where F/s changes sign across it; any other jump is
+    bisected on the count down to 1e-13 s, and the jump is the level's
+    multiplicity (a double cross-checked by degeneracy).  The residual is |F/s|
+    relative to the sum of its terms' moduli with |sin| taken as 1, a scale
+    that does not shrink with the interval.
     """
     e = req.ext
     f = _reduced_positive(e)
+    count = _level_count(e)
     tol_gate = max(req.tol, 1e-9)
-    ceiling = req.s_max if req.s_max else (req.count + 5) * math.pi
-    # a ceiling below 1e-8 + SCAN_STEP scans one shorter step; one at or below 1e-8, nothing
-    step = min(SCAN_STEP, ceiling - 1e-8)
-    brackets = scan_brackets(f, 1e-8, ceiling, step) if step > 0 else []
-    levels = _Levels(e)
-    for i, br in enumerate(brackets):
-        levels.add(_refined(f, br, tol_gate))
-        n = levels.reaching(req.count)
-        if not n:
+    sp, cp = math.sin(e.psi), math.cos(e.psi)
+    fixed, quadratic, constant = abs(2.0 * (sp - e.m1)) + abs(4.0 * sp), abs(cp - e.m0), abs(cp + e.m0)
+
+    floor = max(_zero_floor(e), 1e-8)
+    start = _probe(count, floor, 2.0 * floor, (0.0,) + _FRACTIONS)
+    target = start[1] + req.count
+    if req.s_max is None or req.s_max >= (target + 1) * math.pi:
+        end = _probe(count, target * math.pi, (target + 1) * math.pi)
+    elif req.s_max > start[0]:
+        end = _probe(count, req.s_max * (1.0 - 1e-9), req.s_max, (1.0,) + _FRACTIONS)
+    else:
+        return [], (start, start)
+
+    levels, top = [], start
+    stack = [(start, end)]    # intervals, the lowest last
+    while stack and top[1] < target:
+        (lo, n_lo), (hi, n_hi) = stack.pop()
+        jump = n_hi - n_lo
+        if jump < 0:
+            raise DiagnosticError(f"level count falls from {n_lo} to {n_hi} on [{lo!r}, {hi!r}]")
+        # within a factor 2, 1e-13 of the interval's midpoint is 1e-13 of the level
+        f_lo, f_hi = (f(lo), f(hi)) if jump == 1 and hi <= 2.0 * lo else (0.0, 0.0)
+        if f_lo * f_hi < 0.0:
+            report = refine_root(Bracket(lo, hi, f_lo, f_hi), f, 1e-13 * 0.5 * (lo + hi))
+            root, iterations = report.root, report.iterations
+        elif jump and hi - lo <= 1e-13 * hi:
+            root, iterations = 0.5 * (lo + hi), 0
+        elif jump:
+            mid = _probe(count, lo, hi, ratio=hi > 2.0 * lo)
+            stack += [(mid, (hi, n_hi)), ((lo, n_lo), mid)]
             continue
-        last = levels.levels[n - 1].value
-        if i + 1 == len(brackets) or brackets[i + 1].lo > last + _MERGE_RTOL * (1.0 + last):
-            return levels.levels[:n], ceiling
-    return levels.levels, ceiling
+        top = hi, n_hi
+        if not jump:
+            continue
+        if levels and root - levels[-1].value <= 1e-13 * root:
+            # a probe fell between two levels closer than the count's resolution: one level
+            previous = levels.pop()
+            root, jump = 0.5 * (previous.value + root), previous.multiplicity + jump
+        if jump > 1 and degeneracy(e, POSITIVE, root) != jump:
+            raise DiagnosticError(f"level count jumps by {jump} at {root!r}, where the "
+                                  "boundary matrix is not of rank 0")
+        residual = abs(f(root)) / (fixed + (quadratic * root * root + constant) / max(1.0, root))
+        _gate(residual, tol_gate, root)
+        levels.append(SpectralRoot(root, jump, residual, iterations))
+    return levels, (start, top)
 
 
 def _cross_validate_family(e: ExtensionU2, roots: list[SpectralRoot]) -> None:
@@ -476,65 +535,32 @@ def _cross_validate_family(e: ExtensionU2, roots: list[SpectralRoot]) -> None:
                 )
 
 
-def _check_level_count(below: int, positive: list[SpectralRoot], top: float) -> None:
-    """Raise unless 0 <= N_U(E) - N_D(E) <= 2 for E = s^2 up to s = top.
-
-    N_U counts the levels at or below E with multiplicity; ``below`` is the
-    count at E = 0 (negative levels and the zero mode), and the Dirichlet
-    count is N_D(s^2) = floor(s / pi).  Every U(2) extension and the
-    Dirichlet one extend the same minimal operator, of deficiency (2, 2), so
-    the bound holds for every E.  N_U - N_D peaks at a level and dips at an
-    n pi, so those are the points checked, with the merge distance as slack
-    on either side in favour of the bound.
-    """
-    def slack(s):
-        return _MERGE_RTOL * (1.0 + s)
-
-    def breach(s, n_u, n_d):
-        return DiagnosticError(f"level count N_U = {n_u} against Dirichlet N_D = {n_d} "
-                               f"at s = {s!r} breaks 0 <= N_U - N_D <= 2")
-
-    if below > 2:
-        raise breach(0.0, below, 0)
-    n_u = below
-    for root in positive:
-        n_u += root.multiplicity
-        n_d = math.floor((root.value + slack(root.value)) / math.pi)
-        if n_u > n_d + 2:
-            raise breach(root.value, n_u, n_d)
-    n_u, i = below, 0
-    for n in range(1, math.floor(top / math.pi) + 1):
-        s = n * math.pi
-        while i < len(positive) and positive[i].value <= s + slack(s):
-            n_u += positive[i].multiplicity
-            i += 1
-        if n_u < n:
-            raise breach(s, n_u, n)
-
-
 def solve_spectrum(req: BoxSpectrumRequest) -> SpectrumResult:
     """Negative, zero, and positive spectrum of the boxed Hamiltonian for req.ext.
 
     Negative levels are roots of the branches of Theta - M(-r^2) (_solve_negative);
-    positive ones come from one scan of F/s (_solve_positive), double where L - U M
-    has rank 0, cross-validated against the two simple families' closed forms.  The
-    level count is checked against the Dirichlet count up to the last level, or the
-    scan ceiling if the window holds fewer (_check_level_count): a breach raises
-    DiagnosticError, and a short window without one IncompleteSpectrumError.
+    positive ones come from bisecting the exact level count (_solve_positive),
+    cross-validated against the two simple families' closed forms.  The count
+    at the zero-mode floor must equal the negative levels and the zero mode, and
+    the count just above the last level every level returned: a mismatch raises
+    DiagnosticError, and a window short of count levels IncompleteSpectrumError.
     """
     e = req.ext
     z = char_zero(e)
     has_zero = abs(z) <= ZERO_MODE_TOL
 
     negative = _solve_negative(e, req.tol)
-    positive, ceiling = _solve_positive(req)
+    positive, ends = _solve_positive(req)
     _cross_validate_family(e, positive)
     below = sum(root.multiplicity for root in negative)
     if has_zero:
         below += degeneracy(e, ZERO, 0.0)
-    complete = sum(root.multiplicity for root in positive) >= req.count
-    _check_level_count(below, positive, positive[-1].value if complete else ceiling)
-    if not complete:
+    for (s, n), levels in zip(ends, (below, below + sum(root.multiplicity for root in positive))):
+        if n != levels:
+            raise DiagnosticError(f"level count N = {n} at s = {s!r} against {levels} levels "
+                                  "returned at or below it")
+    if sum(root.multiplicity for root in positive) < req.count:
+        ceiling = req.s_max or (req.count + 5) * math.pi
         raise IncompleteSpectrumError(f"scan ceiling {ceiling} exhausted before {req.count} "
                                       "positive eigenvalues", [root.value for root in positive])
     return SpectrumResult(
@@ -656,8 +682,12 @@ def eigenfunction(e: ExtensionU2, root: tuple[str, float]) -> BoxEigenfunction:
             raise InvalidRootError(
                 f"r = {value!r} too stiff to normalize in double precision (r <= 690)"
             )
-        reduced = _reduced_positive(e) if sector == POSITIVE else _reduced_negative(e)
-        if abs(reduced(value)) > 1e-6 * (1.0 + value * value):
+        if sector == POSITIVE:
+            solves = abs(_reduced_positive(e)(value)) <= 1e-6 * (1.0 + value * value)
+        else:
+            solves = any(abs(branch(value)) <= 1e-6 * max(abs(br.f_lo), abs(br.f_hi))
+                         for br, branch in _negative_brackets(e))
+        if not solves:
             name = "s" if sector == POSITIVE else "r"
             raise InvalidRootError(f"{name} = {value!r} does not solve the eigenvalue equation")
 

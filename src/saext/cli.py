@@ -40,7 +40,7 @@ _OPERATORS = {"momentum": OperatorKind.MOMENTUM, "hamiltonian": OperatorKind.HAM
 
 # Input-size caps: the largest accepted input runs in a few seconds.
 _MAX_COUNT = 5000         # spectrum --count
-_MAX_S_MAX = 1e5          # spectrum --s-max (a scan to 1e5: 0.5-1.5 s, 45 MB; 2-vCPU Xeon)
+_MAX_S_MAX = 1e5          # spectrum --s-max (a cap only: the work follows --count)
 _MAX_TERMS = 10 ** 7      # paradox --terms (all closed forms: any N takes ~10 us)
 _MAX_RANGE_ROWS = 2001    # --range rows (-1000:1000)
 # expand: the whole table is validated on one FFT grid of P uniform panels, P the power of
@@ -404,7 +404,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--include-negative", action="store_true")
     p.add_argument("--eigenfunctions", action="store_true")
     p.add_argument("--s-max", type=_finite_float, default=None,
-                   help=f"scan ceiling in s, in (0, {_MAX_S_MAX:g}]")
+                   help=f"ceiling in s of the positive levels, in (0, {_MAX_S_MAX:g}]")
     p.add_argument("--tol", type=_finite_float, default=1e-9)
     p.set_defaults(func=_cmd_spectrum)
 

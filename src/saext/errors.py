@@ -42,7 +42,7 @@ class InvalidParameterError(SaextError):
 
 
 class IncompleteSpectrumError(SaextError):
-    """The eigenvalue scan exhausted its ceiling before finding enough roots."""
+    """The positive levels up to the s ceiling were fewer than requested."""
 
     def __init__(self, message: str, roots_found):
         super().__init__(f"{message} (roots found so far: {roots_found})")

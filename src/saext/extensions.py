@@ -125,9 +125,10 @@ class MomentumExtension(NamedTuple("MomentumExtension", [("theta", float)])):
     __slots__ = ()
 
     def __new__(cls, theta: float):
+        theta = _real("theta", theta)
         if not math.isfinite(theta):
             raise InvalidParameterError("theta must be finite")
-        return super().__new__(cls, float(theta) % (2.0 * math.pi))
+        return super().__new__(cls, theta % (2.0 * math.pi))
 
 
 class HalflineExtension(NamedTuple("HalflineExtension", [("lam", float)])):
@@ -136,9 +137,10 @@ class HalflineExtension(NamedTuple("HalflineExtension", [("lam", float)])):
     __slots__ = ()
 
     def __new__(cls, lam: float):
+        lam = _real("lambda", lam)
         if math.isnan(lam):
             raise InvalidParameterError("lambda must be a real number or infinity")
-        return super().__new__(cls, float(lam))
+        return super().__new__(cls, lam)
 
     @property
     def is_infinite(self) -> bool:
@@ -231,9 +233,20 @@ _DEFICIENCY_TABLE = {
 }
 
 
+def _kinds(op, iv) -> tuple[OperatorKind, IntervalKind]:
+    """op and iv as the enums, from a member or its value; InvalidParameterError otherwise."""
+    try:
+        return OperatorKind(op), IntervalKind(iv)
+    except ValueError as err:
+        raise InvalidParameterError(str(err)) from None
+
+
 def deficiency_indices(op: OperatorKind, iv: IntervalKind) -> DeficiencyReport:
-    """Deficiency indices (n+, n-) and the resulting extension family."""
-    n_plus, n_minus = _DEFICIENCY_TABLE[(op, iv)]
+    """Deficiency indices (n+, n-) and the resulting extension family.
+
+    op and iv are the enums or their values ("momentum", "semi_axis", ...).
+    """
+    n_plus, n_minus = _DEFICIENCY_TABLE[_kinds(op, iv)]
     if n_plus != n_minus:
         family = ExtensionFamilyInfo("none")
     elif n_plus == 0:
@@ -284,9 +297,11 @@ def verify_deficiency(
     Each |psi|^2 is a pure exponential e^{c x}, so membership in L^2 is
     decided in closed form: the log of the integral of |psi|^2 on a cutoff
     window is compared against the log of twice it on the doubled window.
-    A ratio within 1e-6 of 2 raises DiagnosticError.  d_or_k0 and cutoff must
-    be positive and finite, or InvalidParameterError names the argument.
+    A ratio within 1e-6 of 2 raises DiagnosticError.  op and iv are the enums
+    or their values; d_or_k0 and cutoff must be positive and finite, or
+    InvalidParameterError names the argument.
     """
+    op, iv = _kinds(op, iv)
     d_or_k0 = _real("d_or_k0", d_or_k0)
     cutoff = _real("cutoff", cutoff)
     for name, value in (("d_or_k0", d_or_k0), ("cutoff", cutoff)):

@@ -1,17 +1,12 @@
-"""Shared numerical kernels: root bracketing, refinement and quadrature.
+"""Shared numerical kernels: root refinement and quadrature.
 
 Everything here is deliberately small and dependency-free (numpy loads only
-inside ``fourier_coefficients``).  The spectral modules rely on four guarantees:
+inside ``fourier_coefficients``).  The spectral modules rely on three guarantees:
 
-* ``scan_brackets`` (defined in ``roots``, which needs no numpy) finds every
-  sign change of a scalar function on a uniform grid and, in addition,
-  locates tangencies (double roots) that leave no sign change, as doubly
-  degenerate box levels do.  It calls the function on Python floats, one
-  node at a time; its one caller is the box solver's positive sector.
-* ``refine_root`` (also in ``roots``) is a bisection/secant hybrid: secant
-  steps when they help, bisection always as a fallback, so termination is
-  guaranteed on any continuous function with a sign-change bracket.  It
-  refines one bracket at a time on scalar calls.
+* ``refine_root`` (defined in ``roots``, which needs no numpy) is a
+  bisection/secant hybrid: secant steps when they help, bisection always as
+  a fallback, so termination is guaranteed on any continuous function with a
+  sign-change bracket.  It refines one bracket at a time on scalar calls.
 * ``integrate`` is adaptive Gauss-Kronrod G7-K15 in the QUADPACK QAG style
   (Piessens et al., 1983), exact through degree-13 polynomials on a panel.
   It calls the integrand once per node, on a Python float, and sums each
@@ -33,7 +28,7 @@ from operator import mul
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import AccuracyError, EvaluationError, InvalidParameterError
-from .roots import Bracket, RootReport, refine_root, scan_brackets  # noqa: F401  (re-exported)
+from .roots import Bracket, RootReport, refine_root  # noqa: F401  (re-exported)
 
 # numpy loads inside fourier_coefficients, so integrate runs without it
 if TYPE_CHECKING:

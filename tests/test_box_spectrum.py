@@ -320,37 +320,6 @@ class TestSolveSpectrum:
             solve(named_extension("dirichlet"), count=50, s_max=10.0)
         assert len(err.value.roots_found) == 3
 
-    @pytest.mark.parametrize("name, kwargs", [
-        ("quasiperiodic:0.2", {}), ("psi=0.4,m=(0.5,0.5,0.5,0.5)", {"count": 50}),
-        ("periodic", {"s_max": 40.0}), ("dirichlet", {"s_max": 3.5}),
-    ])
-    def test_plain_solves_scan_whole_steps(self, monkeypatch, name, kwargs):
-        # the step is shortened only below one SCAN_STEP of span, so other roots keep their bits
-        from saext import box_spectrum
-
-        steps, scan = [], box_spectrum.scan_brackets
-        monkeypatch.setattr(box_spectrum, "scan_brackets",
-                            lambda f, lo, hi, step: steps.append(step) or scan(f, lo, hi, step))
-        solve(parse_extension(name), **{"count": 1, **kwargs})
-        assert steps and set(steps) == {box_spectrum.SCAN_STEP}
-
-    def test_each_solve_scans_once(self, monkeypatch, rng):
-        """One scan per solve: the negative sector is closed form, the positive one one window."""
-        from saext import box_spectrum
-
-        scans, scan = [], box_spectrum.scan_brackets
-        monkeypatch.setattr(box_spectrum, "scan_brackets",
-                            lambda *args: scans.append(args) or scan(*args))
-        exts = [named_extension(name) for name in ("dirichlet", "neumann", "periodic")]
-        exts += [named_extension("quasi_periodic", theta=1e-5), double_negative_extension(5.0),
-                 double_negative_extension(40.0, dm1=1e-4)]
-        exts += [random_extension(rng) for _ in range(20)]
-        for ext in exts:
-            for count in (1, 30):
-                scans.clear()
-                solve(ext, count=count)
-                assert len(scans) == 1, (ext, count)
-
     def test_generic_branch_equations(self, rng):
         # roots obey tan(s/2) = [Q(s) +/- sqrt(D(s))] / (2 s (m1 + sin psi)) with
         # D = Q^2 + 4 s^2 (sin^2 psi - m1^2), Q = (m0 - cos psi) s^2 - (m0 + cos psi)
@@ -430,60 +399,186 @@ class TestSolveSpectrum:
         assert len(refine_calls) == sum(iterations)
         assert min(iterations) >= 10
 
-    def test_levels_merge_roots_in_any_order_as_sorted(self):
-        """_Levels, fed roots in any order, keeps the levels of a sort-then-merge."""
-        from saext.box_spectrum import POSITIVE, ZERO_MODE_TOL, SpectralRoot, _Levels
 
-        ext = named_extension("periodic")  # Z = 0: a root below sqrt(ZERO_MODE_TOL) is dropped
-        values = [1e-6, 0.5, 1.0, 1.0 + 5e-10, 1.0 + 1.5e-9, 2.0 * math.pi, 2.0 * math.pi,
-                  7.0, 7.0 + 1e-8, 9.0 - 1e-12, 9.0]
-        roots = [SpectralRoot(v, 0, 0.0) for v in values]
-        floor = math.sqrt(ZERO_MODE_TOL)
-        reference = []
-        for root in sorted(roots, key=lambda root: root.value):
-            if root.value < floor or reference and (
-                    root.value - reference[-1].value <= 1e-9 * (1.0 + root.value)):
-                continue
-            reference.append(root._replace(multiplicity=degeneracy(ext, POSITIVE, root.value)))
-        assert [root.multiplicity for root in reference] == [1, 1, 2, 1, 1, 1]
+def argument_count(ext, lo, hi, height):
+    """Zeros of F(s)/s in the rectangle lo < Re s < hi, |Im s| < height: the argument principle.
 
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            levels = _Levels(ext)
-            for i in rng.permutation(len(roots)):
-                levels.add(roots[i])
-            assert levels.levels == reference
-            assert levels.reaching(4) == 3 and levels.reaching(5) == 4
-            assert levels.reaching(7) == 6 and levels.reaching(8) == 0
+    F/s is even in s and an entire function of E = s^2: a level E > 0 is a zero at
+    s = +-sqrt(E), E = -r^2 at +-i r, and the zero mode a double zero at 0, each
+    with the level's multiplicity.  The contour is sampled at 32 points per unit
+    length, doubled until no step turns the argument by more than 0.5 rad; the
+    factor e^{-|Im s|} keeps the values finite and leaves the argument alone.
+    """
+    sp, cp = math.sin(ext.psi), math.cos(ext.psi)
+    corners = [complex(lo, -height), complex(hi, -height), complex(hi, height),
+               complex(lo, height), complex(lo, -height)]
+
+    def scaled(s):
+        damp = np.abs(s.imag)
+        e_plus, e_minus = np.exp(1j * s - damp), np.exp(-1j * s - damp)
+        cos, sin = 0.5 * (e_plus + e_minus), (e_plus - e_minus) / 2j
+        return (2.0 * (sp * cos - ext.m1 * np.exp(-damp))
+                - sin / s * (cp * (s * s + 1) - ext.m0 * (s * s - 1)))
+
+    density = 32
+    while True:
+        points = np.concatenate([
+            a + (b - a) * np.linspace(0.0, 1.0, max(2, int(density * abs(b - a))), endpoint=False)
+            for a, b in zip(corners, corners[1:])] + [np.array(corners[:1])])
+        values = scaled(points)
+        steps = np.angle(values[1:] / values[:-1])
+        if np.max(np.abs(steps)) <= 0.5:
+            return round(float(np.sum(steps)) / (2.0 * math.pi))
+        density *= 2
+        assert density <= 32 << 10, (ext, lo, hi)
 
 
-class TestLevelCountGuard:
-    """0 <= N_U(E) - N_D(E) <= 2 against the Dirichlet count N_D(s^2) = floor(s / pi)."""
+def negative_bound(ext):
+    """An upper bound on r over the levels E = -r^2, from G(r)/sinh(r) = 0.
 
-    @pytest.mark.parametrize("theta", [1.05e-8, 1.5e-8])
-    def test_collapsed_quasi_periodic_pairs_raise(self, theta):
-        # pairs 2 pi n +- theta closer than the merge distance come back as one level
-        with pytest.raises(DiagnosticError, match="level count"):
-            solve(named_extension("quasi_periodic", theta=theta), count=20)
+    For r >= 1, G/sinh = a r^2 + b r + R with a = cos psi - m0, b = 2 sin psi and
+    |R| <= 2 |sin psi| (coth 1 - 1) + 2 |m1| / sinh 1 + |cos psi + m0| < 4.4.
+    """
+    a, b = math.cos(ext.psi) - ext.m0, 2.0 * math.sin(ext.psi)
+    if a * b < 0.0:    # a r (r - r0) with r0 = -b/a: a level lies within 4.4/|b| above r0
+        return -b / a + 4.4 / abs(b)
+    bounds = ([math.sqrt(4.4 / abs(a))] if a else []) + ([4.4 / abs(b)] if b else [])
+    return max(1.0, min(bounds, default=1.0))
 
-    def test_theta_sweep_is_right_or_raises(self):
-        """Near theta = 0 each returned spectrum is 2 pi n +- theta, or the solve raises."""
-        raised = 0
+
+def gap_probes(ext, res):
+    """(s, N(s)) below the first positive level and between each pair of distinct levels."""
+    from saext.box_spectrum import _level_count, _probe
+
+    count = _level_count(ext)
+    values = [0.0] + [root.value for root in res.positive]
+    return [_probe(count, max(lo, 1e-3 * hi), hi) for lo, hi in zip(values, values[1:])]
+
+
+class TestLevelCount:
+    """N(s) = floor(s / pi) + kappa_-(Theta - M(s^2)) against the argument principle on F/s."""
+
+    def assert_matches_argument_count(self, ext, count=20):
+        res = solve(ext, count=count)
+        probes = gap_probes(ext, res)
+        first, n_first = probes[0]
+        oracle = argument_count(ext, -first, first, 1.0 + negative_bound(ext))
+        assert oracle % 2 == 0 and oracle // 2 == n_first, (ext, first)
+        total = n_first
+        for (lo, _), (hi, n_hi) in zip(probes, probes[1:]):
+            total += argument_count(ext, lo, hi, 0.5)
+            assert total == n_hi, (ext, hi)
+        assert n_first == sum(r.multiplicity for r in res.negative) + res.has_zero_mode
+
+    def test_random_extensions(self, rng):
+        for _ in range(300):
+            self.assert_matches_argument_count(random_extension(rng))
+
+    @pytest.mark.parametrize("name", ["dirichlet", "neumann", "periodic", "antiperiodic",
+                                      "quasiperiodic:1.57", "quasiperiodic:0.05",
+                                      "psi=0.4,m=(0.5,0.5,0.5,0.5)"])
+    def test_named_conditions(self, name):
+        self.assert_matches_argument_count(parse_extension(name))
+
+    @pytest.mark.parametrize("name, zero, pair", [("dirichlet", 0, None), ("neumann", 1, None),
+                                                   ("periodic", 1, 0), ("antiperiodic", 0, 1)])
+    def test_count_next_to_n_pi(self, name, zero, pair):
+        """Beside n pi, where T or C is huge, the count is right; within 1e-13, right or undecided."""
+        from saext.box_spectrum import _level_count
+
+        count = _level_count(parse_extension(name))
+        for n in range(1, 41):
+            for x, decided in ((n * math.pi + 1e-8, True), (n * math.pi - 1e-8, True),
+                               (n * math.pi * (1 + 5e-10), True), (n * math.pi * (1 - 5e-10), True),
+                               (n * math.pi * (1 + 1e-13), False), (n * math.pi * (1 - 1e-13), False)):
+                k = n if x > n * math.pi else n - 1    # Dirichlet levels at or below x
+                # periodic and antiperiodic: double levels at the n pi of one parity
+                want = zero + (k if pair is None else 2 * ((k + pair) // 2))
+                got = count(x)
+                assert got == want if decided else got in (None, want), (n, x, got, want)
+
+    def test_undecided_band_next_to_levels_at_n_pi(self, rng, monkeypatch):
+        """m1 = +-sin(psi) puts levels at n pi: there the count is right or undecided.
+
+        Without the band (a zero rounding bound) some of the same counts are wrong.
+        """
+        from saext import box_spectrum
+
+        cases = []
+        for _ in range(100):
+            psi, sign = rng.uniform(0.0, math.pi), rng.choice([-1.0, 1.0])
+            m1 = sign * math.sin(psi)
+            rest = rng.normal(size=3)
+            rest *= math.sqrt(1.0 - m1 * m1) / np.linalg.norm(rest)
+            ext = ExtensionU2(psi=psi, m0=float(rest[0]), m=(m1, float(rest[1]), float(rest[2])))
+            res = solve(ext, count=12)
+            below = sum(r.multiplicity for r in res.negative) + res.has_zero_mode
+            levels = expanded_values(res.positive)
+            for n in range(1, 12):
+                for d in (1e-8, -1e-8, 1e-10, -1e-10, 1e-12, -1e-12):
+                    x = n * math.pi * (1.0 + d)
+                    if min(abs(level - x) for level in levels) > 1e-13 * x:
+                        cases.append((ext, x, below + sum(level <= x for level in levels)))
+        assert all(box_spectrum._level_count(ext)(x) in (None, want) for ext, x, want in cases)
+        monkeypatch.setattr(box_spectrum, "_COUNT_RTOL", 0.0)
+        assert any(box_spectrum._level_count(ext)(x) not in (None, want) for ext, x, want in cases)
+
+    @pytest.mark.parametrize("theta", [1.05e-8, 1.5e-8, 3e-8, 2 * math.pi - 1.5e-8])
+    def test_close_quasi_periodic_pairs_are_resolved(self, theta):
+        """The pairs 2 pi n +- theta come back as two simple levels each."""
+        ext = named_extension("quasi_periodic", theta=theta)
+        res = solve(ext, count=20)
+        assert res.has_zero_mode  # the level s ~ theta lies below the zero-mode floor
+        expected = sorted(abs(2 * math.pi * n + theta) for n in range(-12, 12))[1:21]
+        assert [r.multiplicity for r in res.positive] == [1] * 20
+        for root, ref in zip(res.positive, expected):
+            assert abs(root.value - ref) <= 1e-10 * ref, (root, ref)
+            assert root.residual <= 1e-12
+
+    def test_theta_sweep_is_right(self):
+        """Near theta = 0 each spectrum is 2 pi n +- theta for the stored theta.
+
+        Below theta ~ 1e-7, cos(theta) rounds within about theta^2 of 1, so the
+        stored floats give theta in two readings that differ by up to 1.4e-9:
+        atan2(m2, m1), which the level count sees, and acos(m1), the angle of
+        F/s = 2 (cos s - m1) + ...  Each level is within 1e-10 of one of them,
+        except s ~ theta itself, ill-conditioned in the stored floats (one ulp of m1
+        moves it by about 1e-6; TestSmallPositiveLevel holds it to a 50-digit root).
+        """
         for theta in np.geomspace(1e-9, 1e-2, 100):
-            theta = float(theta)
-            levels = sorted([theta] + [2 * math.pi * n + sign * theta
-                                       for n in range(1, 12) for sign in (-1, 1)])
-            try:
-                res = solve(named_extension("quasi_periodic", theta=theta), count=20)
-            except DiagnosticError:
-                raised += 1
-                continue
-            expected = levels[1:21] if res.has_zero_mode else levels[:20]
+            ext = named_extension("quasi_periodic", theta=float(theta))
+            res = solve(ext, count=20)
             values = expanded_values(res.positive)
             assert len(values) == 20, theta
-            # below theta ~ 1e-8 a pair may come back as the double level 2 pi n
-            assert np.allclose(values, expected, rtol=1e-9, atol=1e-9 + theta), theta
-        assert 0 < raised < 10
+            readings = []
+            for stored in (math.atan2(ext.m2, ext.m1), math.acos(ext.m1)):
+                levels = sorted([stored] + [2 * math.pi * n + sign * stored
+                                            for n in range(1, 12) for sign in (-1, 1)])
+                readings.append(levels[1:21] if res.has_zero_mode else levels[:20])
+            for value, *refs in zip(values, *readings):
+                rtol = 1e-6 if value < 1.0 else 1e-10
+                assert min(abs(value - ref) for ref in refs) <= rtol * value, (theta, value, refs)
+
+    def test_periodic_cost_does_not_grow_with_s_max(self, monkeypatch):
+        from saext import box_spectrum
+
+        calls = {"F/s": 0, "N": 0}
+        reduced, level_count = box_spectrum._reduced_positive, box_spectrum._level_count
+
+        def counted(make, key):
+            def wrapped(ext):
+                f = make(ext)
+                return lambda s: calls.__setitem__(key, calls[key] + 1) or f(s)
+            return wrapped
+
+        monkeypatch.setattr(box_spectrum, "_reduced_positive", counted(reduced, "F/s"))
+        monkeypatch.setattr(box_spectrum, "_level_count", counted(level_count, "N"))
+        made = []
+        for s_max in (None, 1e5):
+            calls.update({"F/s": 0, "N": 0})
+            res = solve(named_extension("periodic"), count=10, s_max=s_max)
+            made.append((dict(calls), res))
+        assert made[0] == made[1] and made[0][0]["N"] > 0
 
     @pytest.mark.parametrize("name", ["dirichlet", "periodic", "antiperiodic"])
     def test_dropped_level_raises(self, monkeypatch, name):
@@ -492,12 +587,61 @@ class TestLevelCountGuard:
         solve_positive = box_spectrum._solve_positive
 
         def drop_third(req):
-            roots, ceiling = solve_positive(req)
-            return roots[:2] + roots[3:], ceiling
+            roots, ends = solve_positive(req)
+            return roots[:2] + roots[3:], ends
 
         monkeypatch.setattr(box_spectrum, "_solve_positive", drop_third)
         with pytest.raises(DiagnosticError, match="level count"):
             solve(named_extension(name), count=8)
+
+    @pytest.mark.parametrize("name", ["dirichlet", "neumann", "psi=0.4,m=(0.5,0.5,0.5,0.5)"])
+    def test_added_level_raises(self, monkeypatch, name):
+        from saext import box_spectrum
+
+        solve_positive = box_spectrum._solve_positive
+
+        def add_one(req):
+            roots, ends = solve_positive(req)
+            return roots[:2] + [roots[1]] + roots[2:], ends  # a root kept twice
+
+        monkeypatch.setattr(box_spectrum, "_solve_positive", add_one)
+        with pytest.raises(DiagnosticError, match="level count"):
+            solve(parse_extension(name), count=8)
+
+    @pytest.mark.parametrize("ext", [
+        ExtensionU2(psi=0.0, m0=0.0, m=(0.0, 1.0, 0.0)),
+        double_negative_extension(5.0),
+        double_negative_extension(40.0, dm1=1e-4),
+    ], ids=["one", "double", "close pair"])
+    def test_dropped_negative_level_raises(self, monkeypatch, ext):
+        from saext import box_spectrum
+
+        solve_negative = box_spectrum._solve_negative
+
+        def drop_first(e, tol):
+            roots = solve_negative(e, tol)
+            assert roots
+            if roots[0].multiplicity == 2:
+                return [roots[0]._replace(multiplicity=1)]
+            return roots[1:]
+
+        monkeypatch.setattr(box_spectrum, "_solve_negative", drop_first)
+        with pytest.raises(DiagnosticError, match="level count"):
+            solve(ext, count=3)
+
+    def test_residual_gate_refuses_a_moved_root(self, monkeypatch):
+        from saext import box_spectrum
+        from saext.roots import RootReport
+
+        refine = box_spectrum.refine_root
+
+        def moved(bracket, f, tol):
+            x = refine(bracket, f, tol).root * (1.0 + 1e-7)
+            return RootReport(x, f(x), 0)
+
+        monkeypatch.setattr(box_spectrum, "refine_root", moved)
+        with pytest.raises(DiagnosticError, match="root residual"):
+            solve(parse_extension("psi=0.4,m=(0.5,0.5,0.5,0.5)"), count=5)
 
 
 class TestEigenfunctions:
@@ -600,6 +744,15 @@ class TestEigenfunctions:
         assert not solve(quasi, count=1).has_zero_mode
         with pytest.raises(InvalidRootError):
             eigenfunction(quasi, ("zero", 0.0))
+        # the negative sector checks min |lambda_j(r)| against the bracket scale
+        for ext in (ExtensionU2(psi=0.0, m0=0.0, m=(0.0, 1.0, 0.0)), double_negative_extension(40.0)):
+            r = solve(ext, count=1).negative[0].value
+            eigenfunction(ext, ("negative", r))
+            for moved in (r * (1.0 + 1e-5), r * (1.0 - 1e-5), 2.0 * r):
+                with pytest.raises(InvalidRootError, match="does not solve"):
+                    eigenfunction(ext, ("negative", moved))
+        with pytest.raises(InvalidRootError, match="does not solve"):
+            eigenfunction(named_extension("dirichlet"), ("negative", 1.0))  # no negative branch
 
     @pytest.mark.parametrize("name,count", [
         ("periodic", 300), ("periodic", 5000), ("antiperiodic", 1000),

@@ -79,12 +79,18 @@ class TestSpectrumCommand:
         assert code == 3
         assert "scan ceiling" in err and "exhausted" in err
 
-    def test_miscounted_spectrum_is_numerical_failure(self, capsys):
-        # the pairs 2 pi n +- 1.05e-8 collapse into single levels: the count guard fires
+    def test_close_pairs_print_both_levels(self, capsys):
+        # the pairs 2 pi n +- 1.05e-8 come back as two simple levels each, E = s^2
         code, out, err = invoke(capsys, "spectrum", "--u", "quasiperiodic:1.05e-8",
-                                "--count", "20")
-        assert code == 3 and out == ""
-        assert "numerical failure: level count" in err
+                                "--count", "20", "--format", "csv")
+        assert code == 0 and err == ""
+        rows = read_csv(out)
+        assert rows[0]["sector"] == "zero"
+        positive = rows[1:]
+        assert [int(r["multiplicity"]) for r in positive] == [1] * 20
+        expected = [(2 * math.pi * n + sign * 1.05e-8) ** 2 for n in range(1, 11) for sign in (-1, 1)]
+        for row, energy in zip(positive, expected):
+            assert abs(float(row["value"]) - energy) <= 1e-9 * energy, (row, energy)
 
     @pytest.mark.parametrize("ulps", [-3, -1, 1, 3])
     @pytest.mark.parametrize("argv", [

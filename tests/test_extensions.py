@@ -174,6 +174,22 @@ class TestDeficiency:
         rep = deficiency_indices(op, iv)
         assert verify_deficiency(op, iv, d_or_k0=1.0, cutoff=cutoff) == (rep.n_plus, rep.n_minus)
 
+    @pytest.mark.parametrize("op,iv", sorted(TABLE, key=str))
+    def test_strings_and_enums_agree(self, op, iv):
+        (n_plus, n_minus), _ = self.TABLE[(op, iv)]
+        for args in ((op, iv), (op.value, iv.value), (op.value, iv), (op, iv.value)):
+            rep = deficiency_indices(*args)
+            assert (rep.n_plus, rep.n_minus) == (n_plus, n_minus), args
+            assert verify_deficiency(*args, 1.0, 10.0) == (n_plus, n_minus), args
+
+    @pytest.mark.parametrize("op, iv", [("momentum", "halfline"), ("position", "semi_axis"),
+                                        (None, IntervalKind.FINITE_BOX), (OperatorKind.MOMENTUM, 3)])
+    def test_unknown_kinds_rejected(self, op, iv):
+        with pytest.raises(InvalidParameterError, match="is not a valid"):
+            deficiency_indices(op, iv)
+        with pytest.raises(InvalidParameterError, match="is not a valid"):
+            verify_deficiency(op, iv, 1.0, 10.0)
+
     def test_ratio_near_two_is_inconclusive(self):
         # |psi|^2 = e^(-2x/d) on [0, 1] and [0, 2]: the ratio is 1 + e^(-2/d) = 1.999999999998
         with pytest.raises(DiagnosticError, match="inconclusive"):

@@ -32,7 +32,7 @@ STAR_NAMES = {
     "finite_well_levels", "from_matrix", "infinite_limit_study", "integrate",
     "is_parity_preserving", "is_time_reversal", "lambda_to_alpha", "lm_matrices",
     "named_extension", "p_spectrum", "paradox_report", "parse_extension",
-    "refine_root", "reflection", "scan_brackets", "solve_spectrum", "to_matrix",
+    "refine_root", "reflection", "solve_spectrum", "to_matrix",
     "to_physical_energy", "uncertainty_product", "verify_deficiency", "well_coefficients",
     "box_spectrum", "errors", "extensions", "halfline", "momentum", "numerics", "wells",
 }

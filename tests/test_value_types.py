@@ -17,6 +17,7 @@ from saext import (
     HalflineExtension,
     InvalidParameterError,
     MomentumExtension,
+    p_spectrum,
 )
 
 DIRICHLET = ExtensionU2(psi=0.0, m0=1.0, m=(0.0, 0.0, 0.0))
@@ -42,6 +43,10 @@ IDS = [type(value).__name__ for value, _, _ in EXAMPLES]
     pytest.param(lambda: ExtensionU2(psi=0.0, m0=math.nan, m=(0.0, 0.0, 0.0)), id="nan m0"),
     pytest.param(lambda: MomentumExtension(math.nan), id="nan theta"),
     pytest.param(lambda: MomentumExtension(-math.inf), id="inf theta"),
+    pytest.param(lambda: MomentumExtension("x"), id="str theta"),
+    pytest.param(lambda: MomentumExtension(1j), id="complex theta"),
+    pytest.param(lambda: HalflineExtension(None), id="None lambda"),
+    pytest.param(lambda: p_spectrum("x", (0, 1)), id="str p_spectrum theta"),
     pytest.param(lambda: DeuteronParams(lam_over_a=math.nan), id="nan lambda/a"),
     pytest.param(lambda: BoxSpectrumRequest(DIRICHLET, count=0), id="count 0"),
 ])
