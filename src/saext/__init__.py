@@ -16,8 +16,7 @@ import importlib
 _EXPORTS = {
     "box_spectrum": (
         "BoxEigenfunction", "BoxSpectrumRequest", "SpectralRoot", "SpectrumResult",
-        "boundary_form", "char_negative", "char_positive", "char_zero", "degeneracy",
-        "eigenfunction", "expanded_values", "lm_matrices", "solve_spectrum",
+        "char_zero", "degeneracy", "eigenfunction", "expanded_values", "solve_spectrum",
         "to_physical_energy",
     ),
     "errors": (
@@ -31,8 +30,8 @@ _EXPORTS = {
         "named_extension", "parse_extension", "to_matrix", "verify_deficiency",
     ),
     "halfline": (
-        "BoundState", "DeuteronParams", "DeuteronSolution", "alpha_to_lambda", "bound_state",
-        "deuteron_sweep", "deuteron_v0", "lambda_to_alpha", "reflection",
+        "BoundState", "DeuteronParams", "DeuteronSolution", "bound_state", "deuteron_sweep",
+        "deuteron_v0", "reflection",
     ),
     "momentum": (
         "ExpansionTable", "MomentumEigenstate", "UncertaintyReport", "expansion_coeff",

@@ -18,9 +18,8 @@ negative levels is one bracketed root of a branch of Theta - M(-r^2)
 cross-checks only.
 
 The solver and the eigenfunction construction run on Python floats and
-complex numbers, through ``math`` and ``cmath``.  numpy loads only inside the
-public helpers that accept or return arrays: ``char_positive``,
-``char_negative``, ``lm_matrices`` and ``BoxEigenfunction.value``/``derivative``.
+complex numbers, through ``math`` and ``cmath``.  numpy loads only in
+``BoxEigenfunction.value`` and ``derivative``, which accept arrays.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from .errors import (
 from .extensions import ExtensionU2, SimpleFamily, classify_simple_family, unitary_entries
 from .roots import Bracket, refine_root
 
-ZERO_MODE_TOL = 1e-10              # |Z| threshold for an exact zero mode
+_RESIDUAL_RTOL = 1e-9              # a root's residual gate, both sectors
 _BC_RTOL = 1e-9                    # boundary defect |(L - U M) c| relative to scale |c|
 _RANK_RTOL = 1e-8                  # sigma_max(L - U M) / scale at or below which a level is double
 _MERGE_RTOL = 1e-9                 # roots closer than this times (1 + value) are one level
@@ -71,56 +70,13 @@ def _lm_entries(sa, wa0, wa1, sb, wb0, wb1):
     )
 
 
-def _lm_exponential(s: complex):
-    """L(s), M(s) entries for phi = A e^{isx} + B e^{-isx}, acting on (A, B)."""
-    return _lm_entries(s, 1.0, cmath.exp(1j * s), -s, 1.0, cmath.exp(-1j * s))
-
-
-def lm_matrices(s: complex):
-    """Boundary-value matrices L(s), M(s) for phi = A e^{isx} + B e^{-isx}.
-
-    (phi'(0) - i phi(0), phi'(1) + i phi(1)) = i L(s) (A, B)
-    (phi'(0) + i phi(0), phi'(1) - i phi(1)) = i M(s) (A, B)
-
-    det M(s) = 2[i(s^2+1) sin s - 2 s cos s]; both determinants vanish only
-    at s = 0.  Accepts complex s (the negative sector uses s = i r).  Returns two
-    2x2 complex arrays.
-    """
-    import numpy as np
-
-    return tuple(np.array(entries, dtype=complex).reshape(2, 2)
-                 for entries in _lm_exponential(s))
-
-
 # L and M for the zero sector phi = a + b x, acting on (a, b), without the factor i
 _ZERO_LM = ((-1j, 1.0, 1j, 1.0 + 1j), (1j, 1.0, -1j, 1.0 - 1j))
-
-
-def char_positive(e: ExtensionU2, s):
-    """F(s); vanishes exactly at the positive eigenvalues E = s^2."""
-    import numpy as np
-
-    s = np.asarray(s, dtype=float) if np.ndim(s) else float(s)
-    sp, cp = math.sin(e.psi), math.cos(e.psi)
-    return 2.0 * s * (sp * np.cos(s) - e.m1) - np.sin(s) * (
-        cp * (s * s + 1.0) - e.m0 * (s * s - 1.0)
-    )
 
 
 def char_zero(e: ExtensionU2) -> float:
     """Z = 2 sin(psi) - cos(psi) - 2 m1 - m0; a zero mode exists iff Z = 0."""
     return 2.0 * math.sin(e.psi) - math.cos(e.psi) - 2.0 * e.m1 - e.m0
-
-
-def char_negative(e: ExtensionU2, r):
-    """G(r); vanishes exactly at the negative eigenvalues E = -r^2."""
-    import numpy as np
-
-    r = np.asarray(r, dtype=float) if np.ndim(r) else float(r)
-    sp, cp = math.sin(e.psi), math.cos(e.psi)
-    return 2.0 * r * (sp * np.cosh(r) - e.m1) - np.sinh(r) * (
-        -cp * (r * r - 1.0) + e.m0 * (r * r + 1.0)
-    )
 
 
 def _reduced_positive(e: ExtensionU2):
@@ -166,7 +122,6 @@ class _BoxSpectrumFields(NamedTuple):
     ext: ExtensionU2
     count: int = 10
     s_max: float | None = None     # a cap on the positive levels' s; None for no cap
-    tol: float = 1e-9
 
 
 class BoxSpectrumRequest(_BoxSpectrumFields):
@@ -182,8 +137,6 @@ class BoxSpectrumRequest(_BoxSpectrumFields):
             raise InvalidParameterError(f"count must be an integer, got {self.count!r}") from None
         if count < 1:
             raise InvalidParameterError("count must be >= 1")
-        if not 0 < self.tol < math.inf:
-            raise InvalidParameterError("tol must be positive and finite")
         if self.s_max is not None and not 0 < self.s_max < math.inf:
             raise InvalidParameterError(f"s_max must be positive and finite, got {self.s_max!r}")
         return self._replace(count=count)
@@ -228,7 +181,9 @@ def _defect(e: ExtensionU2, sector: str, value: float) -> tuple[complex, complex
     keeps the entries at order 1, so det D stays finite in _sigma_max.
     """
     if sector == POSITIVE:
-        l_m, m_m = _lm_exponential(value)
+        # phi = A e^{isx} + B e^{-isx}, acting on (A, B)
+        l_m, m_m = _lm_entries(value, 1.0, cmath.exp(1j * value),
+                               -value, 1.0, cmath.exp(-1j * value))
     elif sector == NEGATIVE:
         ir, em = 1j * value, math.exp(-value)
         l_m, m_m = _lm_entries(ir, 1.0, em, -ir, em, 1.0)
@@ -285,16 +240,28 @@ def degeneracy(e: ExtensionU2, sector: str, value: float) -> int:
     return 2 if _sigma_max(_defect(e, sector, value)) <= _RANK_RTOL else 1
 
 
-def _gate(residual: float, tol_gate: float, root: float) -> None:
-    if residual > tol_gate:
+def _gate(residual: float, root: float) -> None:
+    if residual > _RESIDUAL_RTOL:
         raise DiagnosticError(
-            f"root residual {residual:.3e} above tolerance {tol_gate:.3e} at {root!r}"
+            f"root residual {residual:.3e} above tolerance {_RESIDUAL_RTOL:.3e} at {root!r}"
         )
+
+
+# Relative rounding bound of each term of Z and of the level count's matrix entries: a
+# few roundings each in theta, tan(s/2), 1 +- n and the sums, with a margin.
+_COUNT_RTOL = 64.0 * 2.0 ** -53
+
+
+def _zero_bound(e: ExtensionU2) -> float:
+    """The rounding bound of Z's own terms: |Z| at or below it is an exact zero mode."""
+    sp, cp = math.sin(e.psi), math.cos(e.psi)
+    return _COUNT_RTOL * (2.0 * abs(sp) + abs(cp) + 2.0 * abs(e.m1) + abs(e.m0))
 
 
 def _zero_floor(e: ExtensionU2) -> float:
     """The value below which a root is the zero mode (Z + O(value^2)), if that is reported."""
-    return math.sqrt(ZERO_MODE_TOL) if abs(char_zero(e)) <= ZERO_MODE_TOL else 0.0
+    bound = _zero_bound(e)
+    return math.sqrt(bound) if abs(char_zero(e)) <= bound else 0.0
 
 
 def _chart(e: ExtensionU2):
@@ -324,11 +291,6 @@ def _chart(e: ExtensionU2):
         theta = num / den if den else math.inf
         thetas.append(theta if abs(theta) < 1e300 else 1e300)
     return thetas[0], thetas[1], n, plus, minus, n_perp
-
-
-# Relative rounding bound of each term of the level count's matrix entries: a few
-# roundings each in theta, tan(s/2), 1 +- n and the sums, with a margin.
-_COUNT_RTOL = 64.0 * 2.0 ** -53
 
 
 def _level_count(e: ExtensionU2):
@@ -434,7 +396,7 @@ def _negative_brackets(e: ExtensionU2):
     return out
 
 
-def _solve_negative(e: ExtensionU2, tol: float) -> list[SpectralRoot]:
+def _solve_negative(e: ExtensionU2) -> list[SpectralRoot]:
     """The levels E = -r^2: one root per branch of Theta - M(-r^2) that starts negative.
 
     Its residual is |lambda_j| at the root relative to the bracket's end values.
@@ -445,7 +407,7 @@ def _solve_negative(e: ExtensionU2, tol: float) -> list[SpectralRoot]:
     for br, branch in _negative_brackets(e):
         report = refine_root(br, branch, 1e-13 * max(1.0, 0.5 * (br.lo + br.hi)))
         residual = abs(report.residual) / max(abs(br.f_lo), abs(br.f_hi), 1e-30)
-        _gate(residual, max(tol, 1e-9), report.root)
+        _gate(residual, report.root)
         if report.root >= floor:
             roots.append(SpectralRoot(report.root, 1, residual, report.iterations))
     roots.sort()
@@ -470,7 +432,6 @@ def _solve_positive(req: BoxSpectrumRequest):
     e = req.ext
     f = _reduced_positive(e)
     count = _level_count(e)
-    tol_gate = max(req.tol, 1e-9)
     sp, cp = math.sin(e.psi), math.cos(e.psi)
     fixed, quadratic, constant = abs(2.0 * (sp - e.m1)) + abs(4.0 * sp), abs(cp - e.m0), abs(cp + e.m0)
 
@@ -513,7 +474,7 @@ def _solve_positive(req: BoxSpectrumRequest):
             raise DiagnosticError(f"level count jumps by {jump} at {root!r}, where the "
                                   "boundary matrix is not of rank 0")
         residual = abs(f(root)) / (fixed + (quadratic * root * root + constant) / max(1.0, root))
-        _gate(residual, tol_gate, root)
+        _gate(residual, root)
         levels.append(SpectralRoot(root, jump, residual, iterations))
     return levels, (start, top)
 
@@ -543,26 +504,29 @@ def solve_spectrum(req: BoxSpectrumRequest) -> SpectrumResult:
     cross-validated against the two simple families' closed forms.  The count
     at the zero-mode floor must equal the negative levels and the zero mode, and
     the count just above the last level every level returned: a mismatch raises
-    DiagnosticError, and a window short of count levels IncompleteSpectrumError.
+    DiagnosticError, and an s_max that caps the window short of count levels
+    IncompleteSpectrumError.
     """
     e = req.ext
     z = char_zero(e)
-    has_zero = abs(z) <= ZERO_MODE_TOL
+    has_zero = abs(z) <= _zero_bound(e)
 
-    negative = _solve_negative(e, req.tol)
+    negative = _solve_negative(e)
     positive, ends = _solve_positive(req)
     _cross_validate_family(e, positive)
     below = sum(root.multiplicity for root in negative)
     if has_zero:
         below += degeneracy(e, ZERO, 0.0)
-    for (s, n), levels in zip(ends, (below, below + sum(root.multiplicity for root in positive))):
+    found = sum(root.multiplicity for root in positive)
+    for (s, n), levels in zip(ends, (below, below + found)):
         if n != levels:
             raise DiagnosticError(f"level count N = {n} at s = {s!r} against {levels} levels "
                                   "returned at or below it")
-    if sum(root.multiplicity for root in positive) < req.count:
-        ceiling = req.s_max or (req.count + 5) * math.pi
-        raise IncompleteSpectrumError(f"scan ceiling {ceiling} exhausted before {req.count} "
-                                      "positive eigenvalues", [root.value for root in positive])
+    if found < req.count:
+        # only the cap can do this: without s_max the count guarantees req.count levels
+        raise IncompleteSpectrumError(f"s_max = {req.s_max} caps the spectrum at {found} of "
+                                      f"{req.count} positive eigenvalues",
+                                      [root.value for root in positive])
     return SpectrumResult(
         negative=tuple(negative),
         has_zero_mode=has_zero,
@@ -672,7 +636,7 @@ def eigenfunction(e: ExtensionU2, root: tuple[str, float]) -> BoxEigenfunction:
     _check_sector(sector)
 
     if sector == ZERO:
-        if abs(char_zero(e)) > ZERO_MODE_TOL:
+        if abs(char_zero(e)) > _zero_bound(e):
             raise InvalidRootError("this extension has no zero mode")
         value = 0.0
     else:
@@ -722,21 +686,6 @@ def eigenfunction(e: ExtensionU2, root: tuple[str, float]) -> BoxEigenfunction:
         # (B, e^{r} A) -> (A, B)
         modes = [(v1 * math.exp(-value), v0) for v0, v1 in modes]
     return BoxEigenfunction(sector, value, modes[0], modes[1] if len(modes) == 2 else None)
-
-
-def boundary_form(phi, psi_fn) -> complex:
-    """Sesquilinear surface term B(phi, psi) of the Hamiltonian on [0, 1].
-
-    B(phi, psi) = (1/2i) [ (H phi, psi) - (phi, H psi) ] depends only on the
-    boundary values; it vanishes identically when both functions belong to
-    the domain of one self-adjoint extension.  Inner products are
-    conjugate-linear in the first slot.
-    """
-    p0, dp0, p_l, dp_l = phi.boundary_values()
-    q0, dq0, q_l, dq_l = psi_fn.boundary_values()
-    num = (p_l.conjugate() * dq_l - dp_l.conjugate() * q_l
-           - p0.conjugate() * dq0 + dp0.conjugate() * q0)
-    return num / 2j
 
 
 def to_physical_energy(

@@ -219,12 +219,7 @@ def _cmd_spectrum(args):
     if args.s_max is not None and args.s_max > _MAX_S_MAX:
         raise InvalidParameterError(f"--s-max must be at most {_MAX_S_MAX:g}, got {args.s_max:g}")
     ext = _parse_u(args.u)
-    req = box.BoxSpectrumRequest(
-        ext=ext,
-        count=args.count,
-        s_max=args.s_max,
-        tol=args.tol,
-    )
+    req = box.BoxSpectrumRequest(ext=ext, count=args.count, s_max=args.s_max)
     result = box.solve_spectrum(req)
 
     columns = ["sector", "index", "value", "multiplicity", "residual"]
@@ -405,7 +400,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eigenfunctions", action="store_true")
     p.add_argument("--s-max", type=_finite_float, default=None,
                    help=f"ceiling in s of the positive levels, in (0, {_MAX_S_MAX:g}]")
-    p.add_argument("--tol", type=_finite_float, default=1e-9)
     p.set_defaults(func=_cmd_spectrum)
 
     p = sub("classify", help="symmetry classification of an extension")

@@ -94,13 +94,6 @@ class ExtensionU2(NamedTuple("ExtensionU2", [("psi", float), ("m0", float),
     def m3(self) -> float:
         return self.m[2]
 
-    def is_equivalent(self, other: "ExtensionU2", tol: float = 1e-10) -> bool:
-        """Same boundary condition, allowing the psi ~ 0 / psi ~ pi wrap."""
-        dm = max(abs(self.m0 - other.m0), *(abs(a - b) for a, b in zip(self.m, other.m)))
-        sm = max(abs(self.m0 + other.m0), *(abs(a + b) for a, b in zip(self.m, other.m)))
-        dpsi = abs(self.psi - other.psi)
-        return (dpsi <= tol and dm <= tol) or (dpsi >= math.pi - tol and sm <= tol)
-
 
 class OperatorKind(Enum):
     MOMENTUM = "momentum"
@@ -321,7 +314,7 @@ def verify_deficiency(
     return counts[0], counts[1]
 
 
-def is_time_reversal(e: ExtensionU2, tol: float = CLASSIFY_TOL) -> bool:
+def is_time_reversal(e: ExtensionU2) -> bool:
     """True when the extension admits real eigenfunctions, i.e. m2 = 0.
 
     Cross-checked against the determinant criterion det(I - conj(U) U) = 0,
@@ -338,19 +331,19 @@ def is_time_reversal(e: ExtensionU2, tol: float = CLASSIFY_TOL) -> bool:
         raise DiagnosticError(
             f"time-reversal criteria disagree: det {det_val!r} vs 4 m2^2 {4 * e.m2 ** 2!r}"
         )
-    return abs(e.m2) <= tol
+    return abs(e.m2) <= CLASSIFY_TOL
 
 
-def is_parity_preserving(e: ExtensionU2, tol: float = CLASSIFY_TOL) -> bool:
+def is_parity_preserving(e: ExtensionU2) -> bool:
     """True when |phi(L - x)| = |phi(x)| for all eigenfunctions, i.e. m3 = 0."""
-    return abs(e.m3) <= tol
+    return abs(e.m3) <= CLASSIFY_TOL
 
 
-def classify_simple_family(e: ExtensionU2, tol: float = CLASSIFY_TOL) -> SimpleFamily:
+def classify_simple_family(e: ExtensionU2) -> SimpleFamily:
     """Closed-form-solvable spectra: family 1 (s_n = n pi) and family 2 (cos s = m1)."""
-    if abs(e.m1) <= tol and abs(math.sin(e.psi)) <= tol:
+    if abs(e.m1) <= CLASSIFY_TOL and abs(math.sin(e.psi)) <= CLASSIFY_TOL:
         return SimpleFamily.FAMILY1
-    if abs(e.m0) <= tol and abs(math.cos(e.psi)) <= tol:
+    if abs(e.m0) <= CLASSIFY_TOL and abs(math.cos(e.psi)) <= CLASSIFY_TOL:
         return SimpleFamily.FAMILY2
     return SimpleFamily.GENERIC
 

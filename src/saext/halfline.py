@@ -21,24 +21,6 @@ from .roots import Bracket, refine_root
 # bound-state and deuteron paths import without it
 
 
-def alpha_to_lambda(alpha: float) -> float:
-    """lambda = -tan(alpha/2) with the alpha = pi pole mapped to infinity."""
-    if not 0.0 <= alpha <= 2.0 * math.pi:
-        raise InvalidParameterError(f"alpha must lie in [0, 2 pi], got {alpha}")
-    if abs(alpha - math.pi) < 1e-15:
-        return math.inf
-    return -math.tan(alpha / 2.0)
-
-
-def lambda_to_alpha(lam: float) -> float:
-    """Inverse of alpha_to_lambda, returning alpha in [0, 2 pi)."""
-    if math.isnan(lam):
-        raise InvalidParameterError("lambda must be real or infinite")
-    if math.isinf(lam):
-        return math.pi
-    return (-2.0 * math.atan(lam)) % (2.0 * math.pi)
-
-
 def _as_lambda(lam) -> float:
     if isinstance(lam, HalflineExtension):
         return lam.lam
@@ -168,24 +150,3 @@ def deuteron_sweep(base: DeuteronParams, lam_over_a_values) -> list[DeuteronSolu
     """``deuteron_v0`` for each lambda/a, in order; each lambda/a is validated."""
     fixed = base[:-1]    # every field but lam_over_a, the last
     return [deuteron_v0(DeuteronParams(*fixed, float(ell))) for ell in lam_over_a_values]
-
-
-def deuteron_wall_matching(sol: DeuteronSolution, ell: float) -> tuple[float, float]:
-    """Value and derivative mismatch of the two wavefunction pieces at x = a.
-
-    Reconstructs phi_in = A sin(k x) + B cos(k x) (with B = (lambda/a) X A
-    from the wall condition; A = 0, B = 1 for lambda = inf) and
-    phi_out = C e^{-rho x}, with C fixed by value matching; returns the value
-    and derivative mismatches, both ~ 0 at a true solution.
-    """
-    x, y = sol.X, sol.Y
-    if math.isinf(ell):
-        a_c, b_c = 0.0, 1.0
-    else:
-        a_c, b_c = 1.0, ell * x
-    inside = a_c * math.sin(x) + b_c * math.cos(x)
-    d_inside = x * (a_c * math.cos(x) - b_c * math.sin(x))   # d/d(x/a) at the wall
-    c_out = inside * math.exp(y)
-    outside = c_out * math.exp(-y)
-    d_outside = -y * outside
-    return abs(inside - outside), abs(d_inside - d_outside)

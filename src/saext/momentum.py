@@ -96,11 +96,16 @@ def _parabola(x):
     return SQRT30 * x * (1.0 - x)
 
 
-def _quadrature_rows(theta: float, ns, tol: float = 1e-12) -> np.ndarray:
+# the quadrature's absolute tolerance per row, before the phase round-off floor
+_QUADRATURE_TOL = 1e-12
+
+
+def _quadrature_rows(theta: float, ns) -> np.ndarray:
     """(phi_n, Psi) for every n in ns from one batched G7-K15 grid (``fourier_coefficients``).
 
-    Each row's tol is raised to the phase round-off, 8 eps |nu|, where that is larger
-    (|nu| > 560): rounding 2 pi nu x moves the integrand by ~eps |nu|.
+    Each row's tolerance is _QUADRATURE_TOL, raised to the phase round-off
+    8 eps |nu| where that is larger (|nu| > 560): rounding 2 pi nu x moves the
+    integrand by ~eps |nu|.
     """
     import numpy as np
 
@@ -109,21 +114,20 @@ def _quadrature_rows(theta: float, ns, tol: float = 1e-12) -> np.ndarray:
     ns = np.asarray(ns)
     shift = theta / (2.0 * math.pi)
     nus = ns + shift
-    tols = np.maximum(tol, 8.0 * np.finfo(float).eps * np.abs(nus))
+    tols = np.maximum(_QUADRATURE_TOL, 8.0 * np.finfo(float).eps * np.abs(nus))
     return fourier_coefficients(_parabola, ns, tols, shift=shift)
 
 
-def expansion_coeff_quadrature(theta: float, n: int, tol: float = 1e-12) -> complex:
+def expansion_coeff_quadrature(theta: float, n: int) -> complex:
     """(phi_n, Psi) by Gauss-Kronrod quadrature on uniform panels: the independent route.
 
     This is the one-row case of the batched quadrature that ``expansion_table``
     validates with: at most half an oscillation per panel, panels doubled until
-    |K15 - G7| <= tol, and tol raised to the phase round-off 8 eps |nu| where
-    that is larger (|nu| > 560).
+    |K15 - G7| <= 1e-12, raised to the phase round-off 8 eps |nu| where that is
+    larger (|nu| > 560).
     """
     theta = MomentumExtension(theta).theta
-    _check_positive("tol", tol)
-    return complex(_quadrature_rows(theta, [n], tol)[0])
+    return complex(_quadrature_rows(theta, [n])[0])
 
 
 def _check_coeff(theta: float, n: int, value: complex, ref: complex) -> None:
@@ -170,7 +174,7 @@ def _coeff_rows(theta: float, ns: Iterable[int]) -> list[complex]:
     return [_coeff_row(n, shift, sin_half, cos_half) for n in ns]
 
 
-def expansion_coeff(theta: float, n: int, validate: bool = True) -> complex:
+def expansion_coeff(theta: float, n: int) -> complex:
     """Expansion coefficient c_n(theta) of the parabola over the P_theta basis.
 
     c_n = sqrt(30) (sin a - a cos a) / (2 a^3) e^{-i a}
@@ -181,30 +185,28 @@ def expansion_coeff(theta: float, n: int, validate: bool = True) -> complex:
     the kernel is summed as its Taylor series instead.  At theta = 0 this
     gives c_0 = sqrt(30)/6 and c_n = -sqrt(30) / (2 pi^2 n^2), both real.
 
-    With ``validate`` every value is cross-checked against
-    ``expansion_coeff_quadrature`` to 1e-10.
+    Every value is cross-checked against ``expansion_coeff_quadrature`` to
+    1e-10; a miss raises DiagnosticError.
     """
     theta = MomentumExtension(theta).theta
     (value,) = _coeff_rows(theta, (n,))
-    if validate:
-        _check_coeff(theta, n, value, expansion_coeff_quadrature(theta, n))
+    _check_coeff(theta, n, value, expansion_coeff_quadrature(theta, n))
     return value
 
 
-def expansion_table(theta: float, n_min: int, n_max: int, validate: bool = True) -> ExpansionTable:
+def expansion_table(theta: float, n_min: int, n_max: int) -> ExpansionTable:
     """Coefficients and probabilities for n in [n_min, n_max], with the Parseval defect.
 
-    The closed form of ``expansion_coeff`` is set up once per table.  With
-    ``validate`` every coefficient is cross-checked to 1e-10 against one
-    batched quadrature of the whole table.
+    The closed form of ``expansion_coeff`` is set up once per table.  Every
+    coefficient is cross-checked to 1e-10 against one batched quadrature of the
+    whole table; the first row that misses raises DiagnosticError.
     """
     ns = _int_range(n_min, n_max)
     theta = MomentumExtension(theta).theta
     coeffs = _coeff_rows(theta, ns)
-    if validate:
-        refs = _quadrature_rows(theta, ns)
-        for i in (abs(refs - coeffs) > 1e-10).nonzero()[0][:1]:  # the first row that misses
-            _check_coeff(theta, ns[i], coeffs[i], complex(refs[i]))
+    refs = _quadrature_rows(theta, ns)
+    for i in (abs(refs - coeffs) > 1e-10).nonzero()[0][:1]:  # the first row that misses
+        _check_coeff(theta, ns[i], coeffs[i], complex(refs[i]))
     entries = []
     total = 0.0
     for n, c in zip(ns, coeffs):

@@ -56,13 +56,13 @@ def well_coefficients(n: int) -> float:
     return ((-1) ** (n - 1)) * 8.0 * SQRT15 / (math.pi ** 3 * odd ** 3)
 
 
-def well_coefficient_quadrature(n: int, tol: float = 1e-12) -> float:
+def well_coefficient_quadrature(n: int) -> float:
     """The same overlap by direct quadrature on ``math.cos``; the independent route."""
     from .numerics import integrate
 
     k = (2 * _count(n, "n") - 1) * math.pi
     # the even mode sqrt(2) cos(k x) times Psi(x) = -sqrt(30) (x^2 - 1/4)
-    return integrate(lambda x: SQRT2 * math.cos(k * x) * -SQRT30 * (x * x - 0.25), -0.5, 0.5, tol)
+    return integrate(lambda x: SQRT2 * math.cos(k * x) * -SQRT30 * (x * x - 0.25), -0.5, 0.5, 1e-12)
 
 
 class ParadoxReport(NamedTuple):

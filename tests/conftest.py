@@ -80,3 +80,42 @@ def deuteron_tan_form(y, ell, lib=np):
     if ell == math.inf:
         return lambda x: x * lib.tan(x) - y
     return lambda x: y + x * (1 - ell * x * lib.tan(x)) / (lib.tan(x) + ell * x)
+
+
+def char_positive(ext, lib=np):
+    """F(s) = 2 s [sin(psi) cos(s) - m1] - sin(s) [cos(psi)(s^2 + 1) - m0 (s^2 - 1)], as derived.
+
+    F vanishes at the positive box levels E = s^2 of ext: floats or arrays, or
+    mpmath numbers with ``lib=mpmath``, which takes ext's stored floats exactly.
+    saext refines a cancellation-free F/s instead, so this stays an independent oracle.
+    """
+    psi, m0, m1 = (getattr(lib, "mpf", float)(x) for x in (ext.psi, ext.m0, ext.m1))
+    sp, cp = lib.sin(psi), lib.cos(psi)
+    return lambda s: (2 * s * (sp * lib.cos(s) - m1)
+                      - lib.sin(s) * (cp * (s * s + 1) - m0 * (s * s - 1)))
+
+
+def lm_matrices(s):
+    """The boundary-value matrices L(s), M(s) of phi = A e^{isx} + B e^{-isx}, as derived.
+
+    (phi'(0) - i phi(0), phi'(1) + i phi(1)) = i L(s) (A, B) and
+    (phi'(0) + i phi(0), phi'(1) - i phi(1)) = i M(s) (A, B); s may be complex
+    (s = i r for E = -r^2).  L - U M is singular exactly at the levels E = s^2 of U.
+    """
+    ep, em = np.exp(1j * s), np.exp(-1j * s)
+    l_m = np.array([[s - 1, -s - 1], [(s + 1) * ep, (1 - s) * em]], dtype=complex)
+    m_m = np.array([[s + 1, 1 - s], [(s - 1) * ep, -(s + 1) * em]], dtype=complex)
+    return l_m, m_m
+
+
+def boundary_form(phi, psi) -> complex:
+    """B(phi, psi) = (1/2i) [(H phi, psi) - (phi, H psi)] on [0, 1], from boundary values.
+
+    Integrating by parts twice leaves [conj(phi) psi' - conj(phi') psi] from 0 to 1
+    over 2i; it vanishes when phi and psi lie in the domain of one self-adjoint
+    extension.  Each argument has ``boundary_values()`` -> (f(0), f'(0), f(1), f'(1)).
+    """
+    p0, dp0, p1, dp1 = phi.boundary_values()
+    q0, dq0, q1, dq1 = psi.boundary_values()
+    conj = np.conj
+    return (conj(p1) * dq1 - conj(dp1) * q1 - conj(p0) * dq0 + conj(dp0) * q0) / 2j

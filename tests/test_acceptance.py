@@ -193,7 +193,7 @@ def test_c08_momentum_coefficients():
     worst = 0.0
     for theta in (0.1, 1.0, math.pi, 5.0):
         for n in range(-20, 21):
-            closed = expansion_coeff(theta, n, validate=False)
+            closed = expansion_coeff(theta, n)
             quad = expansion_coeff_quadrature(theta, n)
             worst = max(worst, abs(closed - quad))
     ok &= worst <= 1e-9

@@ -13,16 +13,12 @@ from saext import (
     IncompleteSpectrumError,
     InvalidParameterError,
     InvalidRootError,
-    boundary_form,
-    char_negative,
-    char_positive,
     char_zero,
     degeneracy,
     eigenfunction,
     expanded_values,
     from_matrix,
     integrate,
-    lm_matrices,
     named_extension,
     parse_extension,
     solve_spectrum,
@@ -31,7 +27,7 @@ from saext import (
 )
 from saext.cli import run
 
-from conftest import TAU1, gl_inner, random_extension
+from conftest import TAU1, boundary_form, char_positive, gl_inner, lm_matrices, random_extension
 
 
 def solve(ext, count=10, **kwargs) -> "SpectrumResult":
@@ -74,6 +70,8 @@ def double_negative_extension(r, dm1=0.0):
 
 
 class TestBoundaryMatrices:
+    """The L, M oracle of conftest, which double_negative_extension and the det(L - U M) check use."""
+
     def test_entries_at_pi(self):
         _, m_mat = lm_matrices(math.pi)
         expected = np.array(
@@ -99,24 +97,30 @@ class TestBoundaryMatrices:
 
 class TestCharacteristics:
     def test_dirichlet_reduces_to_sine(self):
-        ext = named_extension("dirichlet")
+        from saext.box_spectrum import _reduced_positive
+
+        f = _reduced_positive(named_extension("dirichlet"))
         for s in (0.7, 2.0, 4.4):
-            assert abs(char_positive(ext, s) - (-2.0 * math.sin(s))) < 1e-12
+            assert abs(s * f(s) - (-2.0 * math.sin(s))) < 1e-12
 
     def test_family2_form(self):
-        ext = from_matrix(TAU1)
+        from saext.box_spectrum import _reduced_positive
+
+        f = _reduced_positive(from_matrix(TAU1))
         for s in (0.7, 2.0, 4.4):
-            assert abs(char_positive(ext, s) - 2.0 * s * (math.cos(s) - 1.0)) < 1e-12
+            assert abs(f(s) - 2.0 * (math.cos(s) - 1.0)) < 1e-12
 
     def test_char_matches_boundary_determinant(self, rng):
-        # det(L - U M) = -4 i e^{i psi} F(s): same zeros, fixed nonvanishing factor
+        # det(L - U M) = -4 i e^{i psi} F(s) = -4 i e^{i psi} s (F/s): same zeros
+        from saext.box_spectrum import _reduced_positive
+
         for _ in range(20):
             ext = random_extension(rng)
-            u = to_matrix(ext)
+            u, f = to_matrix(ext), _reduced_positive(ext)
             for s in rng.uniform(0.2, 15.0, size=6):
                 l_mat, m_mat = lm_matrices(float(s))
                 det = np.linalg.det(l_mat - u @ m_mat)
-                predicted = -4j * cmath.exp(1j * ext.psi) * char_positive(ext, float(s))
+                predicted = -4j * cmath.exp(1j * ext.psi) * s * f(float(s))
                 assert abs(det - predicted) <= 1e-9 * (1.0 + abs(det))
 
     def test_zero_mode_indicator(self):
@@ -135,15 +139,21 @@ class TestCharacteristics:
             assert abs(det - predicted) <= 1e-10 * (1.0 + abs(det))
 
     def test_negative_family1_closed_form(self):
+        from saext.box_spectrum import _negative_branches
+
         for m0 in (-0.5, 0.0, 0.5):
             ext = ExtensionU2(psi=0.0, m0=m0, m=(0.0, math.sqrt(1 - m0 * m0), 0.0))
             r = math.sqrt((1 + m0) / (1 - m0))
-            assert abs(char_negative(ext, r)) < 1e-10
+            assert min(abs(branch(r)) for branch, _ in _negative_branches(ext)) < 1e-10
 
     def test_negative_family2_has_no_roots(self):
-        ext = from_matrix(TAU1)
-        rs = np.linspace(0.01, 20.0, 100)
-        assert np.all(char_negative(ext, rs) > 0)
+        # each branch rises strictly with r, so none that starts at or above 0 has a root
+        from saext.box_spectrum import _negative_branches
+
+        branches = _negative_branches(from_matrix(TAU1))
+        assert all(branch(1e-8) >= 0.0 for branch, _ in branches)
+        assert all(branch(float(r)) > 0.0 for branch, _ in branches
+                   for r in np.linspace(0.01, 20.0, 100))
 
 
 class TestSolveSpectrum:
@@ -189,7 +199,7 @@ class TestSolveSpectrum:
 
     @pytest.mark.parametrize("theta", [1e-5, 2 * math.pi - 1e-5])
     def test_quasi_periodic_level_next_to_zero_is_kept(self, theta):
-        # |Z| ~ 1.0e-10 is just above ZERO_MODE_TOL: E = 1e-10 is a level, not the zero mode
+        # |Z| ~ 1.0e-10 is far above Z's rounding bound: E = 1e-10 is a level, not the zero mode
         res = solve(named_extension("quasi_periodic", theta=theta), count=8)
         assert not res.has_zero_mode
         expected = sorted(abs(2 * math.pi * n + theta) for n in range(-5, 5))[:8]
@@ -199,11 +209,17 @@ class TestSolveSpectrum:
             assert abs(s - ref) <= 1e-9 * (1.0 + s)
 
     @pytest.mark.parametrize("field", [
-        {"tol": math.nan}, {"tol": math.inf}, {"s_max": math.inf}, {"s_max": math.nan},
+        {"s_max": math.inf}, {"s_max": math.nan}, {"s_max": -math.inf}, {"s_max": np.float64(math.nan)},
     ])
     def test_request_rejects_non_finite(self, field):
         with pytest.raises(InvalidParameterError):
             BoxSpectrumRequest(ext=named_extension("dirichlet"), **field)
+
+    def test_request_has_no_tol(self):
+        # the residual gate is the constant 1e-9 in both sectors: nothing to set
+        assert BoxSpectrumRequest._fields == ("ext", "count", "s_max")
+        with pytest.raises(TypeError, match="tol"):
+            BoxSpectrumRequest(ext=named_extension("dirichlet"), tol=1e-6)
 
     @pytest.mark.parametrize("s_max", [0.0, -5.0])
     def test_request_rejects_non_positive_s_max(self, s_max):
@@ -541,23 +557,26 @@ class TestLevelCount:
         Below theta ~ 1e-7, cos(theta) rounds within about theta^2 of 1, so the
         stored floats give theta in two readings that differ by up to 1.4e-9:
         atan2(m2, m1), which the level count sees, and acos(m1), the angle of
-        F/s = 2 (cos s - m1) + ...  Each level is within 1e-10 of one of them,
-        except s ~ theta itself, ill-conditioned in the stored floats (one ulp of m1
-        moves it by about 1e-6; TestSmallPositiveLevel holds it to a 50-digit root).
+        F/s = 2 (cos s - m1) + ...  Each level from 2 pi - theta on is within
+        1e-10 of one of them.  Neither reading is a reference for s ~ theta
+        itself, which one ulp of m1 moves by up to about 1e-6 relative: where it
+        is a level and not the zero mode, it is held to the 50-digit root of F.
         """
         for theta in np.geomspace(1e-9, 1e-2, 100):
             ext = named_extension("quasi_periodic", theta=float(theta))
             res = solve(ext, count=20)
             values = expanded_values(res.positive)
             assert len(values) == 20, theta
+            if not res.has_zero_mode:
+                first, *values = values
+                assert small_level_error(ext, first) <= 1e-13, (theta, first)
             readings = []
             for stored in (math.atan2(ext.m2, ext.m1), math.acos(ext.m1)):
-                levels = sorted([stored] + [2 * math.pi * n + sign * stored
-                                            for n in range(1, 12) for sign in (-1, 1)])
-                readings.append(levels[1:21] if res.has_zero_mode else levels[:20])
+                levels = sorted(2 * math.pi * n + sign * stored
+                                for n in range(1, 12) for sign in (-1, 1))
+                readings.append(levels[:len(values)])
             for value, *refs in zip(values, *readings):
-                rtol = 1e-6 if value < 1.0 else 1e-10
-                assert min(abs(value - ref) for ref in refs) <= rtol * value, (theta, value, refs)
+                assert min(abs(value - ref) for ref in refs) <= 1e-10 * value, (theta, value, refs)
 
     def test_periodic_cost_does_not_grow_with_s_max(self, monkeypatch):
         from saext import box_spectrum
@@ -618,8 +637,8 @@ class TestLevelCount:
 
         solve_negative = box_spectrum._solve_negative
 
-        def drop_first(e, tol):
-            roots = solve_negative(e, tol)
+        def drop_first(e):
+            roots = solve_negative(e)
             assert roots
             if roots[0].multiplicity == 2:
                 return [roots[0]._replace(multiplicity=1)]
@@ -739,7 +758,7 @@ class TestEigenfunctions:
             eigenfunction(ext, ("positive", 3.0))
         with pytest.raises(InvalidRootError):
             eigenfunction(ext, ("zero", 0.0))
-        # |Z| ~ 9e-10 > ZERO_MODE_TOL: solve_spectrum reports no zero mode either
+        # |Z| ~ 9e-10, far above Z's rounding bound: solve_spectrum reports no zero mode either
         quasi = named_extension("quasi_periodic", theta=3e-5)
         assert not solve(quasi, count=1).has_zero_mode
         with pytest.raises(InvalidRootError):
@@ -1056,30 +1075,46 @@ class TestNegativeSectorOracle:
                     assert abs(product - float(g(mpmath.mpf(r)))) <= 1e-13 * (1.0 + r * r)
 
 
+def small_level_error(ext, s):
+    """|s - root| / root for the 50-digit root of F near s, for ext's stored floats."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        char = char_positive(ext, mpmath)
+        root = mpmath.findroot(lambda x: char(x) / x, (0.9 * s, 1.1 * s), solver="anderson")
+        return float(abs(s - root) / root)
+
+
 class TestSmallPositiveLevel:
     """E = theta^2 of quasi-periodic theta against 50-digit roots of F for the stored floats.
 
     2 (sin(psi) cos(s) - m1) cancels at small s, where cos(s) rounds with an absolute
     error of about 1e-16 against its distance s^2/2 from 1: taken that way, F/s put
     the level of theta = 1e-5 at 9.999989729e-11, against the root's 9.99999470425e-11.
+    Z = 2 (1 - m1) is about theta^2: a level down to theta ~ 2e-7, where Z reaches
+    the rounding bound of its terms and the level is the zero mode.
     """
 
-    @pytest.mark.parametrize("theta", [1e-5, 1e-4, 1e-3, 2.0 * math.pi - 1e-5])
+    @pytest.mark.parametrize("theta", [3e-7, 1e-6, 3e-6, 1e-5, 1e-4, 1e-3, 2.0 * math.pi - 1e-5])
     def test_against_a_50_digit_root(self, theta):
-        mpmath = pytest.importorskip("mpmath")
         ext = named_extension("quasi_periodic", theta=theta)
-        s = solve(ext, count=3).positive[0].value
-        with mpmath.workdps(50):
-            psi, m0, m1 = (mpmath.mpf(x) for x in (ext.psi, ext.m0, ext.m1))
-            sp, cp = mpmath.sin(psi), mpmath.cos(psi)
-            char = lambda x: (2 * x * (sp * mpmath.cos(x) - m1)
-                              - mpmath.sin(x) * (cp * (x * x + 1) - m0 * (x * x - 1)))
-            root = mpmath.findroot(lambda x: char(x) / x, (0.9 * s, 1.1 * s), solver="anderson")
-            assert abs(s * s - root * root) <= 1e-11 * root * root
+        res = solve(ext, count=3)
+        assert not res.has_zero_mode
+        assert small_level_error(ext, res.positive[0].value) <= 1e-13
 
-    def test_cli_prints_the_root_digits(self, capsys):
-        assert run(["spectrum", "--u", "quasiperiodic:1e-5", "--count", "1"]) == 0
-        assert "9.999994704e-11" in capsys.readouterr().out
+    @pytest.mark.parametrize("name", ["quasiperiodic:1e-7", "quasiperiodic:6.2831852"])
+    def test_zero_mode_where_z_is_rounding(self, name):
+        ext = parse_extension(name)
+        res = solve(ext, count=3)
+        assert res.has_zero_mode
+        assert res.positive[0].value > 1.0
+        eigenfunction(ext, ("zero", 0.0))
+
+    @pytest.mark.parametrize("name, digits", [("quasiperiodic:1e-5", "9.999994704e-11"),
+                                              ("quasiperiodic:1e-6", "9.998056236e-13")])
+    def test_cli_prints_the_root_digits(self, capsys, name, digits):
+        assert run(["spectrum", "--u", name, "--count", "3"]) == 0
+        out = capsys.readouterr().out
+        assert digits in out and "zero" not in out
 
 
 class TestBoundaryForm:

@@ -59,11 +59,16 @@ class TestSpectrumCommand:
         assert code == 2
         assert "--u" in err
 
-    def test_exhausted_scan_is_numerical_failure(self, capsys):
+    def test_s_max_short_of_count_is_numerical_failure(self, capsys):
         code, _, err = invoke(capsys, "spectrum", "--u", "dirichlet", "--count", "50",
                               "--s-max", "10")
         assert code == 3
-        assert "numerical failure" in err
+        assert "numerical failure" in err and "caps the spectrum at 3 of 50" in err
+
+    def test_tol_is_not_an_option(self, capsys):
+        code, out, err = invoke(capsys, "spectrum", "--u", "dirichlet", "--tol", "1e-6")
+        assert code == 2 and out == ""
+        assert "unrecognized arguments" in err
 
     def test_s_max_below_one_scan_step(self, capsys):
         code, out, _ = invoke(capsys, "spectrum", "--u", "quasiperiodic:0.2", "--count", "1",
@@ -77,7 +82,7 @@ class TestSpectrumCommand:
         code, _, err = invoke(capsys, "spectrum", "--u", "quasiperiodic:0.2", "--count", "1",
                               "--s-max", s_max)
         assert code == 3
-        assert "scan ceiling" in err and "exhausted" in err
+        assert f"s_max = {float(s_max)} caps the spectrum at 0 of 1" in err
 
     def test_close_pairs_print_both_levels(self, capsys):
         # the pairs 2 pi n +- 1.05e-8 come back as two simple levels each, E = s^2
@@ -359,7 +364,6 @@ class TestInputHygiene:
         ("reflect", "--lambda", "1", "--k", "nan"),
         ("reflect", "--lambda", "1", "--k", "inf"),
         ("spectrum", "--u", "psi=nan,m=(1,0,0,0)"),
-        ("spectrum", "--u", "dirichlet", "--tol", "nan"),
         ("spectrum", "--u", "dirichlet", "--s-max", "inf"),
         ("well-limit", "--v0-list", "nan,10"),
         ("deuteron", "--sweep", "1", "--hbarc", "inf"),

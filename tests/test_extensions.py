@@ -23,7 +23,7 @@ from saext import (
     to_matrix,
     verify_deficiency,
 )
-from saext.extensions import _log_integral
+from saext.extensions import CLASSIFY_TOL, _log_integral
 from conftest import TAU1, TAU2, TAU3, random_extension
 
 
@@ -94,7 +94,7 @@ class TestMatrixMaps:
             flipped = ExtensionU2(
                 psi=e.psi + math.pi, m0=-e.m0, m=(-e.m1, -e.m2, -e.m3)
             )
-            assert flipped.is_equivalent(e, tol=1e-12)
+            assert np.max(np.abs(to_matrix(flipped) - to_matrix(e))) <= 1e-12
             assert 0.0 <= flipped.psi < math.pi
 
     def test_sphere_violation_rejected(self):
@@ -261,6 +261,15 @@ class TestClassifiers:
         generic = ExtensionU2(psi=0.4, m0=0.5, m=(0.5, 0.5, 0.5))
         assert classify_simple_family(generic) is SimpleFamily.GENERIC
 
+    def test_classifiers_share_classify_tol(self):
+        # no per-call tolerance: a component within CLASSIFY_TOL of zero counts as zero
+        for small, expected in ((0.5 * CLASSIFY_TOL, True), (10 * CLASSIFY_TOL, False)):
+            rest = math.sqrt(1.0 - small * small)
+            assert is_time_reversal(ExtensionU2(psi=0.3, m0=0.0, m=(rest, small, 0.0))) is expected
+            assert is_parity_preserving(ExtensionU2(psi=0.3, m0=0.0, m=(rest, 0.0, small))) is expected
+            family1 = ExtensionU2(psi=0.0, m0=rest, m=(small, 0.0, 0.0))
+            assert (classify_simple_family(family1) is SimpleFamily.FAMILY1) is expected
+
 
 class TestNamedExtensions:
     def test_dirichlet(self):
@@ -286,10 +295,8 @@ class TestNamedExtensions:
 
 class TestParse:
     def test_named(self):
-        assert parse_extension("dirichlet").is_equivalent(named_extension("dirichlet"))
-        assert parse_extension("quasiperiodic:1.5").is_equivalent(
-            named_extension("quasi_periodic", theta=1.5)
-        )
+        assert parse_extension("dirichlet") == named_extension("dirichlet")
+        assert parse_extension("quasiperiodic:1.5") == named_extension("quasi_periodic", theta=1.5)
 
     def test_raw_quadruple(self):
         e = parse_extension("psi=0.4,m=(0.5,0.5,0.5,0.5)")

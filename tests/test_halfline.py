@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import pytest
@@ -7,15 +8,12 @@ from saext import (
     DeuteronParams,
     HalflineExtension,
     InvalidParameterError,
-    alpha_to_lambda,
     bound_state,
     deuteron_sweep,
     deuteron_v0,
     integrate,
-    lambda_to_alpha,
     reflection,
 )
-from saext.halfline import deuteron_wall_matching
 
 from conftest import deuteron_tan_form
 
@@ -99,20 +97,27 @@ class TestBoundState:
 
 
 class TestAlphaMap:
+    """lambda = -tan(alpha/2) is the U(1) condition phi' - i phi = e^{i alpha} (phi' + i phi) at 0.
+
+    For phi = e^{-ikx} + r e^{ikx} at k = 1 that condition reads e^{i alpha} = -1/r.
+    """
+
+    @staticmethod
+    def reflection_at_alpha(alpha):
+        lam = math.inf if alpha == math.pi else -math.tan(alpha / 2.0)
+        return reflection(HalflineExtension(lam), 1.0)[0]
+
     def test_examples(self):
-        assert alpha_to_lambda(0.0) == 0.0
-        assert alpha_to_lambda(math.pi) == math.inf
-        assert abs(alpha_to_lambda(3 * math.pi / 2) - 1.0) < 1e-12
+        assert self.reflection_at_alpha(0.0) == -1.0                 # Dirichlet, lambda = 0
+        assert self.reflection_at_alpha(math.pi) == 1.0              # Neumann, lambda = inf
+        r = self.reflection_at_alpha(3 * math.pi / 2)                # lambda = 1
+        assert abs(r - reflection(1.0, 1.0)[0]) < 1e-15
+        assert abs(r + 1j) < 1e-12
 
     def test_round_trip(self):
         for alpha in (0.0, 0.7, math.pi, 4.0, 5.9):
-            lam = alpha_to_lambda(alpha)
-            back = lambda_to_alpha(lam)
+            back = cmath.phase(-1.0 / self.reflection_at_alpha(alpha)) % (2 * math.pi)
             assert abs(back - alpha) < 1e-9 or abs(back - alpha - 2 * math.pi) < 1e-9
-
-    def test_range_validation(self):
-        with pytest.raises(InvalidParameterError):
-            alpha_to_lambda(-0.1)
 
 
 class TestDeuteron:
@@ -168,11 +173,18 @@ class TestDeuteron:
             assert abs(sol.X - x) <= 4 * math.ulp(sol.X)
 
     def test_wall_matching(self):
+        """phi_in = A sin(k x) + B cos(k x) meets C e^{-rho x} smoothly at x = a.
+
+        The wall gives B = (lambda/a) X A (A = 0, B = 1 at lambda = inf); C
+        matches the values, so the log-derivatives X phi_in'/phi_in and -Y must agree.
+        """
         for ell in (0.0, 1.0, 10.0, math.inf):
             sol = deuteron_v0(DeuteronParams(lam_over_a=ell))
-            value_gap, derivative_gap = deuteron_wall_matching(sol, ell)
-            assert value_gap <= 1e-10
-            assert derivative_gap <= 1e-10
+            x, y = sol.X, sol.Y
+            a_c, b_c = (0.0, 1.0) if math.isinf(ell) else (1.0, ell * x)
+            inside = a_c * math.sin(x) + b_c * math.cos(x)
+            d_inside = x * (a_c * math.cos(x) - b_c * math.sin(x))   # d/d(x/a) at the wall
+            assert abs(d_inside + y * inside) <= 1e-10
 
     def test_parameter_validation(self):
         with pytest.raises(InvalidParameterError):

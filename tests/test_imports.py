@@ -17,7 +17,7 @@ import saext
 SRC = str(pathlib.Path(saext.__file__).resolve().parents[1])
 
 # what ``from saext import *`` bound when the package imported every module eagerly:
-# the 67 public names and the seven submodules
+# the 60 public names and the seven submodules
 STAR_NAMES = {
     "AccuracyError", "BoundState", "BoxEigenfunction", "BoxSpectrumRequest", "Bracket",
     "ConvergenceError", "DeficiencyReport", "DeuteronParams", "DeuteronSolution",
@@ -25,12 +25,11 @@ STAR_NAMES = {
     "HalflineExtension", "IncompleteSpectrumError", "IntervalKind", "InvalidParameterError",
     "InvalidRootError", "MomentumEigenstate", "MomentumExtension", "OperatorKind",
     "ParadoxReport", "RootReport", "SaextError", "SimpleFamily", "SpectralRoot",
-    "SpectrumResult", "UncertaintyReport", "WellLimitStudy", "alpha_to_lambda", "bound_state",
-    "boundary_form", "char_negative", "char_positive", "char_zero", "classify_simple_family",
-    "deficiency_indices", "degeneracy", "deuteron_sweep", "deuteron_v0", "eigenfunction",
-    "expanded_values", "expansion_coeff", "expansion_coeff_quadrature", "expansion_table",
-    "finite_well_levels", "from_matrix", "infinite_limit_study", "integrate",
-    "is_parity_preserving", "is_time_reversal", "lambda_to_alpha", "lm_matrices",
+    "SpectrumResult", "UncertaintyReport", "WellLimitStudy", "bound_state", "char_zero",
+    "classify_simple_family", "deficiency_indices", "degeneracy", "deuteron_sweep",
+    "deuteron_v0", "eigenfunction", "expanded_values", "expansion_coeff",
+    "expansion_coeff_quadrature", "expansion_table", "finite_well_levels", "from_matrix",
+    "infinite_limit_study", "integrate", "is_parity_preserving", "is_time_reversal",
     "named_extension", "p_spectrum", "paradox_report", "parse_extension",
     "refine_root", "reflection", "solve_spectrum", "to_matrix",
     "to_physical_energy", "uncertainty_product", "verify_deficiency", "well_coefficients",

@@ -105,7 +105,7 @@ class TestCoefficients:
     def test_formula_vs_quadrature_grid(self, theta):
         # spot checks; the acceptance suite runs the full [-20, 20] grid
         for n in (-20, -13, -5, -1, 0, 1, 4, 11, 20):
-            closed = expansion_coeff(theta, n, validate=False)
+            (closed,) = momentum._coeff_rows(theta, [n])   # the closed form, unvalidated
             quad = expansion_coeff_quadrature(theta, n)
             assert abs(closed - quad) <= 1e-9
 
@@ -114,7 +114,7 @@ class TestCoefficients:
     @pytest.mark.parametrize("n", [-1, 0, 1])
     def test_small_phase_no_cancellation(self, theta, n):
         # n = 0 near theta = 0 and n = -1 near theta = 2 pi have a = pi nu -> 0
-        closed = expansion_coeff(theta, n, validate=True)
+        closed = expansion_coeff(theta, n)
         (state,) = p_spectrum(theta, (n, n))
         ref = gl_inner(state.wavefunction, lambda x: SQRT30 * x * (1.0 - x))
         assert abs(closed - ref) <= 1e-12
@@ -123,7 +123,7 @@ class TestCoefficients:
     def test_validated_at_large_n(self, n):
         # 2 |nu| seed panels exceed the refinement budget, and the phase round-off
         # (~eps |nu|) exceeds tol = 1e-12: the reference must still converge
-        closed = expansion_coeff(1.0, n, validate=True)
+        closed = expansion_coeff(1.0, n)
         assert abs(closed - expansion_coeff_quadrature(1.0, n)) <= 1e-12
 
     def test_theta_dependence_is_physical(self):
@@ -154,7 +154,7 @@ class TestBatchedQuadrature:
         rows = momentum._quadrature_rows(theta, ns)
         for n in (-2000, -1999, -1000, -21, -1, 0, 1, 2, 20, 999, 1999, 2000):
             assert abs(rows[n + 2000] - adaptive_quadrature(theta, n)) <= 1e-13
-        closed = [expansion_coeff(theta, n, validate=False) for n in ns]
+        closed = momentum._coeff_rows(theta, ns)
         assert np.abs(rows - closed).max() <= 1e-13
 
     @pytest.mark.parametrize("theta", [0.0, 1.0, 2 * math.pi - 0.01])
@@ -171,7 +171,6 @@ class TestBatchedQuadrature:
         monkeypatch.setattr(momentum, "_coeff_row", wrong_at_seven)
         with pytest.raises(DiagnosticError, match=r"n=7\)"):
             expansion_table(1.0, -10, 10)
-        assert len(expansion_table(1.0, -10, 10, validate=False).entries) == 21
 
     @pytest.mark.parametrize("panels", [512, 1024, 2048, 8192])
     def test_fft_blocks_agree_with_one_block(self, monkeypatch, panels):
@@ -184,12 +183,6 @@ class TestBatchedQuadrature:
         monkeypatch.setattr(numerics, "_FFT_BLOCK", 15 * panels)
         single = momentum._quadrature_rows(1.0, ns)
         assert np.abs(blocked - single).max() <= 1e-15
-
-    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
-    def test_quadrature_tol_must_be_positive_and_finite(self, tol):
-        # the phase floor 8 eps |nu| used to replace a tol of 0 or -1 and return a value
-        with pytest.raises(InvalidParameterError, match="tol"):
-            expansion_coeff_quadrature(1.0, 3, tol)
 
     def test_large_row_memory(self):
         # one grid of P = 2^18 panels, a node at a time (the row-by-row route took 130 MB)
@@ -228,7 +221,7 @@ class TestExpansionTable:
 
     @given(theta=st.floats(min_value=0.0, max_value=6.28))
     def test_probabilities_nonnegative(self, theta):
-        table = expansion_table(theta, -4, 4, validate=False)
+        table = expansion_table(theta, -4, 4)
         assert all(prob >= 0.0 for _, _, prob in table.entries)
         assert table.parseval_defect >= 0.0
 

@@ -36,10 +36,11 @@ def test_refine_sqrt2():
 
 
 def test_refine_dirichlet_characteristic_near_pi():
-    from saext import char_positive, named_extension
+    from saext import named_extension
 
-    ext = named_extension("dirichlet")
-    f = lambda s: float(char_positive(ext, s))
+    from conftest import char_positive
+
+    f = char_positive(named_extension("dirichlet"))
     report = refine_root(bracket(f, 2.8, 3.5), f, tol=1e-12)
     assert abs(report.root - math.pi) <= 1e-11
 

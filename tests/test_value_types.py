@@ -32,7 +32,7 @@ EXAMPLES = [
      "nucleon_mass_c2=938.919, lam_over_a=2.0)"),
     (BoxSpectrumRequest(DIRICHLET, count=3), "count",
      "BoxSpectrumRequest(ext=ExtensionU2(psi=0.0, m0=1.0, m=(0.0, 0.0, 0.0)), count=3, "
-     "s_max=None, tol=1e-09)"),
+     "s_max=None)"),
 ]
 IDS = [type(value).__name__ for value, _, _ in EXAMPLES]
 
